@@ -12,6 +12,7 @@ from .errors import (
     ResourceError,
     SamplingError,
     ShapeError,
+    VerificationError,
 )
 
 __version__ = "0.1.0"
@@ -26,5 +27,6 @@ __all__ = [
     "ResourceError",
     "SamplingError",
     "ShapeError",
+    "VerificationError",
     "__version__",
 ]

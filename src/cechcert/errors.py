@@ -17,6 +17,10 @@ class ResolutionError(RuntimeError):
     """The grid and an analytic labeler disagree about an intersection."""
 
 
+class VerificationError(RuntimeError):
+    """An exact result failed its own re-check: a defect, not a failed certificate."""
+
+
 class ShapeError(ValueError):
     """An expression does not have the shape an operation requires."""
 

@@ -14,7 +14,6 @@ undefined on the coordinate axes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -40,6 +39,7 @@ __all__ = [
     "CAnd",
     "COr",
     "CNot",
+    "evaluate",
     "Region",
     "GridLabeling",
     "ConvexityVerdict",
@@ -101,19 +101,13 @@ class CPoint:
 
 
 # ---------------------------------------------------------------------------
-# Scalar expressions, evaluated in batch on (m, 2n) coordinate arrays
-
-
-def _hyp(pts: np.ndarray, j: int) -> np.ndarray:
-    return np.hypot(pts[:, 2 * j], pts[:, 2 * j + 1])
+# Scalar expressions; `evaluate` computes them in batch on (m, 2n) coordinate
+# arrays
 
 
 @dataclass(frozen=True)
 class SConst:
     value: float
-
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        return np.full(pts.shape[0], self.value)
 
     def to_jsonable(self):
         return {"op": "const", "value": self.value}
@@ -123,9 +117,6 @@ class SConst:
 class SX:
     j: int
 
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        return pts[:, 2 * self.j]
-
     def to_jsonable(self):
         return {"op": "x", "j": self.j}
 
@@ -134,9 +125,6 @@ class SX:
 class SY:
     j: int
 
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        return pts[:, 2 * self.j + 1]
-
     def to_jsonable(self):
         return {"op": "y", "j": self.j}
 
@@ -144,9 +132,6 @@ class SY:
 @dataclass(frozen=True)
 class SAbsZ:
     j: int
-
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        return _hyp(pts, self.j)
 
     def to_jsonable(self):
         return {"op": "abs_z", "j": self.j}
@@ -158,11 +143,6 @@ class SLogAbsZ:
 
     j: int
 
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        r = _hyp(pts, self.j)
-        with np.errstate(divide="ignore"):
-            return np.log(r)
-
     def to_jsonable(self):
         return {"op": "log_abs_z", "j": self.j}
 
@@ -170,16 +150,6 @@ class SLogAbsZ:
 @dataclass(frozen=True)
 class SRho:
     """Sum over j of (log|z_j|)^2; +inf on the coordinate axes."""
-
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[1] // 2
-        out = np.zeros(pts.shape[0])
-        for j in range(n):
-            r = _hyp(pts, j)
-            with np.errstate(divide="ignore"):
-                lg = np.log(r)
-            out = out + np.where(r == 0.0, np.inf, lg * lg)
-        return out
 
     def to_jsonable(self):
         return {"op": "rho"}
@@ -189,9 +159,6 @@ class SRho:
 class SNormSq:
     """Sum over j of |z_j|^2."""
 
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        return np.sum(pts * pts, axis=1)
-
     def to_jsonable(self):
         return {"op": "norm_sq"}
 
@@ -199,12 +166,6 @@ class SNormSq:
 @dataclass(frozen=True)
 class SSum:
     terms: tuple
-
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[0])
-        for t in self.terms:
-            out = out + t.ev(pts)
-        return out
 
     def to_jsonable(self):
         return {"op": "sum", "terms": [t.to_jsonable() for t in self.terms]}
@@ -214,12 +175,6 @@ class SSum:
 class SProd:
     factors: tuple
 
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        out = np.ones(pts.shape[0])
-        for f in self.factors:
-            out = out * f.ev(pts)
-        return out
-
     def to_jsonable(self):
         return {"op": "prod", "factors": [f.to_jsonable() for f in self.factors]}
 
@@ -228,9 +183,6 @@ class SProd:
 class SPow:
     base: object
     k: int
-
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        return self.base.ev(pts) ** self.k
 
     def to_jsonable(self):
         return {"op": "pow", "base": self.base.to_jsonable(), "k": self.k}
@@ -257,10 +209,6 @@ class CLt:
     lhs: object
     rhs: object
 
-    def ev_mask(self, pts: np.ndarray) -> np.ndarray:
-        # NaN compares false, so an undefined side excludes the point.
-        return self.lhs.ev(pts) < self.rhs.ev(pts)
-
     def to_jsonable(self):
         return {"op": "lt", "lhs": self.lhs.to_jsonable(), "rhs": self.rhs.to_jsonable()}
 
@@ -268,15 +216,6 @@ class CLt:
 @dataclass(frozen=True)
 class CAnd:
     items: tuple
-
-    def ev_mask(self, pts: np.ndarray) -> np.ndarray:
-        out = np.ones(pts.shape[0], dtype=bool)
-        for it in self.items:
-            sel = np.flatnonzero(out)
-            if sel.size == 0:
-                break
-            out[sel] = it.ev_mask(pts[sel])
-        return out
 
     def to_jsonable(self):
         return {"op": "and", "items": [i.to_jsonable() for i in self.items]}
@@ -286,15 +225,6 @@ class CAnd:
 class COr:
     items: tuple
 
-    def ev_mask(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[0], dtype=bool)
-        for it in self.items:
-            sel = np.flatnonzero(~out)
-            if sel.size == 0:
-                break
-            out[sel] = it.ev_mask(pts[sel])
-        return out
-
     def to_jsonable(self):
         return {"op": "or", "items": [i.to_jsonable() for i in self.items]}
 
@@ -303,25 +233,95 @@ class COr:
 class CNot:
     item: object
 
-    def ev_mask(self, pts: np.ndarray) -> np.ndarray:
-        return ~self.item.ev_mask(pts)
-
     def to_jsonable(self):
         return {"op": "not", "item": self.item.to_jsonable()}
 
 
-@dataclass(frozen=True)
-class CMapped:
-    """Membership of phi(z) in another region, for preimage regions."""
+def evaluate(node, pts: np.ndarray) -> np.ndarray:
+    """Values of an expression, or the mask of a constraint, on a batch of
+    (m, 2n) coordinates.
 
-    chart: object  # ChartMap; forward_xy(pts) -> (m, 2n') coordinate array
-    region: "Region"
+    |z_j|, log|z_j| and the exhaustion are computed once per batch however
+    many branches use them: they are memoised under per-coordinate keys and
+    under the (frozen, hence hashable) SRho node.  And and Or combine
+    full-length masks and stop early once every point is decided.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _value(node, pts, {})
 
-    def ev_mask(self, pts: np.ndarray) -> np.ndarray:
-        return self.region.mask(self.chart.forward_xy(pts))
 
-    def to_jsonable(self):
-        return {"op": "mapped", "chart": self.chart.name, "region": self.region.name}
+def _abs_z(j: int, pts: np.ndarray, memo: dict) -> np.ndarray:
+    out = memo.get(("abs", j))
+    if out is None:
+        out = memo[("abs", j)] = np.hypot(pts[:, 2 * j], pts[:, 2 * j + 1])
+    return out
+
+
+def _log_abs_z(j: int, pts: np.ndarray, memo: dict) -> np.ndarray:
+    out = memo.get(("log", j))
+    if out is None:
+        out = memo[("log", j)] = np.log(_abs_z(j, pts, memo))
+    return out
+
+
+def _value(e, pts: np.ndarray, memo: dict) -> np.ndarray:
+    # Dispatch on the exact node type: identity tests cost a fraction of a
+    # class-pattern `match`, and Region.contains evaluates whole trees on
+    # single points.
+    t, m = type(e), pts.shape[0]
+    if t is CLt:
+        # NaN compares false, so an undefined side excludes the point.
+        return _value(e.lhs, pts, memo) < _value(e.rhs, pts, memo)
+    if t is CAnd:
+        out = np.ones(m, dtype=bool)
+        for it in e.items:
+            out &= _value(it, pts, memo)
+            if not out.any():
+                break
+        return out
+    if t is COr:
+        out = np.zeros(m, dtype=bool)
+        for it in e.items:
+            out |= _value(it, pts, memo)
+            if out.all():
+                break
+        return out
+    if t is CNot:
+        return ~_value(e.item, pts, memo)
+    if t is SConst:
+        return np.full(m, e.value)
+    if t is SX:
+        return pts[:, 2 * e.j]
+    if t is SY:
+        return pts[:, 2 * e.j + 1]
+    if t is SAbsZ:
+        return _abs_z(e.j, pts, memo)
+    if t is SLogAbsZ:
+        return _log_abs_z(e.j, pts, memo)
+    if t is SSum:
+        out = np.zeros(m)
+        for term in e.terms:
+            out += _value(term, pts, memo)
+        return out
+    if t is SProd:
+        out = np.ones(m)
+        for f in e.factors:
+            out *= _value(f, pts, memo)
+        return out
+    if t is SPow:
+        return _value(e.base, pts, memo) ** e.k
+    if t is SRho:
+        out = memo.get(e)
+        if out is None:
+            # (-inf)^2 = +inf on the coordinate axes
+            out = memo[e] = np.zeros(m)
+            for j in range(pts.shape[1] // 2):
+                lg = _log_abs_z(j, pts, memo)
+                out += lg * lg
+        return out
+    if t is SNormSq:
+        return np.sum(pts * pts, axis=1)
+    raise TypeError(f"cannot evaluate {t.__name__}")
 
 
 def lt(lhs, rhs) -> CLt:
@@ -358,10 +358,10 @@ class Region:
         return self.bbox.shape[0]
 
     def contains(self, p: CPoint) -> bool:
-        return bool(self.constraint.ev_mask(p.row())[0])
+        return bool(evaluate(self.constraint, p.row())[0])
 
     def mask(self, pts: np.ndarray) -> np.ndarray:
-        return self.constraint.ev_mask(np.asarray(pts, dtype=float))
+        return evaluate(self.constraint, np.asarray(pts, dtype=float))
 
     def intersect(self, other: "Region", name: Optional[str] = None) -> "Region":
         lo = np.maximum(self.bbox[:, 0], other.bbox[:, 0])
@@ -598,16 +598,6 @@ class GridLabeling:
             "representatives": [list(r.xy) for r in self.representatives],
         }
 
-    def dump_csv(self, path: str) -> None:
-        """Write the in-region lattice nodes (coordinates + component id)."""
-        dims = len(self.shape)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"c{i}" for i in range(dims)] + ["component"])
-            for idx in np.argwhere(self.mask):
-                coords = self.origin + self.step * idx
-                w.writerow([f"{c:.9g}" for c in coords] + [int(self.labels[tuple(idx)])])
-
 
 def grid_components(region: Region, step: float, budget: int = 10_000_000) -> GridLabeling:
     """Scan the region bbox lattice and label axis-connected in-region components."""
@@ -634,20 +624,21 @@ def grid_components(region: Region, step: float, budget: int = 10_000_000) -> Gr
             buf[:, 0] = axes[0][i0]
             mask[i0] = region.mask(buf).reshape(shape[1:])
     labels, n_comp = ndimage.label(mask)
-    reps: list[CPoint] = []
-    if n_comp:
-        flat = labels.ravel()
-        nz = np.flatnonzero(flat)
-        # first occurrence per component id, in scan order
-        first = {}
-        order = np.argsort(flat[nz], kind="stable")
-        for pos in nz[order]:
-            lab = int(flat[pos])
-            if lab not in first:
-                first[lab] = pos
-        for lab in range(1, n_comp + 1):
-            idx = np.unravel_index(first[lab], shape)
-            reps.append(CPoint(tuple(lo + step * np.asarray(idx, dtype=float))))
+    # first in-region node of each component in C scan order, read off the
+    # axis-0 slabs in turn until every component has been met
+    first: dict[int, tuple[int, ...]] = {}
+    slabs = labels.reshape(shape[0], -1)
+    for i0 in range(shape[0]):
+        if len(first) == n_comp:
+            break
+        ids, pos = np.unique(slabs[i0], return_index=True)
+        for lab, p in zip(ids.tolist(), pos.tolist()):
+            if lab and lab not in first:
+                first[lab] = (i0, *np.unravel_index(p, shape[1:]))
+    reps = [
+        CPoint(tuple(lo + step * np.asarray(first[lab], dtype=float)))
+        for lab in range(1, n_comp + 1)
+    ]
     return GridLabeling(step, lo.copy(), shape, mask, labels, int(n_comp), reps)
 
 

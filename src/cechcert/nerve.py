@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotACocycleError, ResolutionError
+from .errors import NotACocycleError, ResolutionError, VerificationError
 from .geometry import CPoint, Region, grid_components
 from .snf import SNFResult, smith_normal_form, solve_integer
 
@@ -448,10 +448,10 @@ def is_coboundary(nerve: ResolvedNerve, c: IntCochain) -> CoboundaryVerdict:
         return CoboundaryVerdict(None, (int(obs[0]), int(obs[1])))
     primitive = IntCochain.from_vector(nerve, k - 1, x, ring=c.ring)
     check = coboundary(nerve, primitive)
-    if modulus is None:
-        assert all(check.get(s, ci) == c.get(s, ci) for s, ci in nerve.basis(k))
-    else:
-        assert all((check.get(s, ci) - c.get(s, ci)) % 2 == 0 for s, ci in nerve.basis(k))
+    for s, ci in nerve.basis(k):
+        diff = check.get(s, ci) - c.get(s, ci)
+        if (diff if modulus is None else diff % modulus) != 0:
+            raise VerificationError(f"primitive fails d(b) = c on simplex {s}, component {ci}")
     return CoboundaryVerdict(primitive, None)
 
 

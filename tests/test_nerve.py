@@ -1,7 +1,13 @@
 """Resolved nerves, the integer differential, and exact cohomology."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import cechcert
 
 from cechcert.errors import NotACocycleError, ResolutionError
 from cechcert.geometry import (
@@ -112,6 +118,42 @@ def test_dim2_equal_values_are_coboundaries(dim2_nerve):
     assert verdict.yes
     again = coboundary(dim2_nerve, verdict.primitive)
     assert again.get((0, 1), 0) == 4 and again.get((0, 1), 1) == 4
+
+
+_WRONG_PRIMITIVE = """
+import sys
+import cechcert.nerve as nerve
+from cechcert.covers import dim2_cover, dim2_resolution
+
+if not sys.flags.optimize:
+    sys.exit(3)
+solve = nerve.solve_integer
+
+
+def doubled(snf, c, modulus=None):
+    x, obs = solve(snf, c, modulus=modulus)
+    return 2 * x, obs
+
+
+nerve.solve_integer = doubled
+n = nerve.build_nerve(dim2_cover(4.0), 2, dim2_resolution())
+nerve.is_coboundary(n, nerve.IntCochain(1, "Z", {((0, 1), 0): 4, ((0, 1), 1): 4}))
+"""
+
+
+def test_is_coboundary_rechecks_primitive_under_optimize():
+    # a solver that returns 2x instead of x must be caught even with -O,
+    # which strips assert statements
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cechcert.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_PRIMITIVE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "VerificationError: primitive fails d(b) = c" in proc.stderr
 
 
 def test_is_coboundary_zero_and_constant(dim2_nerve):
