@@ -16,7 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BranchError, ChartError, GlueError, NotACocycleError, ShapeError
+from .errors import (
+    BranchError,
+    ChartError,
+    DomainError,
+    GlueError,
+    NotACocycleError,
+    ResolutionError,
+    ShapeError,
+)
 from .geometry import CPoint, Region
 from .hexpr import (
     ChartMap,
@@ -166,7 +174,7 @@ def _samples_in_component(
             try:
                 if nerve.locate(simplex, p) == comp:
                     pts.append(p)
-            except Exception:
+            except (ResolutionError, DomainError):
                 continue
             if len(pts) > count:
                 break

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when every machine check passes, 1 when a check fails, 2 for
-configuration or resource errors.  Reports go to --out, or into the directory
+configuration or resource errors and for computations that cannot finish or
+fail their own exact re-check.  Reports go to --out, or into the directory
 named by the CECHCERT_OUT environment variable (default: current directory).
 """
 
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResolutionError, ResourceError, SamplingError, VerificationError
 from .report import emit_report
 from .scenarios import ScenarioConfig, hessian_scan_rows, run_dim2, run_dimn, torus_rank_table
 
@@ -140,7 +141,15 @@ def main(argv=None) -> int:
             print("selftest:", "PASS" if ok else "FAIL")
             return 0 if ok else 1
         parser.error(f"unknown command {args.cmd!r}")
-    except (DomainError, ResourceError, ValueError, OSError) as exc:
+    except (
+        DomainError,
+        ResourceError,
+        ResolutionError,
+        SamplingError,
+        VerificationError,
+        ValueError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

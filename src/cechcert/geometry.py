@@ -50,7 +50,6 @@ __all__ = [
     "hessian_block_det",
     "real_hessian",
     "hessian_fd_residual",
-    "contains",
     "grid_components",
     "segment_convexity",
     "contraction_residual",
@@ -358,6 +357,7 @@ class Region:
         return self.bbox.shape[0]
 
     def contains(self, p: CPoint) -> bool:
+        """Strict membership; points on a defining hypersurface are outside."""
         return bool(evaluate(self.constraint, p.row())[0])
 
     def mask(self, pts: np.ndarray) -> np.ndarray:
@@ -518,11 +518,6 @@ def hessian_fd_residual(z: CPoint, h: float) -> float:
             ) / (4.0 * h * h)
             fd[a, b] = fd[b, a] = v
     return float(np.max(np.abs(fd - real_hessian(z))))
-
-
-def contains(region: Region, z: CPoint) -> bool:
-    """Strict membership; points on a defining hypersurface are outside."""
-    return region.contains(z)
 
 
 def contraction_residual(z: CPoint, t: float) -> float:

@@ -357,7 +357,6 @@ class CohomologyResult:
     ring: str
     free_rank: int
     torsion: tuple[int, ...]
-    generators: list[IntCochain]
     dims: dict[str, int]
 
     def to_jsonable(self):
@@ -366,7 +365,6 @@ class CohomologyResult:
             "ring": self.ring,
             "free_rank": self.free_rank,
             "torsion": list(self.torsion),
-            "generators": [g.to_jsonable() for g in self.generators],
             "dims": self.dims,
         }
 
@@ -376,36 +374,27 @@ def _rank2(snf: SNFResult) -> int:
 
 
 def cohomology(nerve: ResolvedNerve, k: int, ring: str = "Z") -> CohomologyResult:
-    """ker(d^k) / im(d^{k-1}) via exact Smith normal form."""
+    """Rank and torsion of ker(d^k) / im(d^{k-1}) via exact Smith normal form."""
     if k + 1 > nerve.k_max:
         raise ValueError(f"k_max={nerve.k_max} too small to compute H^{k}")
     dim_k = len(nerve.basis(k))
     A = delta_matrix(nerve, k)
     B = delta_matrix(nerve, k - 1) if k >= 1 else np.zeros((dim_k, 0), dtype=np.int64)
+    # the rank formula below counts ker(d^k) / im(d^{k-1}) only if d^k d^{k-1} = 0;
+    # the product is summed exactly in int64 over the nonzero entries of d^k
+    rows, cols = np.nonzero(A)
+    AB = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    np.add.at(AB, rows, A[rows, cols, None] * B[cols])
+    if AB.any():
+        raise VerificationError(f"d^{k} d^{k - 1} is not zero: the differential is broken")
     snfA = smith_normal_form(A)
     snfB = smith_normal_form(B)
     dims = {"C_k": dim_k, "C_k+1": A.shape[0], "C_k-1": B.shape[1]}
     if ring == "Z2":
-        free = dim_k - _rank2(snfA) - _rank2(snfB)
-        return CohomologyResult(k, ring, free, (), [], dims)
+        return CohomologyResult(k, ring, dim_k - _rank2(snfA) - _rank2(snfB), (), dims)
     free = dim_k - snfA.rank - snfB.rank
     torsion = tuple(d for d in snfB.divisors if d > 1)
-    generators: list[IntCochain] = []
-    if free > 0:
-        # kernel basis of A, then quotient by the image of B inside it
-        Z = np.asarray(snfA.V, dtype=object)[:, snfA.rank :]
-        snfZ = smith_normal_form(Z)
-        Y = np.zeros((Z.shape[1], B.shape[1]), dtype=object)
-        for jcol in range(B.shape[1]):
-            y, obs = solve_integer(snfZ, B[:, jcol])
-            if obs is not None:
-                raise RuntimeError("image column not in kernel: differential is broken")
-            Y[:, jcol] = y
-        snfY = smith_normal_form(Y)
-        gen_mat = Z @ np.asarray(snfY.Uinv, dtype=object)[:, snfY.rank :]
-        for i in range(free):
-            generators.append(IntCochain.from_vector(nerve, k, gen_mat[:, i]))
-    return CohomologyResult(k, ring, free, torsion, generators, dims)
+    return CohomologyResult(k, ring, free, torsion, dims)
 
 
 @dataclass

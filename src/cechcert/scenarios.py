@@ -33,7 +33,7 @@ from .bundles import (
     restrict_to_sets,
     validate_cocycle,
 )
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 from .geometry import (
     CPoint,
     grid_components,
@@ -76,6 +76,16 @@ class ScenarioConfig:
     run_connectivity: bool = True
     debug_cocycle: Optional[dict] = None  # override the slab 1-cocycle values
     debug_scale: str = "half"
+
+    def __post_init__(self) -> None:
+        for name in ("samples", "budget_nodes", "r", "delta", "fd_step", "step"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("tol_cocycle", "tol_chern"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     def eps(self) -> float:
         return self.n / 2.0 if self.epsilon is None else self.epsilon
@@ -120,7 +130,7 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
     try:
         check_cover(cover, rng, samples=min(cfg.samples, 500))
         cover_ok = True
-    except Exception:
+    except ResolutionError:
         cover_ok = False
     n_overlap = len(nerve.components((0, 1)))
     rep.add(

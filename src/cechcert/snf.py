@@ -1,7 +1,8 @@
 """Exact Smith normal form of integer matrices, with the transforms tracked.
 
-The reduction keeps U * M * V = D at every step, with U and V unimodular and D
-diagonal whose entries satisfy the divisibility chain d1 | d2 | ...  Pivoting
+The reduction keeps U * M * V equal to the working matrix at every step, with
+U and V unimodular; it ends diagonal, with nonzero entries satisfying the
+divisibility chain d1 | d2 | ...  Pivoting
 always selects a smallest-magnitude nonzero entry, which keeps coefficient
 growth tame on incidence-style matrices.
 
@@ -23,13 +24,11 @@ _GUARD = 1 << 20
 
 @dataclass
 class SNFResult:
-    """U @ M @ V = D with U, V unimodular; divisors is the nonzero diagonal."""
+    """U, V unimodular with U @ M @ V zero except for its first rank diagonal
+    entries, which are the divisors."""
 
     U: np.ndarray
-    D: np.ndarray
     V: np.ndarray
-    Uinv: np.ndarray
-    Vinv: np.ndarray
     rank: int
     divisors: tuple[int, ...]
 
@@ -43,9 +42,7 @@ def _reduce(M: np.ndarray, guard: bool) -> SNFResult:
     m, n = A.shape
     dt = A.dtype
     U = np.eye(m, dtype=dt)
-    Ui = np.eye(m, dtype=dt)
     V = np.eye(n, dtype=dt)
-    Vi = np.eye(n, dtype=dt)
 
     def check() -> None:
         if guard and max(
@@ -54,30 +51,24 @@ def _reduce(M: np.ndarray, guard: bool) -> SNFResult:
             raise _Overflow
 
     def row_add(dst: int, src: int, q) -> None:
-        # A <- R A with R adding -q*src to dst; U <- R U; Ui <- Ui R^-1
         A[dst] -= q * A[src]
         U[dst] -= q * U[src]
-        Ui[:, src] += q * Ui[:, dst]
 
     def col_add(dst: int, src: int, q) -> None:
         A[:, dst] -= q * A[:, src]
         V[:, dst] -= q * V[:, src]
-        Vi[src] += q * Vi[dst]
 
     def row_swap(a: int, b: int) -> None:
         A[[a, b]] = A[[b, a]]
         U[[a, b]] = U[[b, a]]
-        Ui[:, [a, b]] = Ui[:, [b, a]]
 
     def col_swap(a: int, b: int) -> None:
         A[:, [a, b]] = A[:, [b, a]]
         V[:, [a, b]] = V[:, [b, a]]
-        Vi[[a, b]] = Vi[[b, a]]
 
     def row_neg(a: int) -> None:
         A[a] = -A[a]
         U[a] = -U[a]
-        Ui[:, a] = -Ui[:, a]
 
     t = 0
     while t < min(m, n):
@@ -126,12 +117,7 @@ def _reduce(M: np.ndarray, guard: bool) -> SNFResult:
                 row_add(t, t + 1 + int(bad[0][0]), dt.type(-1) if dt != object else -1)
                 continue
         t += 1
-    rank = t
-    divisors = tuple(int(A[i, i]) for i in range(rank))
-    D = np.zeros_like(A)
-    for i in range(rank):
-        D[i, i] = A[i, i]
-    return SNFResult(U, D, V, Ui, Vi, rank, divisors)
+    return SNFResult(U, V, t, tuple(int(A[i, i]) for i in range(t)))
 
 
 def smith_normal_form(M) -> SNFResult:
@@ -160,27 +146,22 @@ def solve_integer(snf: SNFResult, c: np.ndarray, modulus: int | None = None):
     """
     c = np.asarray(c)
     y = snf.U.astype(object) @ c.astype(object)
-    m = snf.D.shape[0]
-    w = np.zeros(snf.D.shape[1], dtype=object)
-    for i in range(m):
-        d = int(snf.D[i, i]) if i < min(snf.D.shape) else 0
-        yi = int(y[i])
-        if modulus is not None:
-            d, yi = d % modulus, yi % modulus
-        if i < snf.rank:
-            if modulus is None:
-                if yi % int(snf.D[i, i]) != 0:
-                    return None, (i, yi % int(snf.D[i, i]))
-                w[i] = yi // int(snf.D[i, i])
-            else:
-                di = int(snf.D[i, i])
-                sol = _mod_solve(di, yi, modulus)
-                if sol is None:
-                    return None, (i, yi)
-                w[i] = sol
-        else:
+    w = np.zeros(snf.V.shape[0], dtype=object)
+    for i in range(snf.U.shape[0]):
+        yi = int(y[i]) if modulus is None else int(y[i]) % modulus
+        if i >= snf.rank:
             if yi != 0:
                 return None, (i, yi)
+        elif modulus is None:
+            d = snf.divisors[i]
+            if yi % d != 0:
+                return None, (i, yi % d)
+            w[i] = yi // d
+        else:
+            sol = _mod_solve(snf.divisors[i], yi, modulus)
+            if sol is None:
+                return None, (i, yi)
+            w[i] = sol
     x = snf.V.astype(object) @ w
     if modulus is not None:
         x = x % modulus

@@ -29,7 +29,6 @@ from cechcert.covers import (
 )
 from cechcert.geometry import (
     CPoint,
-    contains,
     contraction_residual,
     grid_components,
     hessian_block_det,
@@ -163,8 +162,7 @@ def test_criterion_07_convexity():
     cap = g.intersect(up_ball(n, eps, 0.5), name="G&U_p")
     conv = segment_convexity(cap, 10_000, seed=0)
     witness = segment_convexity(g, 10_000, seed=0)
-    explicit_mid_outside = not contains(
-        g,
+    explicit_mid_outside = not g.contains(
         CPoint(
             tuple(
                 0.5

@@ -9,7 +9,6 @@ from cechcert.errors import DomainError, ResourceError
 from cechcert.geometry import (
     CPoint,
     ball_region,
-    contains,
     contraction_residual,
     grid_components,
     hessian_block,
@@ -112,13 +111,13 @@ def test_hessian_fd_rejects_bad_step():
 
 def test_contains_examples():
     g = g_eps_region(2, 1.0)
-    assert contains(g, CPoint.from_complex([1, 1]))
+    assert g.contains(CPoint.from_complex([1, 1]))
     omega = omega_region(2, 1.0)
-    assert contains(omega, CPoint.from_complex([0, 0]))
+    assert omega.contains(CPoint.from_complex([0, 0]))
     # a point at exhaustion level exactly eps is outside the open tube
     z = CPoint.from_complex([math.exp(1.0), 1.0])
     assert abs(rho(z) - 1.0) < 1e-12
-    assert not contains(g, z)
+    assert not g.contains(z)
 
 
 def test_tube_in_ball_bound():
@@ -161,8 +160,8 @@ def test_tube_not_convex_explicit_witness():
     p1 = CPoint.from_complex([math.exp(0.9), 1.0])
     p2 = CPoint.from_complex([-math.exp(0.9), 1.0])
     mid = CPoint(tuple(0.5 * (np.asarray(p1.xy) + np.asarray(p2.xy))))
-    assert contains(g, p1) and contains(g, p2)
-    assert not contains(g, mid)  # midpoint hits the vanishing-modulus locus
+    assert g.contains(p1) and g.contains(p2)
+    assert not g.contains(mid)  # midpoint hits the vanishing-modulus locus
     verdict = segment_convexity(g, 5000, seed=0)
     assert not verdict.ok
 

@@ -9,7 +9,8 @@ import pytest
 
 import cechcert
 
-from cechcert.errors import NotACocycleError, ResolutionError
+from cechcert import nerve as nerve_mod
+from cechcert.errors import NotACocycleError, ResolutionError, VerificationError
 from cechcert.geometry import (
     CAnd,
     CPoint,
@@ -236,9 +237,22 @@ def test_torus_ranks(torus_nerve):
     h2 = cohomology(torus_nerve, 2)
     assert h1.free_rank == 2 and h1.torsion == ()
     assert h2.free_rank == 1 and h2.torsion == ()
-    for gen in h1.generators + h2.generators:
-        assert coboundary(torus_nerve, gen).is_zero()
-        assert not is_coboundary(torus_nerve, gen).yes
+
+
+def test_cohomology_rejects_broken_differential(torus_nerve, monkeypatch):
+    real = delta_matrix
+
+    def broken(nerve, k):
+        M = real(nerve, k)
+        if k == 1:
+            M[0, 0] += 1
+        return M
+
+    monkeypatch.setattr(nerve_mod, "delta_matrix", broken)
+    with pytest.raises(VerificationError, match="not zero"):
+        cohomology(torus_nerve, 1)
+    with pytest.raises(VerificationError, match="not zero"):
+        cohomology(torus_nerve, 2, ring="Z2")
 
 
 def test_torus_z2_ranks(torus_nerve):

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
+from cechcert import cli, scenarios
 from cechcert.cli import main
-from cechcert.errors import DomainError
+from cechcert.errors import DomainError, SamplingError
 from cechcert.report import CertificateReport, emit_report
 from cechcert.scenarios import (
     ScenarioConfig,
@@ -171,6 +172,32 @@ def test_cli_dimn_failure_exit(tmp_path):
 def test_cli_config_error_exit(tmp_path):
     assert main(["dimn", "--epsilon", "-1", "--out", str(tmp_path / "x.json")]) == 2
     assert main(["dim2", "--samples", "100", "--out", str(tmp_path / "no" / "x.json")]) == 2
+
+
+def test_cli_rejects_zero_samples(tmp_path, capsys):
+    assert main(["dimn", "--samples", "0", "--out", str(tmp_path / "x.json")]) == 2
+    assert "samples must be positive" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="budget_nodes"):
+        ScenarioConfig(budget_nodes=0)
+
+
+def test_cli_computation_error_exit(tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise SamplingError("no in-region point found")
+
+    monkeypatch.setattr(cli, "run_dimn", fail)
+    assert main(["dimn", "--out", str(tmp_path / "x.json")]) == 2
+    assert "error: no in-region point found" in capsys.readouterr().err
+
+
+def test_dim2_check_cover_bug_propagates(monkeypatch):
+    # only a ResolutionError reads as a failed cover check; a bug must surface
+    def broken(cover, rng, samples):
+        raise TypeError("bug in check_cover")
+
+    monkeypatch.setattr(scenarios, "check_cover", broken)
+    with pytest.raises(TypeError, match="bug in check_cover"):
+        run_dim2(_fast_cfg())
 
 
 def test_cli_torus_table(tmp_path):
