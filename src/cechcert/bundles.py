@@ -322,13 +322,16 @@ def validate_iso(
     samples_per_simplex: int = 12,
     tol: float = 1e-9,
     seed: int = 0,
+    det_floor: float = 1e-12,
 ) -> CocycleReport:
     """Check the transition equation of the gluing construction on every mixed
     simplex of the union nerve: with h carrying U-frames to V-frames,
-    f(i2<-i1) = h(j2,i2)^{-1} g(j2<-j1) h(j1,i1) on each component."""
+    f(i2<-i1) = h(j2,i2)^{-1} g(j2<-j1) h(j1,i1) on each component.  An h
+    with determinant at or below `det_floor` fails the check."""
     off = len(bU.cover.sets)
     rng = np.random.default_rng(seed)
     worst, where, npts = 0.0, "", 0
+    det_ok = True
     for s in sorted(union_nerve.simplices):
         us = [i for i in s if i < off]
         vs = [j - off for j in s if j >= off]
@@ -351,13 +354,16 @@ def validate_iso(
 
                 f = transition_at(bU, i2, i1, z, comp_of(bU.nerve, i1, i2))
                 g = transition_at(bV, j2, j1, z, comp_of(bV.nerve, j1, j2))
-                lhs = f
-                rhs = np.linalg.inv(hmat(i2, j2)) @ g @ hmat(i1, j1)
+                h2, h1 = hmat(i2, j2), hmat(i1, j1)
                 npts += 1
-                res = float(np.max(np.abs(lhs - rhs)))
+                if min(abs(np.linalg.det(h2)), abs(np.linalg.det(h1))) <= det_floor:
+                    det_ok = False
+                    where = f"mixed simplex {s} comp {ci}: determinant below floor"
+                    continue
+                res = float(np.max(np.abs(f - np.linalg.inv(h2) @ g @ h1)))
                 if res > worst:
                     worst, where = res, f"mixed simplex {s} comp {ci}"
-    return CocycleReport(worst, where, npts, True, tol)
+    return CocycleReport(worst, where, npts, det_ok, tol)
 
 
 def glue(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotACocycleError, ResolutionError, VerificationError
 from .geometry import CPoint, Region, grid_components
-from .snf import SNFResult, smith_normal_form, solve_integer
+from .snf import smith_divisors, smith_normal_form, solve_integer
 
 __all__ = [
     "Cover",
@@ -369,12 +369,9 @@ class CohomologyResult:
         }
 
 
-def _rank2(snf: SNFResult) -> int:
-    return sum(1 for d in snf.divisors if d % 2 != 0)
-
-
 def cohomology(nerve: ResolvedNerve, k: int, ring: str = "Z") -> CohomologyResult:
-    """Rank and torsion of ker(d^k) / im(d^{k-1}) via exact Smith normal form."""
+    """Rank and torsion of ker(d^k) / im(d^{k-1}) from the invariant factors of
+    both differentials; over Z/2 the rank of each is its count of odd factors."""
     if k + 1 > nerve.k_max:
         raise ValueError(f"k_max={nerve.k_max} too small to compute H^{k}")
     dim_k = len(nerve.basis(k))
@@ -387,13 +384,14 @@ def cohomology(nerve: ResolvedNerve, k: int, ring: str = "Z") -> CohomologyResul
     np.add.at(AB, rows, A[rows, cols, None] * B[cols])
     if AB.any():
         raise VerificationError(f"d^{k} d^{k - 1} is not zero: the differential is broken")
-    snfA = smith_normal_form(A)
-    snfB = smith_normal_form(B)
+    divA = smith_divisors(A)
+    divB = smith_divisors(B)
     dims = {"C_k": dim_k, "C_k+1": A.shape[0], "C_k-1": B.shape[1]}
     if ring == "Z2":
-        return CohomologyResult(k, ring, dim_k - _rank2(snfA) - _rank2(snfB), (), dims)
-    free = dim_k - snfA.rank - snfB.rank
-    torsion = tuple(d for d in snfB.divisors if d > 1)
+        rank2 = sum(1 for d in divA + divB if d % 2 != 0)
+        return CohomologyResult(k, ring, dim_k - rank2, (), dims)
+    free = dim_k - len(divA) - len(divB)
+    torsion = tuple(d for d in divB if d > 1)
     return CohomologyResult(k, ring, free, torsion, dims)
 
 

@@ -1,10 +1,14 @@
 """Exact Smith normal form of integer matrices, with the transforms tracked.
 
-The reduction keeps U * M * V equal to the working matrix at every step, with
-U and V unimodular; it ends diagonal, with nonzero entries satisfying the
-divisibility chain d1 | d2 | ...  Pivoting
-always selects a smallest-magnitude nonzero entry, which keeps coefficient
-growth tame on incidence-style matrices.
+`smith_divisors` returns the invariant factors alone.  It first eliminates
+the +-1 pivots of a sparse matrix with exact row operations, then hands what
+is left to `smith_normal_form`.
+
+The tracked reduction keeps U * M * V equal to the working matrix at every
+step, with U and V unimodular; it ends diagonal, with nonzero entries
+satisfying the divisibility chain d1 | d2 | ...  Pivoting always selects a
+smallest-magnitude nonzero entry, which keeps coefficient growth tame on
+incidence-style matrices.
 
 Arithmetic runs on int64 with an overflow guard; if any intermediate value
 approaches the guard bound the whole reduction restarts on Python integers
@@ -13,11 +17,13 @@ approaches the guard bound the whole reduction restarts on Python integers
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SNFResult", "smith_normal_form", "solve_integer"]
+__all__ = ["SNFResult", "smith_divisors", "smith_normal_form", "solve_integer"]
 
 _GUARD = 1 << 20
 
@@ -136,6 +142,65 @@ def smith_normal_form(M) -> SNFResult:
             for j in range(M.shape[1]):
                 Mo[i, j] = int(M[i, j])
         return _reduce(Mo, guard=False)
+
+
+def smith_divisors(M) -> tuple[int, ...]:
+    """Nonzero invariant factors of an integer matrix, so the rank is their count.
+
+    Rows are sparse dicts of Python ints.  The shortest live row goes first and
+    pivots on its +-1 entry in the shortest column (Markowitz order); exact row
+    operations clear that column from every other row, so the matrix splits as
+    1 (+) the rest.  A row with no +-1 entry waits until fill-in gives it one.
+    The rows left over go to `smith_normal_form`, restricted to the columns
+    they touch.  That call is made even when nothing is left, so a trace of
+    `smith_normal_form` always shows the dense work that remains.
+    """
+    M = np.asarray(M)
+    if M.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    nz = np.nonzero(M)
+    rows: list[dict[int, int]] = [{} for _ in range(M.shape[0])]
+    cols: defaultdict[int, set[int]] = defaultdict(set)
+    for i, j, v in zip(nz[0].tolist(), nz[1].tolist(), M[nz].tolist()):
+        rows[i][j] = int(v)
+        cols[j].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = rows[i]
+        if size != len(row):
+            continue  # changed since it was pushed, or pivoted (emptied)
+        units = [j for j, v in row.items() if abs(v) == 1]
+        if not units:
+            continue
+        j = min(units, key=lambda c: (len(cols[c]), c))
+        rows[i] = {}
+        for c in row:
+            cols[c].discard(i)
+        p = row.pop(j)
+        for r in cols.pop(j):
+            other = rows[r]
+            q = other.pop(j) * p  # other[j] / p, as p = +-1
+            for c, v in row.items():
+                w = other.get(c, 0) - q * v
+                if w:
+                    if c not in other:
+                        cols[c].add(r)
+                    other[c] = w
+                else:
+                    del other[c]
+                    cols[c].discard(r)
+            heapq.heappush(heap, (len(other), r))
+        pivots += 1
+    left = [row for row in rows if row]
+    at = {c: x for x, c in enumerate(sorted({c for row in left for c in row}))}
+    R = np.zeros((len(left), len(at)), dtype=object)
+    for y, row in enumerate(left):
+        for c, v in row.items():
+            R[y, at[c]] = v
+    return (1,) * pivots + smith_normal_form(R).divisors
 
 
 def solve_integer(snf: SNFResult, c: np.ndarray, modulus: int | None = None):

@@ -389,3 +389,13 @@ def test_validate_iso_detects_wrong_iso():
     bad = BundleIso({k: {None: MatExpr(((Const(2.0),),))} for k in iso.h})
     glued, iso_rep, coc_rep = glue(bU, bV, bad, res, k_max=2, samples_per_simplex=4)
     assert iso_rep.max_residual > 1e-3
+
+
+def test_validate_iso_flags_singular_iso():
+    bU, bV, iso, res = _ball_glue_instance(1, 1)
+    zero = BundleIso({k: {None: MatExpr(((Const(0.0),),))} for k in iso.h})
+    glued, iso_rep, coc_rep = glue(bU, bV, zero, res, k_max=2, samples_per_simplex=4)
+    assert not iso_rep.det_floor_ok and not iso_rep.passed
+    assert iso_rep.to_jsonable()["det_floor_ok"] is False
+    assert "determinant below floor" in iso_rep.worst_location
+    assert iso_rep.points_checked > 0

@@ -208,6 +208,22 @@ def test_cli_torus_table(tmp_path):
     assert [r["rank"] for r in rows] == [1, 2, 1]
 
 
+def test_cli_torus_table_fails_on_torsion(tmp_path, monkeypatch, capsys):
+    # Kuenneth predicts free cohomology; a torsion row fails the table even
+    # when every rank matches
+    def with_torsion(n, eps=None, k_max=None):
+        rows = torus_rank_table(n, eps, k_max)
+        rows[1]["torsion"] = [2]
+        return rows
+
+    monkeypatch.setattr(cli, "torus_rank_table", with_torsion)
+    out = tmp_path / "ranks.json"
+    assert main(["cohomology-torus", "--n", "2", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())
+    assert [r["rank"] for r in rows] == [r["expected"] for r in rows]
+    assert "H^1: rank 2 (expected 2)" in capsys.readouterr().out
+
+
 def test_cli_hessian_scan(tmp_path):
     out = tmp_path / "scan.csv"
     code = main(["hessian-scan", "--count", "50", "--out", str(out)])

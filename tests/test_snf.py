@@ -1,14 +1,19 @@
-"""Exactness and transform-tracking properties of the Smith normal form,
-with sympy's invariant factors as an independent oracle for the divisors."""
+"""Exactness and transform-tracking properties of the Smith normal form, and
+the divisors of the sparse unit-pivot elimination, with sympy's invariant
+factors as an independent oracle for both."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from cechcert.snf import smith_normal_form, solve_integer
+from cechcert import snf as snf_mod
+from cechcert.snf import smith_divisors, smith_normal_form, solve_integer
 
 
 def _is_unimodular(M: np.ndarray) -> bool:
@@ -35,13 +40,25 @@ def _is_unimodular(M: np.ndarray) -> bool:
     return det in (1, -1)
 
 
-def _check(M):
-    M = np.asarray(M)
-    s = smith_normal_form(M)
+def _as_object(M) -> np.ndarray:
     Mo = np.empty(M.shape, dtype=object)
     for i in range(M.shape[0]):
         for j in range(M.shape[1]):
             Mo[i, j] = int(M[i, j])
+    return Mo
+
+
+def _oracle(M) -> tuple[int, ...]:
+    if 0 in M.shape:
+        return ()
+    factors = invariant_factors(Matrix(_as_object(M).tolist()), domain=ZZ)
+    return tuple(int(d) for d in factors if d != 0)
+
+
+def _check(M):
+    M = np.asarray(M)
+    s = smith_normal_form(M)
+    Mo = _as_object(M)
     U = np.asarray(s.U, dtype=object)
     V = np.asarray(s.V, dtype=object)
     D = np.zeros(M.shape, dtype=object)
@@ -54,8 +71,8 @@ def _check(M):
     for a, b in zip(s.divisors, s.divisors[1:]):
         assert b % a == 0
     assert all(d > 0 for d in s.divisors)
-    oracle = invariant_factors(Matrix(Mo.tolist()), domain=ZZ)
-    assert s.divisors == tuple(int(d) for d in oracle if d != 0)
+    assert s.divisors == _oracle(M)
+    assert smith_divisors(M) == s.divisors
     return s
 
 
@@ -99,6 +116,85 @@ def test_random_property(rows):
     _check(np.array(rows, dtype=int))
 
 
+@settings(max_examples=80, deadline=2000)
+@given(
+    arrays(
+        np.int64,
+        st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        elements=st.sampled_from((-1, 0, 0, 0, 1)),
+    )
+)
+def test_divisors_of_sparse_unit_matrices(M):
+    d = smith_divisors(M)
+    assert d == _oracle(M)
+    assert d == smith_normal_form(M).divisors
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+def test_divisors_of_empty_matrices(shape):
+    M = np.zeros(shape, dtype=np.int64)
+    assert smith_divisors(M) == smith_normal_form(M).divisors == ()
+
+
+def _rp2_coboundary() -> np.ndarray:
+    """d^1 of the 6-vertex triangulation of the real projective plane."""
+    tris = [
+        (1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+        (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6),
+    ]
+    edges = sorted({e for t in tris for e in itertools.combinations(t, 2)})
+    col = {e: i for i, e in enumerate(edges)}
+    D = np.zeros((len(tris), len(edges)), dtype=np.int64)
+    for r, t in enumerate(tris):
+        for m in range(3):
+            D[r, col[t[:m] + t[m + 1 :]]] += (-1) ** m
+    return D
+
+
+def _rank_mod2(M: np.ndarray) -> int:
+    A = [[int(x) % 2 for x in row] for row in M]
+    rank = 0
+    for c in range(M.shape[1]):
+        piv = next((r for r in range(rank, len(A)) if A[r][c]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        for r in range(len(A)):
+            if r != rank and A[r][c]:
+                A[r] = [a ^ b for a, b in zip(A[r], A[rank])]
+        rank += 1
+    return rank
+
+
+def test_divisors_of_rp2_leave_torsion_in_the_remainder(monkeypatch):
+    D = _rp2_coboundary()
+    assert D.shape == (10, 15)
+    remainders = []
+    real = snf_mod.smith_normal_form
+
+    def spy(R):
+        remainders.append(np.asarray(R))
+        return real(R)
+
+    monkeypatch.setattr(snf_mod, "smith_normal_form", spy)
+    d = smith_divisors(D)
+    # nine unit pivots, then a 1x3 remainder of +-2 entries with divisor 2
+    assert d == (1,) * 9 + (2,)
+    assert [R.shape for R in remainders] == [(1, 3)]
+    assert sorted(abs(int(x)) for x in remainders[0].ravel()) == [2, 2, 2]
+    assert d == _oracle(D) == real(D).divisors
+    assert sum(1 for x in d if x % 2) == _rank_mod2(D) == 9
+
+
+def test_divisors_with_fill_in_beyond_int64():
+    # entries fit int64, but clearing the unit pivot leaves 1 - 3^78
+    M = np.array([[1, 3**39], [3**39, 1]], dtype=np.int64)
+    d = smith_divisors(M)
+    assert d == (1, 3**78 - 1)
+    assert d[1] > np.iinfo(np.int64).max
+    assert d == _oracle(M)
+
+
 def test_solve_integer_roundtrip():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -129,3 +225,5 @@ def test_solve_mod2():
 def test_rejects_non_2d():
     with pytest.raises(ValueError):
         smith_normal_form(np.array([1, 2, 3]))
+    with pytest.raises(ValueError):
+        smith_divisors(np.array([1, 2, 3]))
