@@ -71,6 +71,9 @@ __all__ = [
 Edge = tuple[int, int]
 TransTable = dict[Edge, dict[Optional[int], MatExpr]]
 
+# A transition or iso matrix with |det| at or below this is treated as singular.
+_DET_FLOOR = 1e-12
+
 
 @dataclass
 class BundleData:
@@ -213,11 +216,12 @@ def validate_cocycle(
     samples_per_simplex: int = 12,
     tol: float = 1e-9,
     seed: int = 0,
-    det_floor: float = 1e-12,
 ) -> CocycleReport:
     """Check inverse-pair consistency on edges and the triple-product identity
     f(k<-j) f(j<-i) = f(k<-i) on every (triple overlap, component), at the
-    representatives and sampled nearby points."""
+    representatives and sampled nearby points.  A transition with determinant
+    at or below `_DET_FLOOR` fails the check, and the report then names the
+    first such point."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     where = ""
@@ -229,13 +233,16 @@ def validate_cocycle(
             for z in _samples_in_component(b.nerve, edge, ci, samples_per_simplex, rng):
                 M = b.edge_matrix(i, j, ci).at(z, component=ci)
                 npts += 1
-                if abs(np.linalg.det(M)) <= det_floor:
-                    det_ok = False
-                    where = f"edge {edge} comp {ci}: determinant below floor"
+                if abs(np.linalg.det(M)) <= _DET_FLOOR:
+                    if det_ok:
+                        det_ok = False
+                        where = f"edge {edge} comp {ci}: determinant below floor"
                     continue
                 res = float(np.max(np.abs(M @ np.linalg.inv(M) - np.eye(b.rank))))
                 if res > worst:
-                    worst, where = res, f"edge {edge} comp {ci}"
+                    worst = res
+                    if det_ok:
+                        where = f"edge {edge} comp {ci}"
     for tri in b.nerve.simplices_of_dim(2):
         i, j, k = tri
         for ci in range(len(b.nerve.components(tri))):
@@ -249,7 +256,9 @@ def validate_cocycle(
                 npts += 1
                 res = float(np.max(np.abs(f_kj @ f_ji - f_ki)))
                 if res > worst:
-                    worst, where = res, f"triple {tri} comp {ci}"
+                    worst = res
+                    if det_ok:
+                        where = f"triple {tri} comp {ci}"
     return CocycleReport(worst, where, npts, det_ok, tol)
 
 
@@ -322,12 +331,12 @@ def validate_iso(
     samples_per_simplex: int = 12,
     tol: float = 1e-9,
     seed: int = 0,
-    det_floor: float = 1e-12,
 ) -> CocycleReport:
     """Check the transition equation of the gluing construction on every mixed
     simplex of the union nerve: with h carrying U-frames to V-frames,
     f(i2<-i1) = h(j2,i2)^{-1} g(j2<-j1) h(j1,i1) on each component.  An h
-    with determinant at or below `det_floor` fails the check."""
+    with determinant at or below `_DET_FLOOR` fails the check, and the report
+    then names the first such point."""
     off = len(bU.cover.sets)
     rng = np.random.default_rng(seed)
     worst, where, npts = 0.0, "", 0
@@ -356,13 +365,16 @@ def validate_iso(
                 g = transition_at(bV, j2, j1, z, comp_of(bV.nerve, j1, j2))
                 h2, h1 = hmat(i2, j2), hmat(i1, j1)
                 npts += 1
-                if min(abs(np.linalg.det(h2)), abs(np.linalg.det(h1))) <= det_floor:
-                    det_ok = False
-                    where = f"mixed simplex {s} comp {ci}: determinant below floor"
+                if min(abs(np.linalg.det(h2)), abs(np.linalg.det(h1))) <= _DET_FLOOR:
+                    if det_ok:
+                        det_ok = False
+                        where = f"mixed simplex {s} comp {ci}: determinant below floor"
                     continue
                 res = float(np.max(np.abs(f - np.linalg.inv(h2) @ g @ h1)))
                 if res > worst:
-                    worst, where = res, f"mixed simplex {s} comp {ci}"
+                    worst = res
+                    if det_ok:
+                        where = f"mixed simplex {s} comp {ci}"
     return CocycleReport(worst, where, npts, det_ok, tol)
 
 

@@ -14,6 +14,7 @@ from cechcert.hexpr import (
     IntPower,
     MatExpr,
     Product,
+    Sum,
     as_monomial,
     mat_mul,
     resolve,
@@ -399,3 +400,19 @@ def test_validate_iso_flags_singular_iso():
     assert iso_rep.to_jsonable()["det_floor_ok"] is False
     assert "determinant below floor" in iso_rep.worst_location
     assert iso_rep.points_checked > 0
+
+
+def test_singular_point_keeps_its_location_in_both_reports():
+    # h(0,0) = (z0 - 2.2)(z0 - 2.1) vanishes at the representatives of the
+    # triple (0, 1, 2) and of the mixed edge (0, 2), the first points each
+    # check visits; at the points sampled after them it is invertible but
+    # wrong, so they carry residuals far above the worst so far.
+    bU, bV, iso, res = _ball_glue_instance(1, 1)
+    h = dict(iso.h)
+    roots = (Sum((Coord(0), Const(-2.2))), Sum((Coord(0), Const(-2.1))))
+    h[(0, 0)] = {None: MatExpr(((Product(roots),),))}
+    glued, iso_rep, coc_rep = glue(bU, bV, BundleIso(h), res, k_max=2, samples_per_simplex=4)
+    assert not iso_rep.det_floor_ok and iso_rep.max_residual > 1e-3
+    assert iso_rep.worst_location == "mixed simplex (0, 1, 2) comp 0: determinant below floor"
+    assert not coc_rep.det_floor_ok and coc_rep.max_residual > 1e-3
+    assert coc_rep.worst_location == "edge (0, 2) comp 0: determinant below floor"
