@@ -34,6 +34,7 @@ __all__ = [
     "CoboundaryVerdict",
     "build_nerve",
     "coboundary",
+    "delta_rows",
     "delta_matrix",
     "cohomology",
     "is_coboundary",
@@ -207,6 +208,11 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
     A simplex exists iff its patch is present (analytic mode) or the grid scan
     finds at least one in-region lattice node.  Face maps are computed by
     locating each component representative inside every facet.
+
+    Analytic representatives are tested against each cover set in one batch
+    before enumeration: an intersection's constraint is the conjunction of its
+    members' constraints, so a representative lies in the intersection of s
+    exactly when it lies in every set of s.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -214,6 +220,7 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
     simplices: dict[Simplex, list[CPoint]] = {}
     locators: dict[Simplex, Callable[[CPoint], int]] = {}
     faces: dict[tuple[Simplex, int, int], int] = {}
+    members = _set_members(cover, resolution)
     for size in range(1, min(k_max + 2, n_sets + 1)):
         for s in itertools.combinations(range(n_sets), size):
             if size > 1 and any(
@@ -222,9 +229,8 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
                 continue  # a facet is empty, so the intersection is too
             patch = resolution.patches.get(s)
             if patch is not None:
-                region = cover.intersection(s)
                 for ci, rep in enumerate(patch.reps):
-                    if not region.contains(rep):
+                    if not members[rep].issuperset(s):
                         raise ResolutionError(
                             f"analytic representative {ci} of {s} is outside the intersection"
                         )
@@ -233,6 +239,7 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
                             f"analytic labeler of {s} mislabels its own representative {ci}"
                         )
                 if resolution.cross_check and resolution.grid is not None:
+                    region = cover.intersection(s)
                     g = grid_components(region, resolution.grid.step, resolution.grid.budget)
                     if g.n_components != len(patch.reps):
                         raise ResolutionError(
@@ -263,6 +270,27 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
                         facet = s[:m] + s[m + 1 :]
                         faces[(s, ci, m)] = locators[facet](rep)
     return ResolvedNerve(cover, k_max, simplices, faces, locators)
+
+
+def _set_members(cover: Cover, resolution: Resolution) -> dict[CPoint, frozenset[int]]:
+    """The cover sets containing each representative of the patches whose
+    indices are sets of this cover, from one `Region.mask` batch per set."""
+    n_sets = len(cover.sets)
+    reps = list(
+        dict.fromkeys(
+            rep
+            for s, patch in resolution.patches.items()
+            if all(0 <= i < n_sets for i in s)
+            for rep in patch.reps
+        )
+    )
+    if not reps:
+        return {}
+    pts = np.array([rep.xy for rep in reps], dtype=float)
+    inside = np.array([cover.region(i).mask(pts) for i in range(n_sets)])
+    return {
+        rep: frozenset(np.flatnonzero(inside[:, r]).tolist()) for r, rep in enumerate(reps)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +360,26 @@ def coboundary(nerve: ResolvedNerve, c: IntCochain) -> IntCochain:
     return IntCochain(k + 1, c.ring, out)
 
 
-def delta_matrix(nerve: ResolvedNerve, k: int) -> np.ndarray:
-    """Matrix of the degree-k differential: rows index (k+1)-cochains, columns
-    k-cochains, both in canonical basis order."""
-    rows = nerve.basis(k + 1) if k + 1 >= 0 else []
-    cols = nerve.basis(k) if k >= 0 else []
-    col_index = {key: i for i, key in enumerate(cols)}
-    M = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, (s, ci) in enumerate(rows):
+def delta_rows(nerve: ResolvedNerve, k: int) -> list[dict[int, int]]:
+    """Sparse rows of the degree-k differential: one {column: entry} dict per
+    (k+1)-cochain, columns indexing k-cochains, both in canonical basis order."""
+    col_index = {key: i for i, key in enumerate(nerve.basis(k))}
+    rows = []
+    for s, ci in nerve.basis(k + 1):
+        row: dict[int, int] = {}
         for m in range(len(s)):
-            facet = s[:m] + s[m + 1 :]
-            fc = nerve.face_component(s, ci, m)
-            M[r, col_index[(facet, fc)]] += (-1) ** m
+            c = col_index[(s[:m] + s[m + 1 :], nerve.face_component(s, ci, m))]
+            row[c] = row.get(c, 0) + (-1) ** m
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def delta_matrix(nerve: ResolvedNerve, k: int) -> np.ndarray:
+    """Dense int64 layout of `delta_rows(nerve, k)`."""
+    M = np.zeros((len(nerve.basis(k + 1)), len(nerve.basis(k))), dtype=np.int64)
+    for r, row in enumerate(delta_rows(nerve, k)):
+        for c, v in row.items():
+            M[r, c] = v
     return M
 
 
@@ -375,18 +411,20 @@ def cohomology(nerve: ResolvedNerve, k: int, ring: str = "Z") -> CohomologyResul
     if k + 1 > nerve.k_max:
         raise ValueError(f"k_max={nerve.k_max} too small to compute H^{k}")
     dim_k = len(nerve.basis(k))
-    A = delta_matrix(nerve, k)
-    B = delta_matrix(nerve, k - 1) if k >= 1 else np.zeros((dim_k, 0), dtype=np.int64)
+    A = delta_rows(nerve, k)
+    B = delta_rows(nerve, k - 1) if k >= 1 else [{} for _ in range(dim_k)]
     # the rank formula below counts ker(d^k) / im(d^{k-1}) only if d^k d^{k-1} = 0;
-    # the product is summed exactly in int64 over the nonzero entries of d^k
-    rows, cols = np.nonzero(A)
-    AB = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    np.add.at(AB, rows, A[rows, cols, None] * B[cols])
-    if AB.any():
-        raise VerificationError(f"d^{k} d^{k - 1} is not zero: the differential is broken")
+    # the product is summed exactly over Python ints, row by row
+    for a in A:
+        ab: dict[int, int] = {}
+        for j, v in a.items():
+            for c, w in B[j].items():
+                ab[c] = ab.get(c, 0) + v * w
+        if any(ab.values()):
+            raise VerificationError(f"d^{k} d^{k - 1} is not zero: the differential is broken")
     divA = smith_divisors(A)
     divB = smith_divisors(B)
-    dims = {"C_k": dim_k, "C_k+1": A.shape[0], "C_k-1": B.shape[1]}
+    dims = {"C_k": dim_k, "C_k+1": len(A), "C_k-1": len(nerve.basis(k - 1))}
     if ring == "Z2":
         rank2 = sum(1 for d in divA + divB if d % 2 != 0)
         return CohomologyResult(k, ring, dim_k - rank2, (), dims)

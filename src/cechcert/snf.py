@@ -1,8 +1,8 @@
 """Exact Smith normal form of integer matrices, with the transforms tracked.
 
-`smith_divisors` returns the invariant factors alone.  It first eliminates
-the +-1 pivots of a sparse matrix with exact row operations, then hands what
-is left to `smith_normal_form`.
+`smith_divisors` returns the invariant factors alone, of a dense matrix or of
+sparse rows.  It first eliminates the +-1 pivots with exact row operations,
+then hands what is left to `smith_normal_form`.
 
 The tracked reduction keeps U * M * V equal to the working matrix at every
 step, with U and V unimodular; it ends diagonal, with nonzero entries
@@ -147,23 +147,29 @@ def smith_normal_form(M) -> SNFResult:
 def smith_divisors(M) -> tuple[int, ...]:
     """Nonzero invariant factors of an integer matrix, so the rank is their count.
 
-    Rows are sparse dicts of Python ints.  The shortest live row goes first and
-    pivots on its +-1 entry in the shortest column (Markowitz order); exact row
+    M is a 2-d array or a list of sparse rows ({column: entry} dicts), which
+    are copied, not changed.  The shortest live row goes first and pivots on
+    its +-1 entry in the shortest column (Markowitz order); exact row
     operations clear that column from every other row, so the matrix splits as
     1 (+) the rest.  A row with no +-1 entry waits until fill-in gives it one.
     The rows left over go to `smith_normal_form`, restricted to the columns
     they touch.  That call is made even when nothing is left, so a trace of
     `smith_normal_form` always shows the dense work that remains.
     """
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    nz = np.nonzero(M)
-    rows: list[dict[int, int]] = [{} for _ in range(M.shape[0])]
+    if isinstance(M, list) and all(isinstance(row, dict) for row in M):
+        rows = [{j: int(v) for j, v in row.items() if v} for row in M]
+    else:
+        M = np.asarray(M)
+        if M.ndim != 2:
+            raise ValueError("expected a 2-d matrix")
+        rows = [{} for _ in range(M.shape[0])]
+        nz = np.nonzero(M)
+        for i, j, v in zip(nz[0].tolist(), nz[1].tolist(), M[nz].tolist()):
+            rows[i][j] = int(v)
     cols: defaultdict[int, set[int]] = defaultdict(set)
-    for i, j, v in zip(nz[0].tolist(), nz[1].tolist(), M[nz].tolist()):
-        rows[i][j] = int(v)
-        cols[j].add(i)
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
     pivots = 0

@@ -1,5 +1,6 @@
 """Resolved nerves, the integer differential, and exact cohomology."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from cechcert.nerve import (
     coboundary,
     cohomology,
     delta_matrix,
+    delta_rows,
     is_coboundary,
 )
 from cechcert.covers import (
@@ -41,6 +43,8 @@ from cechcert.covers import (
     one_set_cover,
     torus_cover,
     torus_resolution,
+    tube_cover_dim2,
+    tube_resolution_dim2,
 )
 
 
@@ -240,15 +244,15 @@ def test_torus_ranks(torus_nerve):
 
 
 def test_cohomology_rejects_broken_differential(torus_nerve, monkeypatch):
-    real = delta_matrix
+    real = delta_rows
 
     def broken(nerve, k):
-        M = real(nerve, k)
+        rows = real(nerve, k)
         if k == 1:
-            M[0, 0] += 1
-        return M
+            rows[0][0] = rows[0].get(0, 0) + 1
+        return rows
 
-    monkeypatch.setattr(nerve_mod, "delta_matrix", broken)
+    monkeypatch.setattr(nerve_mod, "delta_rows", broken)
     with pytest.raises(VerificationError, match="not zero"):
         cohomology(torus_nerve, 1)
     with pytest.raises(VerificationError, match="not zero"):
@@ -282,6 +286,24 @@ def test_delta_matrix_matches_coboundary(torus_nerve):
         assert np.array_equal(lhs, rhs)
 
 
+def test_delta_rows_match_delta_matrix_and_coboundary(torus_nerve):
+    rng = np.random.default_rng(3)
+    for k in (0, 1, 2):
+        rows = delta_rows(torus_nerve, k)
+        M = delta_matrix(torus_nerve, k)
+        assert M.shape == (len(torus_nerve.basis(k + 1)), len(torus_nerve.basis(k)))
+        assert len(rows) == M.shape[0]
+        for r, row in enumerate(rows):
+            assert row == {int(c): int(M[r, c]) for c in np.flatnonzero(M[r])}
+        basis = torus_nerve.basis(k)
+        vals = {key: int(v) for key, v in zip(basis, rng.integers(-3, 4, len(basis)))}
+        c = IntCochain(k, "Z", vals)
+        lhs = coboundary(torus_nerve, c).vector(torus_nerve)
+        vec = c.vector(torus_nerve)
+        assert np.array_equal(lhs, M.astype(object) @ vec)
+        assert list(lhs) == [sum(v * vec[j] for j, v in row.items()) for row in rows]
+
+
 def test_not_a_cocycle_rejected(torus_nerve):
     basis = torus_nerve.basis(1)
     c = IntCochain(1, "Z", {basis[0]: 1})
@@ -296,3 +318,79 @@ def test_subnerve_restriction(dim2_nerve):
     assert sub.simplices_of_dim(0) == [(0,)]
     assert sub.simplices_of_dim(1) == []
     assert cohomology(sub, 1).free_rank == 0
+
+
+def _arc_patches(reps_01) -> Resolution:
+    return Resolution(
+        patches={
+            (0,): AnalyticPatch([CPoint((1.5, 0.0))], lambda p: 0),
+            (1,): AnalyticPatch([CPoint((-1.5, 0.0))], lambda p: 0),
+            (0, 1): AnalyticPatch(reps_01, lambda p: 0 if p.xy[1] > 0 else 1),
+        }
+    )
+
+
+def test_representative_outside_the_intersection_is_named():
+    # (1.5, 0) lies in arc A (set 0) but not in arc B (set 1)
+    res = _arc_patches([CPoint((0.0, 1.5)), CPoint((1.5, 0.0))])
+    with pytest.raises(
+        ResolutionError, match=r"representative 1 of \(0, 1\) is outside the intersection"
+    ):
+        build_nerve(_arc_cover(), 1, res)
+
+
+def test_labeler_mislabeling_its_representative_is_named():
+    # both arcs of the overlap are in the intersection, listed in the wrong order
+    res = _arc_patches([CPoint((0.0, -1.5)), CPoint((0.0, 1.5))])
+    with pytest.raises(
+        ResolutionError, match=r"labeler of \(0, 1\) mislabels its own representative 0"
+    ):
+        build_nerve(_arc_cover(), 1, res)
+
+
+def _reference_nerve(cover, k_max, resolution):
+    """Analytic nerve with membership tested one representative at a time
+    by `Region.contains` on the intersection."""
+    n_sets = len(cover.sets)
+    simplices, faces = {}, {}
+    for size in range(1, min(k_max + 2, n_sets + 1)):
+        for s in itertools.combinations(range(n_sets), size):
+            if size > 1 and any(s[:m] + s[m + 1 :] not in simplices for m in range(size)):
+                continue
+            patch = resolution.patches.get(s)
+            if patch is None:
+                continue
+            region = cover.intersection(s)
+            assert all(region.contains(rep) for rep in patch.reps)
+            simplices[s] = list(patch.reps)
+            if size > 1:
+                for ci, rep in enumerate(patch.reps):
+                    for m in range(size):
+                        facet = s[:m] + s[m + 1 :]
+                        faces[(s, ci, m)] = resolution.patches[facet].locate(rep)
+    return simplices, faces
+
+
+@pytest.mark.parametrize(
+    "cover, k_max, res",
+    [
+        (torus_cover(2, 1.0), 3, torus_resolution(2, 1.0, 3)),
+        (torus_cover(3, 1.5), 4, torus_resolution(3, 1.5, 4)),
+        (tube_cover_dim2(1.0), 2, tube_resolution_dim2()),
+        (dim2_cover(4.0), 2, dim2_resolution()),
+    ],
+    ids=["torus-n2", "torus-n3", "tube-dim2", "dim2"],
+)
+def test_batched_membership_matches_contains(cover, k_max, res):
+    members = nerve_mod._set_members(cover, res)
+    checked = 0
+    for s, patch in res.patches.items():
+        region = cover.intersection(s)
+        for rep in patch.reps:
+            assert members[rep].issuperset(s) == region.contains(rep)
+            checked += 1
+    assert checked > 0
+    nerve = build_nerve(cover, k_max, res)
+    simplices, faces = _reference_nerve(cover, k_max, res)
+    assert nerve.simplices == simplices
+    assert nerve.faces == faces

@@ -146,6 +146,13 @@ def test_torus_rank_table():
     assert all(r["torsion"] == [] for r in rows)
 
 
+def test_torus_rank_table_n4_low_degrees():
+    # H^0..H^2 of the 16-set sector cover of the 4-torus tube (Kuenneth: 1, 4, 6)
+    rows = torus_rank_table(4, k_max=3)
+    assert [r["rank"] for r in rows] == [1, 4, 6]
+    assert all(r["torsion"] == [] for r in rows)
+
+
 def test_hessian_scan_rows():
     rows = hessian_scan_rows(0.5, 3.5, 100)
     assert len(rows) == 100
@@ -206,6 +213,13 @@ def test_cli_torus_table(tmp_path):
     assert code == 0
     rows = json.loads(out.read_text())
     assert [r["rank"] for r in rows] == [1, 2, 1]
+
+
+def test_cli_torus_table_accepts_seed(tmp_path):
+    # the rank table ignores --seed, but the benchmark passes it to every command
+    out = tmp_path / "ranks.json"
+    assert main(["cohomology-torus", "--n", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert [r["rank"] for r in json.loads(out.read_text())] == [1, 2, 1]
 
 
 def test_cli_torus_table_fails_on_torsion(tmp_path, monkeypatch, capsys):

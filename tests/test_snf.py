@@ -73,7 +73,17 @@ def _check(M):
     assert all(d > 0 for d in s.divisors)
     assert s.divisors == _oracle(M)
     assert smith_divisors(M) == s.divisors
+    assert _divisors_of_rows(M) == s.divisors
     return s
+
+
+def _divisors_of_rows(M) -> tuple[int, ...]:
+    """`smith_divisors` of M given as sparse rows, which it must not change."""
+    rows = [{j: int(v) for j, v in enumerate(r) if v} for r in np.asarray(M)]
+    kept = [dict(r) for r in rows]
+    d = smith_divisors(rows)
+    assert rows == kept
+    return d
 
 
 def test_identity():
@@ -182,8 +192,16 @@ def test_divisors_of_rp2_leave_torsion_in_the_remainder(monkeypatch):
     assert d == (1,) * 9 + (2,)
     assert [R.shape for R in remainders] == [(1, 3)]
     assert sorted(abs(int(x)) for x in remainders[0].ravel()) == [2, 2, 2]
-    assert d == _oracle(D) == real(D).divisors
+    assert d == _oracle(D) == real(D).divisors == _divisors_of_rows(D)
     assert sum(1 for x in d if x % 2) == _rank_mod2(D) == 9
+
+
+def test_divisors_of_rows_leave_the_rows_unchanged():
+    # pivoting on the first row would clear column 0 of the other rows in place
+    rows = [{0: 1, 1: 2}, {0: 3, 2: 1}, {0: -1, 1: 5, 2: 7}, {}]
+    kept = [dict(r) for r in rows]
+    assert smith_divisors(rows) == (1, 1, 49)  # the leading 3x3 minor is -49
+    assert rows == kept
 
 
 def test_divisors_with_fill_in_beyond_int64():
