@@ -364,14 +364,14 @@ def delta_rows(nerve: ResolvedNerve, k: int) -> list[dict[int, int]]:
     """Sparse rows of the degree-k differential: one {column: entry} dict per
     (k+1)-cochain, columns indexing k-cochains, both in canonical basis order."""
     col_index = {key: i for i, key in enumerate(nerve.basis(k))}
-    rows = []
-    for s, ci in nerve.basis(k + 1):
-        row: dict[int, int] = {}
-        for m in range(len(s)):
-            c = col_index[(s[:m] + s[m + 1 :], nerve.face_component(s, ci, m))]
-            row[c] = row.get(c, 0) + (-1) ** m
-        rows.append({c: v for c, v in row.items() if v})
-    return rows
+    # the facets of a simplex differ, so its faces land in distinct columns
+    return [
+        {
+            col_index[(s[:m] + s[m + 1 :], nerve.face_component(s, ci, m))]: (-1) ** m
+            for m in range(len(s))
+        }
+        for s, ci in nerve.basis(k + 1)
+    ]
 
 
 def delta_matrix(nerve: ResolvedNerve, k: int) -> np.ndarray:
