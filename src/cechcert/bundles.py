@@ -434,42 +434,15 @@ def restrict_to_sets(b: BundleData, keep: list[int]) -> BundleData:
 def restrict(
     b: BundleData, sub: Region, resolution: Resolution, k_max: int = 3
 ) -> BundleData:
-    """Restrict to an open subset: cover sets are intersected with it, empty
-    ones dropped, transitions carried over with components re-keyed."""
-    survivors: list[int] = []
-    sets: list[tuple[str, Region]] = []
-    for idx, (name, reg) in enumerate(b.cover.sets):
-        cut = reg.intersect(sub, name=name)
-        if (idx,) in resolution.patches or resolution.grid is not None:
-            sets_probe = Resolution(
-                patches={(0,): resolution.patches[(idx,)]}
-                if (idx,) in resolution.patches
-                else {},
-                grid=resolution.grid,
-            )
-            probe = build_nerve(Cover(sub, [(name, cut)]), 1, sets_probe)
-            if (0,) not in probe.simplices:
-                continue
-        survivors.append(idx)
-        sets.append((name, cut))
-    if not sets:
-        raise GlueError("restriction leaves no cover set nonempty")
-    old_to_new = {old: new for new, old in enumerate(survivors)}
-    re_res = Resolution(
-        patches={
-            tuple(old_to_new[i] for i in s): p
-            for s, p in resolution.patches.items()
-            if all(i in old_to_new for i in s)
-        },
-        grid=resolution.grid,
-    )
+    """Restrict to an open subset: every cover set is intersected with it and
+    transitions are carried over with components re-keyed.  `resolution`
+    resolves the cut sets under the same indices, so an intersection without
+    a patch is empty and a representative the cut leaves out is rejected."""
+    sets = [(name, reg.intersect(sub, name=name)) for name, reg in b.cover.sets]
     cover = Cover(sub, sets)
-    nerve = build_nerve(cover, k_max, re_res)
+    nerve = build_nerve(cover, k_max, resolution)
     transitions: TransTable = {}
-    for (i, j), bycomp in b.transitions.items():
-        if i not in old_to_new or j not in old_to_new:
-            continue
-        edge = (old_to_new[i], old_to_new[j])
+    for edge, bycomp in b.transitions.items():
         if edge not in nerve.simplices:
             continue
         if set(bycomp) == {None}:
@@ -477,7 +450,7 @@ def restrict(
         else:
             out: dict[Optional[int], MatExpr] = {}
             for ci, rep in enumerate(nerve.components(edge)):
-                old_ci = b.nerve.locate((i, j), rep)
+                old_ci = b.nerve.locate(edge, rep)
                 out[ci] = bycomp[old_ci] if old_ci in bycomp else bycomp[None]
             transitions[edge] = out
     return BundleData(cover, nerve, b.rank, transitions)

@@ -21,29 +21,31 @@ from .scenarios import ScenarioConfig, hessian_scan_rows, run_dim2, run_dimn, to
 OUT_ENV = "CECHCERT_OUT"
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=2)
+def _scenario_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
+    if with_n:
+        p.add_argument("--n", type=int, default=2)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--r", type=float, default=4.0)
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.45)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--safety", type=float, default=0.5)
     p.add_argument("--tol-cocycle", type=float, default=1e-9)
     p.add_argument("--tol-chern", type=float, default=1e-6)
     p.add_argument("--budget-nodes", type=int, default=10_000_000)
+
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _config(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(
-        n=args.n,
+        n=getattr(args, "n", 2),  # dim2 and selftest run at n = 2
         epsilon=args.epsilon,
         r=args.r,
         step=args.step,
-        delta=args.delta,
         samples=args.samples,
         seed=args.seed,
         safety=args.safety,
@@ -81,30 +83,33 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p2 = sub.add_parser("dim2", help="slab construction certificate")
-    _common_flags(p2)
+    _scenario_flags(p2, with_n=False)
+    _report_flags(p2)
 
     pn = sub.add_parser("dimn", help="tube construction certificate")
-    _common_flags(pn)
+    _scenario_flags(pn)
+    _report_flags(pn)
 
     pt = sub.add_parser("cohomology-torus", help="rank table of the sector cover")
-    _common_flags(pt)
+    pt.add_argument("--n", type=int, default=2)
+    pt.add_argument("--epsilon", type=float, default=None)
     pt.add_argument("--kmax", type=int, default=None)
+    pt.add_argument("--seed", type=int, default=0)  # accepted and unused: the table is exact
+    pt.add_argument("--out", type=str, default=None)
 
     ph = sub.add_parser("hessian-scan", help="CSV sweep of the Hessian block forms")
-    _common_flags(ph)
     ph.add_argument("--lo", type=float, default=0.5)
     ph.add_argument("--hi", type=float, default=3.5)
     ph.add_argument("--count", type=int, default=1000)
+    ph.add_argument("--out", type=str, default=None)
 
     ps = sub.add_parser("selftest", help="fast end-to-end smoke run")
-    _common_flags(ps)
+    _scenario_flags(ps, with_n=False)
 
     args = parser.parse_args(argv)
     try:
         if args.cmd == "dim2":
-            cfg = _config(args)
-            cfg.n = 2
-            return _finish(run_dim2(cfg), args, "dim2_report.json")
+            return _finish(run_dim2(_config(args)), args, "dim2_report.json")
         if args.cmd == "dimn":
             return _finish(run_dimn(_config(args)), args, "dimn_report.json")
         if args.cmd == "cohomology-torus":
@@ -129,7 +134,6 @@ def main(argv=None) -> int:
             return 0
         if args.cmd == "selftest":
             cfg = _config(args)
-            cfg.n = 2
             cfg.samples = min(cfg.samples, 300)
             cfg.run_connectivity = False
             rep2 = run_dim2(cfg)

@@ -5,8 +5,8 @@ the totally real plane K = {y1 = y2 = 0} removed, its two-set cover whose
 overlap has two components, and the exponential chart onto a log-modulus tube.
 The second is the tube G_eps around the unit torus in C^n, its product-arc
 sector cover, the clutching line bundle on it, the ball Omega, the
-outside-plus-ball set Omega', and the scan regions used for connectivity
-certificates.
+outside-plus-ball set Omega', and Omega minus a shell around the tube's
+boundary, whose log-moduli image the connectivity check labels.
 """
 
 from __future__ import annotations
@@ -63,9 +63,7 @@ __all__ = [
     "mixed_rep",
     "glued_resolution",
     "one_set_cover",
-    "with_bbox",
     "omega_minus_shell",
-    "omega_minus_thickened_k",
 ]
 
 
@@ -399,18 +397,7 @@ def one_set_cover(region: Region, rep: CPoint) -> tuple[Cover, Resolution]:
 
 
 # ---------------------------------------------------------------------------
-# Connectivity scan regions
-
-
-def with_bbox(region: Region, half_width: float, name: Optional[str] = None) -> Region:
-    """Same constraint on a centered box; scans only need the window that
-    contains the obstruction with margin."""
-    dims = region.bbox.shape[0]
-    return Region(
-        name or region.name,
-        region.constraint,
-        np.array([[-half_width, half_width]] * dims),
-    )
+# The connectivity check
 
 
 def omega_minus_shell(n: int, eps: float, delta: float) -> Region:
@@ -424,22 +411,3 @@ def omega_minus_shell(n: int, eps: float, delta: float) -> Region:
         )
     )
     return Region("Omega\\shell", constraint, omega.bbox)
-
-
-def omega_minus_thickened_k(n: int, eps: float, delta: float, up: Region) -> Region:
-    """Omega minus the thickened compact: the shell with U_p carved back out,
-    so the scan can pass through the hole at p."""
-    omega = omega_region(n, eps)
-    constraint = CAnd(
-        (
-            omega.constraint,
-            COr(
-                (
-                    CLt(SRho(), SConst(eps - delta)),
-                    CLt(SConst(eps + delta), SRho()),
-                    up.constraint,
-                )
-            ),
-        )
-    )
-    return Region("Omega\\K_delta", constraint, omega.bbox)

@@ -14,7 +14,7 @@ class SamplingError(RuntimeError):
 
 
 class ResolutionError(RuntimeError):
-    """The grid and an analytic labeler disagree about an intersection."""
+    """Cover or component data is inconsistent with the regions it describes."""
 
 
 class VerificationError(RuntimeError):

@@ -39,8 +39,10 @@ __all__ = [
     "CAnd",
     "COr",
     "CNot",
+    "CExpModuli",
     "evaluate",
     "Region",
+    "log_moduli_image",
     "GridLabeling",
     "ConvexityVerdict",
     "rho",
@@ -236,6 +238,17 @@ class CNot:
         return {"op": "not", "item": self.item.to_jsonable()}
 
 
+@dataclass(frozen=True)
+class CExpModuli:
+    """`item` evaluated at (e^{x_1}, 0, ..., e^{x_n}, 0): a constraint that
+    depends only on the moduli |z_j|, read in log-moduli coordinates."""
+
+    item: object
+
+    def to_jsonable(self):
+        return {"op": "exp_moduli", "item": self.item.to_jsonable()}
+
+
 def evaluate(node, pts: np.ndarray) -> np.ndarray:
     """Values of an expression, or the mask of a constraint, on a batch of
     (m, 2n) coordinates.
@@ -287,6 +300,10 @@ def _value(e, pts: np.ndarray, memo: dict) -> np.ndarray:
         return out
     if t is CNot:
         return ~_value(e.item, pts, memo)
+    if t is CExpModuli:
+        moduli = np.zeros_like(pts)
+        moduli[:, 0::2] = np.exp(pts[:, 0::2])
+        return _value(e.item, moduli, {})
     if t is SConst:
         return np.full(m, e.value)
     if t is SX:
@@ -394,6 +411,14 @@ class Region:
             "constraint": self.constraint.to_jsonable(),
             "bbox": self.bbox.tolist(),
         }
+
+
+def log_moduli_image(region: Region, lo: float, hi: float) -> Region:
+    """The image of a region that depends only on the moduli |z_j| under
+    z -> (log|z_1|, ..., log|z_n|), on the box [lo, hi]^n of the real slice
+    (every y_j has zero width).  Points with some z_j = 0 have no image."""
+    bbox = np.array([[lo, hi], [0.0, 0.0]] * (region.dim2n // 2))
+    return Region(f"log|{region.name}|", CExpModuli(region.constraint), bbox)
 
 
 def ball_region(center: Sequence[float], radius: float, name: str = "ball") -> Region:

@@ -20,12 +20,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotACocycleError, ResolutionError, VerificationError
-from .geometry import CPoint, Region, grid_components
+from .geometry import CPoint, Region
 from .snf import smith_divisors, smith_normal_form, solve_integer
 
 __all__ = [
     "Cover",
-    "GridResolution",
     "AnalyticPatch",
     "Resolution",
     "ResolvedNerve",
@@ -80,12 +79,6 @@ class Cover:
         }
 
 
-@dataclass(frozen=True)
-class GridResolution:
-    step: float
-    budget: int = 10_000_000
-
-
 @dataclass
 class AnalyticPatch:
     """Analytic component data for one intersection: representatives in
@@ -98,14 +91,10 @@ class AnalyticPatch:
 
 @dataclass
 class Resolution:
-    """How to discover intersection components: explicit analytic patches keyed
-    by sorted index tuple, with an optional grid fallback.  Analytic patches
-    take precedence; with cross_check set, the grid is run anyway and any
-    disagreement in component count is a ResolutionError."""
+    """The components of each intersection: analytic patches keyed by sorted
+    index tuple; an intersection without a patch is empty."""
 
     patches: dict[Simplex, AnalyticPatch] = field(default_factory=dict)
-    grid: Optional[GridResolution] = None
-    cross_check: bool = False
 
 
 class ResolvedNerve:
@@ -205,8 +194,7 @@ class ResolvedNerve:
 def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNerve:
     """Enumerate intersections up to k_max + 1 sets and resolve their components.
 
-    A simplex exists iff its patch is present (analytic mode) or the grid scan
-    finds at least one in-region lattice node.  Face maps are computed by
+    A simplex exists iff its patch is present.  Face maps are computed by
     locating each component representative inside every facet.
 
     Analytic representatives are tested against each cover set in one batch
@@ -228,42 +216,19 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
             ):
                 continue  # a facet is empty, so the intersection is too
             patch = resolution.patches.get(s)
-            if patch is not None:
-                for ci, rep in enumerate(patch.reps):
-                    if not members[rep].issuperset(s):
-                        raise ResolutionError(
-                            f"analytic representative {ci} of {s} is outside the intersection"
-                        )
-                    if patch.locate(rep) != ci:
-                        raise ResolutionError(
-                            f"analytic labeler of {s} mislabels its own representative {ci}"
-                        )
-                if resolution.cross_check and resolution.grid is not None:
-                    region = cover.intersection(s)
-                    g = grid_components(region, resolution.grid.step, resolution.grid.budget)
-                    if g.n_components != len(patch.reps):
-                        raise ResolutionError(
-                            f"grid finds {g.n_components} components of {s}, "
-                            f"labeler declares {len(patch.reps)}"
-                        )
-                simplices[s] = list(patch.reps)
-                locators[s] = patch.locate
-            elif resolution.grid is not None:
-                region = cover.intersection(s)
-                g = grid_components(region, resolution.grid.step, resolution.grid.budget)
-                if g.n_components == 0:
-                    continue
-                simplices[s] = list(g.representatives)
-
-                def loc(z: CPoint, _g=g, _s=s) -> int:
-                    lab = _g.label_at(z)
-                    if lab == 0:
-                        raise ResolutionError(f"point not on the grid of {_s}")
-                    return lab - 1
-
-                locators[s] = loc
-            else:
+            if patch is None:
                 continue
+            for ci, rep in enumerate(patch.reps):
+                if not members[rep].issuperset(s):
+                    raise ResolutionError(
+                        f"analytic representative {ci} of {s} is outside the intersection"
+                    )
+                if patch.locate(rep) != ci:
+                    raise ResolutionError(
+                        f"analytic labeler of {s} mislabels its own representative {ci}"
+                    )
+            simplices[s] = list(patch.reps)
+            locators[s] = patch.locate
             if size > 1:
                 for ci, rep in enumerate(simplices[s]):
                     for m in range(size):

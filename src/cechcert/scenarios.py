@@ -8,11 +8,13 @@ onto a tube around the unit torus.
 
 run_dimn reproduces the tube construction in C^n: analytic certificates for
 the tube (boundedness, Levi positivity, radial contraction, Hessian
-definiteness at the distinguished boundary point), convexity and connectivity
-scans, the clutching bundle on the sector cover with a nonvanishing first
-Chern cocycle, and the gluing with the trivial bundle on the outside set,
-whose result still carries a nonvanishing class while the one-set cover of the
-ball carries none.
+definiteness at the distinguished boundary point), a convexity scan, the
+connectivity of the ball minus the thickened compact (for every n, one
+lattice scan of a log-moduli image plus two witnesses of the hole at p; see
+connectivity_check), the clutching bundle on the sector cover with a
+nonvanishing first Chern cocycle, and the gluing with the trivial bundle on
+the outside set, whose result still carries a nonvanishing class while the
+one-set cover of the ball carries none.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .bundles import (
     restrict_to_sets,
     validate_cocycle,
 )
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, ResourceError
 from .geometry import (
     CPoint,
     grid_components,
@@ -41,6 +43,7 @@ from .geometry import (
     hessian_block_trace,
     hessian_fd_residual,
     levi_form,
+    log_moduli_image,
     contraction_residual,
     rho,
     sample_boundary,
@@ -53,7 +56,14 @@ from .nerve import Cover, IntCochain, build_nerve, check_cover, cohomology, is_c
 from .bundles import BundleIso, trivial_bundle
 from .report import CertificateReport
 
-__all__ = ["ScenarioConfig", "run_dim2", "run_dimn", "torus_rank_table", "hessian_scan_rows"]
+__all__ = [
+    "ScenarioConfig",
+    "run_dim2",
+    "run_dimn",
+    "connectivity_check",
+    "torus_rank_table",
+    "hessian_scan_rows",
+]
 
 
 @dataclass
@@ -64,11 +74,10 @@ class ScenarioConfig:
     epsilon: Optional[float] = None  # default: n/2 for the tube pipeline
     r: float = 4.0
     step: Optional[float] = None  # default: largest step fitting the node budget
-    delta: float = 0.45
     samples: int = 2000
     seed: int = 0
     safety: float = 0.5
-    safety_connect: float = 0.9  # wider hole at p so the scan can pass through
+    safety_connect: float = 0.9  # U_p of the connectivity check; sets its delta
     tol_cocycle: float = 1e-9
     tol_chern: float = 1e-6
     fd_step: float = 1e-4
@@ -78,7 +87,7 @@ class ScenarioConfig:
     debug_scale: str = "half"
 
     def __post_init__(self) -> None:
-        for name in ("samples", "budget_nodes", "r", "delta", "fd_step", "step"):
+        for name in ("samples", "budget_nodes", "r", "fd_step", "step"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -96,7 +105,6 @@ class ScenarioConfig:
             "epsilon": self.eps(),
             "r": self.r,
             "step": self.step,
-            "delta": self.delta,
             "samples": self.samples,
             "seed": self.seed,
             "safety": self.safety,
@@ -269,15 +277,6 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
 # Tube pipeline
 
 
-def _scan_geometry(n: int, eps: float, delta: float, budget: int, step: Optional[float]):
-    """Centered scan window containing the shell with margin, inside the ball."""
-    hw = min(1.18 * math.exp(math.sqrt(eps + delta)), 0.96 * math.sqrt(2.0) * math.exp(math.sqrt(eps)))
-    if step is None:
-        per_axis = int(math.floor(budget ** (1.0 / (2 * n))))
-        step = 2.0 * hw / (per_axis - 1)
-    return hw, step
-
-
 def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     n, eps = cfg.n, cfg.eps()
     rep = CertificateReport("dimn", cfg.to_jsonable())
@@ -398,7 +397,14 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
 
     # (7) connectivity of the ball minus the thickened compact
     if cfg.run_connectivity:
-        _connectivity_checks(cfg, rep)
+        ok, details = connectivity_check(n, eps, cfg.safety_connect, cfg.budget_nodes, cfg.step)
+        rep.add(
+            "connectivity",
+            ok,
+            details,
+            "two log-moduli components without the shell; U_p meets both, so one once "
+            "the hole at p is open",
+        )
     else:
         rep.add_trusted(
             "connectivity",
@@ -502,63 +508,79 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     return rep
 
 
-def _connectivity_checks(cfg: ScenarioConfig, rep: CertificateReport) -> None:
-    n, eps, delta = cfg.n, cfg.eps(), cfg.delta
-    up_connect = cv.up_ball(n, eps, cfg.safety_connect)
-    if n == 2:
-        hw, step = _scan_geometry(n, eps, delta, cfg.budget_nodes, cfg.step)
-        no_k = cv.with_bbox(cv.omega_minus_thickened_k(n, eps, delta, up_connect), hw)
-        no_shell = cv.with_bbox(cv.omega_minus_shell(n, eps, delta), hw)
-        lab_k = grid_components(no_k, step, cfg.budget_nodes)
-        lab_shell = grid_components(no_shell, step, cfg.budget_nodes)
-        rep.add(
-            "connectivity",
-            lab_k.n_components == 1 and lab_shell.n_components == 2,
-            {
-                "step": step,
-                "delta": delta,
-                "half_width": hw,
-                "minus_thickened_k": lab_k.summary_jsonable(),
-                "minus_shell": lab_shell.summary_jsonable(),
-                "up_safety": cfg.safety_connect,
-            },
-            "one component once the hole at p is open; two with the full shell removed",
-        )
-    else:
-        # window around the diagonal ray through p: the scan certifies a path
-        # from inside the tube to outside it through the hole at p
-        window = cv.omega_minus_thickened_k(n, eps, delta, up_connect)
-        lo_x, hi_x, half_y, step = 1.3, 2.7, 0.12, 0.06
-        bbox = np.array([[lo_x, hi_x], [-half_y, half_y]] * n)
-        from .geometry import Region
+def connectivity_check(
+    n: int, eps: float, safety: float, budget: int, step: Optional[float] = None
+) -> tuple[bool, dict]:
+    """Connectivity of Omega minus the thickened compact K_delta, for any n.
 
-        window = Region("diag-window", window.constraint, bbox)
-        lab = grid_components(window, step, cfg.budget_nodes)
-        reps_ok = lab.n_components == 1
-        # classify the in-window nodes by the exhaustion value
-        axes = [bbox[i, 0] + step * np.arange(lab.shape[i]) for i in range(2 * n)]
-        sel = np.argwhere(lab.mask)
-        coords = np.stack([axes[i][sel[:, i]] for i in range(2 * n)], axis=1)
-        zmods = np.hypot(coords[:, 0::2], coords[:, 1::2])
-        rho_vals = np.sum(np.log(zmods) ** 2, axis=1)
-        inner = bool(np.any(rho_vals < eps - delta))
-        outer = bool(np.any(rho_vals > eps + delta))
-        rep.add(
-            "connectivity",
-            reps_ok and inner and outer,
-            {
-                "step": step,
-                "delta": delta,
-                "window_x": [lo_x, hi_x],
-                "window_y": half_y,
-                "components": lab.n_components,
-                "has_inner_nodes": inner,
-                "has_outer_nodes": outer,
-                "up_safety": cfg.safety_connect,
-            },
-            "a single in-window component joins tube-interior and exterior nodes "
-            "through the hole at p; full-space connectivity is not scanned at this n",
+    Omega and the shell eps - delta <= rho <= eps + delta depend only on the
+    moduli |z_j|, so Omega\\shell is a Reinhardt set: its components are those
+    of its image in log-moduli space, and points with some z_j = 0 join the
+    outer piece (Jarnicki-Pflug, First Steps in Several Complex Variables:
+    Reinhardt Domains, 2008).  The image, an inner ball and the rest of the
+    box [-(sqrt(eps + delta) + 1/2), log R]^n inside Omega, is labelled on an
+    n-dimensional lattice and must have two components.  Omega\\K_delta is
+    (Omega\\shell) | (Omega & U_p), and Omega & U_p is convex, so it is
+    connected once two exact points of Omega & U_p on the diagonal ray
+    through p lie in different labelled components.
+
+    delta is a third of the largest half-thickness (in rho) of a shell that
+    U_p still crosses along that ray, and the witnesses sit at 99% of it.
+    The check refuses with ResourceError unless the lattice step is below the
+    shell's log-radius width, so that axis-adjacent nodes cannot join the two
+    pieces, and below 2/sqrt(n) times the witnesses' log-radius gap to the
+    shell, so that the node nearest each witness lies in its piece.
+    """
+    m = math.exp(math.sqrt(eps / n))
+    reach = up_radius(n, eps, safety) / math.sqrt(n)  # U_p meets the ray for |s - m| < reach
+    widest = min(eps - n * math.log(m - reach) ** 2, n * math.log(m + reach) ** 2 - eps)
+    delta = widest / 3.0
+    levels = (eps - 0.99 * widest, eps + 0.99 * widest)
+    width = math.sqrt(eps + delta) - math.sqrt(eps - delta)
+    gap = min(
+        math.sqrt(eps - delta) - math.sqrt(levels[0]), math.sqrt(levels[1]) - math.sqrt(eps + delta)
+    )
+    shell = cv.omega_minus_shell(n, eps, delta)
+    # Omega's bbox half-width is its radius R
+    lo, hi = -(math.sqrt(eps + delta) + 0.5), math.log(shell.bbox[0, 1])
+    if step is None:
+        step = (hi - lo) / (max(2, int(budget ** (1.0 / n))) - 1)
+    limit = min(width, 2.0 * gap / math.sqrt(n))
+    if step >= limit:
+        raise ResourceError(
+            f"lattice step {step:.4g} is not below {limit:.4g}: the shell's log-radius "
+            f"width is {width:.4g} and the witnesses lie {gap:.4g} from it"
         )
+    lab = grid_components(log_moduli_image(shell, lo, hi), step, budget)
+    up = cv.up_ball(n, eps, safety)
+    witnesses = []
+    for level in levels:
+        t = math.sqrt(level / n)
+        w = CPoint((math.exp(t), 0.0) * n)
+        witnesses.append(
+            {
+                "point": list(w.xy),
+                "rho": rho(w),
+                "in_up_and_omega_minus_shell": up.contains(w) and shell.contains(w),
+                "label": lab.label_at(CPoint((t, 0.0) * n)),
+            }
+        )
+    labels = {w["label"] for w in witnesses}
+    ok = (
+        lab.n_components == 2
+        and all(w["in_up_and_omega_minus_shell"] for w in witnesses)
+        and 0 not in labels
+        and len(labels) == 2
+    )
+    return ok, {
+        "step": step,
+        "delta": delta,
+        "shell_width": width,
+        "witness_gap": gap,
+        "log_moduli_image": lab.summary_jsonable(),
+        "witnesses": witnesses,
+        "up_safety": safety,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,11 @@ from cechcert.covers import (
     dim2_resolution,
     g_eps_region,
     omega_minus_shell,
-    omega_minus_thickened_k,
     up_ball,
-    with_bbox,
 )
 from cechcert.geometry import (
     CPoint,
     contraction_residual,
-    grid_components,
     hessian_block_det,
     hessian_block_trace,
     hessian_fd_residual,
@@ -42,7 +39,13 @@ from cechcert.geometry import (
 )
 from cechcert.hexpr import Const, resolve
 from cechcert.nerve import build_nerve, cohomology, is_coboundary
-from cechcert.scenarios import ScenarioConfig, run_dim2, run_dimn, torus_rank_table
+from cechcert.scenarios import (
+    ScenarioConfig,
+    connectivity_check,
+    run_dim2,
+    run_dimn,
+    torus_rank_table,
+)
 
 from test_bundles import _ball_glue_instance
 
@@ -185,23 +188,20 @@ def test_criterion_07_convexity():
 def test_criterion_08_connectivity():
     t0 = time.monotonic()
     cfg = ScenarioConfig()
-    n, eps, delta = 2, cfg.eps(), cfg.delta
-    budget = cfg.budget_nodes
-    hw = min(
-        1.18 * math.exp(math.sqrt(eps + delta)),
-        0.96 * math.sqrt(2.0) * math.exp(math.sqrt(eps)),
-    )
-    per_axis = int(math.floor(budget ** (1.0 / (2 * n))))
-    step = 2.0 * hw / (per_axis - 1)
+    n, eps = 2, cfg.eps()
+    ok, details = connectivity_check(n, eps, cfg.safety_connect, cfg.budget_nodes)
+    image = details["log_moduli_image"]
     up = up_ball(n, eps, cfg.safety_connect)
-    no_k = with_bbox(omega_minus_thickened_k(n, eps, delta, up), hw)
-    no_shell = with_bbox(omega_minus_shell(n, eps, delta), hw)
-    lab_k = grid_components(no_k, step, budget)
-    lab_shell = grid_components(no_shell, step, budget)
+    no_shell = omega_minus_shell(n, eps, details["delta"])
+    witnesses = [CPoint(tuple(w["point"])) for w in details["witnesses"]]
+    rhos = sorted(w["rho"] for w in details["witnesses"])
     ok = (
-        lab_k.n_components == 1
-        and lab_shell.n_components == 2
-        and lab_k.n_nodes <= budget
+        ok
+        and image["component_count"] == 2
+        and image["node_count"] <= cfg.budget_nodes
+        and all(up.contains(w) and no_shell.contains(w) for w in witnesses)
+        and sorted(w["label"] for w in details["witnesses"]) == [1, 2]
+        and rhos[0] < eps - details["delta"] < eps + details["delta"] < rhos[1]
         and time.monotonic() - t0 < 300.0
     )
     _verdict(8, "grid connectivity", ok)

@@ -25,7 +25,6 @@ from cechcert.geometry import (
 from cechcert.nerve import (
     AnalyticPatch,
     Cover,
-    GridResolution,
     IntCochain,
     Resolution,
     build_nerve,
@@ -64,10 +63,6 @@ def _arc_cover(order=("A", "B")) -> Cover:
     b = ann.intersect(Region("xneg", lt(SX(0), SConst(0.5)), ann.bbox), name="B")
     named = {"A": a, "B": b}
     return Cover(ann, [(n, named[n]) for n in order])
-
-
-def _grid_res(step: float = 0.05) -> Resolution:
-    return Resolution(grid=GridResolution(step=step))
 
 
 def test_cover_name_uniqueness():
@@ -190,30 +185,18 @@ def test_self_mislabeling_rejected():
         build_nerve(cover, 2, bad)
 
 
-def test_annulus_arcs_grid_two_components():
-    nerve = build_nerve(_arc_cover(), 2, _grid_res())
+def test_annulus_arcs_two_components():
+    nerve = build_nerve(_arc_cover(), 2, _arc_patches([CPoint((0.0, 1.5)), CPoint((0.0, -1.5))]))
     assert len(nerve.components((0, 1))) == 2
     assert cohomology(nerve, 0).free_rank == 1
     assert cohomology(nerve, 1).free_rank == 1
 
 
-def test_annulus_rank_stable_under_permutation_and_refinement():
-    base = cohomology(build_nerve(_arc_cover(), 2, _grid_res()), 1).free_rank
-    flipped = cohomology(build_nerve(_arc_cover(("B", "A")), 2, _grid_res()), 1).free_rank
-    finer = cohomology(build_nerve(_arc_cover(), 2, _grid_res(0.04)), 1).free_rank
-    assert base == flipped == finer == 1
-
-
-def test_cross_check_catches_undercounting():
-    cover = _arc_cover()
-    rep = CPoint((0.0, 1.5))  # the upper arc of the overlap
-    res = Resolution(
-        patches={(0, 1): AnalyticPatch([rep], lambda p: 0)},
-        grid=GridResolution(step=0.05),
-        cross_check=True,
-    )
-    with pytest.raises(ResolutionError):
-        build_nerve(cover, 2, res)
+def test_annulus_rank_stable_under_permutation():
+    reps_01 = [CPoint((0.0, 1.5)), CPoint((0.0, -1.5))]
+    base = build_nerve(_arc_cover(), 2, _arc_patches(reps_01))
+    flipped = build_nerve(_arc_cover(("B", "A")), 2, _arc_patches(reps_01, ("B", "A")))
+    assert cohomology(base, 1).free_rank == cohomology(flipped, 1).free_rank == 1
 
 
 def test_one_set_cover_trivial_cohomology():
@@ -320,11 +303,14 @@ def test_subnerve_restriction(dim2_nerve):
     assert cohomology(sub, 1).free_rank == 0
 
 
-def _arc_patches(reps_01) -> Resolution:
+def _arc_patches(reps_01, order=("A", "B")) -> Resolution:
+    """Analytic patches of `_arc_cover(order)`: each arc is connected, and the
+    overlap splits by the sign of y."""
+    arc_rep = {"A": CPoint((1.5, 0.0)), "B": CPoint((-1.5, 0.0))}
     return Resolution(
         patches={
-            (0,): AnalyticPatch([CPoint((1.5, 0.0))], lambda p: 0),
-            (1,): AnalyticPatch([CPoint((-1.5, 0.0))], lambda p: 0),
+            (0,): AnalyticPatch([arc_rep[order[0]]], lambda p: 0),
+            (1,): AnalyticPatch([arc_rep[order[1]]], lambda p: 0),
             (0, 1): AnalyticPatch(reps_01, lambda p: 0 if p.xy[1] > 0 else 1),
         }
     )

@@ -16,13 +16,12 @@ import pytest
 from cechcert.covers import (
     dim2_cover,
     omega_minus_shell,
-    omega_minus_thickened_k,
     omega_prime_region,
+    omega_region,
     tube_cover_dim2,
     up_ball,
-    with_bbox,
 )
-from cechcert.geometry import COr, Region, ball_region, grid_components
+from cechcert.geometry import CAnd, COr, Region, ball_region, grid_components, log_moduli_image
 
 
 def _ref(e, xy):
@@ -61,6 +60,9 @@ def _ref(e, xy):
         return any(_ref(i, xy) for i in e["items"])
     if op == "not":
         return not _ref(e["item"], xy)
+    if op == "exp_moduli":
+        moduli = [math.exp(v) if i % 2 == 0 else 0.0 for i, v in enumerate(xy)]
+        return _ref(e["item"], moduli)
     raise AssertionError(f"unknown op {op}")
 
 
@@ -68,10 +70,14 @@ def _regions():
     out = []
     for n, eps, delta in ((2, 1.0, 0.45), (3, 1.5, 0.45)):
         up = up_ball(n, eps, 0.5)
+        shell = omega_minus_shell(n, eps, delta)
+        # Omega minus the shell with the hole at p: (Omega\shell) | (Omega & U_p)
+        no_k = COr((shell.constraint, CAnd((omega_region(n, eps).constraint, up.constraint))))
         out += [
-            omega_minus_thickened_k(n, eps, delta, up),
-            omega_minus_shell(n, eps, delta),
+            Region("Omega\\K_delta", no_k, shell.bbox),
+            shell,
             omega_prime_region(n, eps, up),
+            log_moduli_image(shell, -(math.sqrt(eps + delta) + 0.5), math.log(shell.bbox[0, 1])),
         ]
     for cover in (dim2_cover(4.0), tube_cover_dim2(1.0)):
         out += [cover.ambient] + [reg for _, reg in cover.sets]
@@ -126,14 +132,19 @@ def _two_balls() -> Region:
     return Region("two-balls", COr((a.constraint, b.constraint)), bbox)
 
 
+def _centered(region: Region, half_width: float) -> Region:
+    """The same constraint scanned on the box [-half_width, half_width]^{2n}."""
+    return Region(region.name, region.constraint, np.array([[-half_width, half_width]] * region.dim2n))
+
+
 @pytest.mark.parametrize(
     "region, step, expected",
     [
         (_two_balls(), 0.2, 2),
         (omega_minus_shell(1, 0.5, 0.2), 0.1, 3),
-        (with_bbox(omega_minus_shell(2, 1.0, 0.7), 3.0), 0.35, 2),
+        (_centered(omega_minus_shell(2, 1.0, 0.7), 3.0), 0.35, 2),
         # too coarse for the shell: the lattice splits it into many pieces
-        (with_bbox(omega_minus_shell(2, 1.5, 0.9), 2.5), 0.3, 14),
+        (_centered(omega_minus_shell(2, 1.5, 0.9), 2.5), 0.3, 14),
     ],
     ids=["two-balls", "shell-n1", "shell-n2", "shell-n2-fragmented"],
 )

@@ -176,6 +176,39 @@ def test_cli_dimn_failure_exit(tmp_path):
     assert json.loads(out.read_text())["overall"] == "fail"
 
 
+def test_cli_dimn_small_hole_passes(tmp_path):
+    # near eps = n the hole at p is small; the witnesses on the diagonal ray
+    # through p still find both components of the log-moduli image
+    out = tmp_path / "dimn.json"
+    assert main(["dimn", "--n", "2", "--epsilon", "1.9", "--samples", "300", "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["connectivity"]["status"] == "pass"
+    assert checks["connectivity"]["metrics"]["log_moduli_image"]["component_count"] == 2
+
+
+def test_cli_dimn_coarse_step_is_refused(tmp_path, capsys):
+    assert main(["dimn", "--n", "2", "--step", "5", "--out", str(tmp_path / "x.json")]) == 2
+    assert "lattice step 5 is not below" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hessian-scan", "--samples", "5"],
+        ["cohomology-torus", "--budget-nodes", "10"],
+        ["dim2", "--n", "3"],
+        ["selftest", "--n", "3"],
+        ["dimn", "--delta", "0.3"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_cli_rejects_flags_a_command_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit(tmp_path):
     assert main(["dimn", "--epsilon", "-1", "--out", str(tmp_path / "x.json")]) == 2
     assert main(["dim2", "--samples", "100", "--out", str(tmp_path / "no" / "x.json")]) == 2
