@@ -24,6 +24,8 @@ OUT_ENV = "CECHCERT_OUT"
 def _scenario_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
     if with_n:
         p.add_argument("--n", type=int, default=2)
+    else:
+        p.set_defaults(n=2)  # dim2 and selftest run at n = 2
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--r", type=float, default=4.0)
     p.add_argument("--step", type=float, default=None)
@@ -42,7 +44,7 @@ def _report_flags(p: argparse.ArgumentParser) -> None:
 
 def _config(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(
-        n=getattr(args, "n", 2),  # dim2 and selftest run at n = 2
+        n=args.n,
         epsilon=args.epsilon,
         r=args.r,
         step=args.step,
