@@ -1,9 +1,10 @@
 """Vector bundles presented by transition matrices over a resolved nerve.
 
-A bundle stores one matrix expression per ordered set pair (i, j) with i < j,
-optionally per overlap component; the stored matrix carries frame i to frame j,
-and the reverse transition is the numerical inverse.  On top of this sit the
-cocycle validator, the gluing construction, restriction and pullback, the
+A bundle stores one matrix expression per ordered set pair (i, j) with i < j
+and overlap component, or one for every component under the key None; the
+stored matrix carries frame i to frame j, and the reverse transition is the
+numerical inverse.  On top of this sit the cocycle validator, the gluing
+construction, restriction to a subset of the cover sets and pullback, the
 integer-to-units exponential push, first-Chern-class extraction, and the
 locally-constant trivialization test.
 """
@@ -31,10 +32,8 @@ from .hexpr import (
     Const,
     MatExpr,
     MonLog,
-    as_monomial,
     mat_identity,
     mon_log,
-    resolve,
     subst,
 )
 from .nerve import (
@@ -60,12 +59,10 @@ __all__ = [
     "validate_iso",
     "glue",
     "restrict_to_sets",
-    "restrict",
     "pullback",
     "exp_sequence_push",
     "chern_cocycle",
     "flat_class_test",
-    "tensor_product",
 ]
 
 Edge = tuple[int, int]
@@ -75,13 +72,19 @@ TransTable = dict[Edge, dict[Optional[int], MatExpr]]
 _DET_FLOOR = 1e-12
 
 
+def _on_component(bycomp: dict[Optional[int], MatExpr], comp: int) -> MatExpr:
+    """The matrix of a per-component table on one component; the key None
+    holds the matrix of every component the table does not name."""
+    return bycomp[comp] if comp in bycomp else bycomp[None]
+
+
 @dataclass
 class BundleData:
     """A cover with its resolved nerve and per-pair transition matrices.
 
     transitions[(i, j)][comp] with i < j carries frame i to frame j on the
-    given component of the overlap (key None: same matrix on all components).
-    Identity self-transitions are implicit and never stored.
+    given component of the overlap (key None: the matrix of every component
+    not named).  Identity self-transitions are implicit and never stored.
     """
 
     cover: Cover
@@ -95,6 +98,11 @@ class BundleData:
                 raise ValueError("transition keys must be ordered pairs (i, j), i < j")
             if (i, j) not in self.nerve.simplices:
                 raise ValueError(f"transition on empty overlap {(i, j)}")
+            comps = set(range(len(self.nerve.components((i, j)))))
+            if set(bycomp) - comps - {None}:
+                raise ValueError(f"transition on {(i, j)} names a component the overlap lacks")
+            if None not in bycomp and comps - set(bycomp):
+                raise ValueError(f"transition on {(i, j)} misses a component and has no None key")
             for m in bycomp.values():
                 if m.r != self.rank:
                     raise ValueError("transition matrix size does not match bundle rank")
@@ -104,9 +112,7 @@ class BundleData:
         bycomp = self.transitions.get((i, j))
         if bycomp is None:
             return mat_identity(self.rank)
-        if comp in bycomp:
-            return bycomp[comp]
-        return bycomp[None]
+        return _on_component(bycomp, comp)
 
     def to_jsonable(self):
         return {
@@ -141,7 +147,7 @@ def transition_at(
     if dst == src:
         return np.eye(b.rank, dtype=complex)
     i, j = min(src, dst), max(src, dst)
-    M = b.edge_matrix(i, j, comp).at(z, component=comp)
+    M = b.edge_matrix(i, j, comp).at(z)
     return M if (src, dst) == (i, j) else np.linalg.inv(M)
 
 
@@ -231,7 +237,7 @@ def validate_cocycle(
         i, j = edge
         for ci in range(len(b.nerve.components(edge))):
             for z in _samples_in_component(b.nerve, edge, ci, samples_per_simplex, rng):
-                M = b.edge_matrix(i, j, ci).at(z, component=ci)
+                M = b.edge_matrix(i, j, ci).at(z)
                 npts += 1
                 if abs(np.linalg.det(M)) <= _DET_FLOOR:
                     if det_ok:
@@ -278,9 +284,7 @@ class BundleIso:
         bycomp = self.h.get((i, j))
         if bycomp is None:
             return mat_identity(rank)
-        if comp in bycomp:
-            return bycomp[comp]
-        return bycomp[None]
+        return _on_component(bycomp, comp)
 
 
 def _union_cover(bU: BundleData, bV: BundleData) -> Cover:
@@ -319,7 +323,7 @@ def _carry_transitions(
         else:
             for ci, rep in enumerate(union_nerve.components(edge)):
                 old_ci = src_bundle.nerve.locate((i, j), rep)
-                out[ci] = bycomp[old_ci] if old_ci in bycomp else bycomp[None]
+                out[ci] = _on_component(bycomp, old_ci)
         dst[edge] = out
 
 
@@ -354,7 +358,7 @@ def validate_iso(
                 def hmat(i: int, j: int) -> np.ndarray:
                     e = (i, j + off)
                     comp = union_nerve.locate(e, z) if e in union_nerve.simplices else 0
-                    return iso.matrix(i, j, comp, bU.rank).at(z, component=comp)
+                    return iso.matrix(i, j, comp, bU.rank).at(z)
 
                 def comp_of(nerve: ResolvedNerve, a: int, bidx: int) -> int:
                     if a == bidx:
@@ -431,31 +435,6 @@ def restrict_to_sets(b: BundleData, keep: list[int]) -> BundleData:
     return BundleData(nerve.cover, nerve, b.rank, transitions)
 
 
-def restrict(
-    b: BundleData, sub: Region, resolution: Resolution, k_max: int = 3
-) -> BundleData:
-    """Restrict to an open subset: every cover set is intersected with it and
-    transitions are carried over with components re-keyed.  `resolution`
-    resolves the cut sets under the same indices, so an intersection without
-    a patch is empty and a representative the cut leaves out is rejected."""
-    sets = [(name, reg.intersect(sub, name=name)) for name, reg in b.cover.sets]
-    cover = Cover(sub, sets)
-    nerve = build_nerve(cover, k_max, resolution)
-    transitions: TransTable = {}
-    for edge, bycomp in b.transitions.items():
-        if edge not in nerve.simplices:
-            continue
-        if set(bycomp) == {None}:
-            transitions[edge] = {None: bycomp[None]}
-        else:
-            out: dict[Optional[int], MatExpr] = {}
-            for ci, rep in enumerate(nerve.components(edge)):
-                old_ci = b.nerve.locate(edge, rep)
-                out[ci] = bycomp[old_ci] if old_ci in bycomp else bycomp[None]
-            transitions[edge] = out
-    return BundleData(cover, nerve, b.rank, transitions)
-
-
 def pullback(
     b: BundleData,
     chart: ChartMap,
@@ -469,8 +448,8 @@ def pullback(
 
     The caller supplies the preimage cover (set i of it must map into set i of
     the bundle's cover); expressions are composed with the chart's forward
-    components, and piecewise constants are transported by locating the image
-    of each preimage component representative.  Sampled points of every
+    components, and per-component matrices are transported by locating the
+    image of each preimage component representative.  Sampled points of every
     preimage set must lie in the declared injectivity chart.
     """
     if len(pre_cover.sets) != len(b.cover.sets):
@@ -499,12 +478,9 @@ def pullback(
         else:
             for ci, rep in enumerate(nerve.components((i, j))):
                 old_ci = b.nerve.locate((i, j), chart.forward_point(rep))
-                M = bycomp[old_ci] if old_ci in bycomp else bycomp[None]
+                M = _on_component(bycomp, old_ci)
                 out[ci] = MatExpr(
-                    tuple(
-                        tuple(subst(resolve(e, old_ci), mapping) for e in row)
-                        for row in M.entries
-                    )
+                    tuple(tuple(subst(e, mapping) for e in row) for row in M.entries)
                 )
         transitions[(i, j)] = out
     return BundleData(pre_cover, nerve, b.rank, transitions)
@@ -574,9 +550,7 @@ def chern_cocycle(b: BundleData, tol_round: float = 1e-6) -> ChernCocycle:
     for edge in b.nerve.simplices_of_dim(1):
         i, j = edge
         for ci, rep in enumerate(b.nerve.components(edge)):
-            expr = resolve(b.edge_matrix(i, j, ci).entries[0][0], ci)
-            as_monomial(expr)  # shape gate; raises ShapeError otherwise
-            logs[(edge, ci)] = mon_log(expr, None, rep)
+            logs[(edge, ci)] = mon_log(b.edge_matrix(i, j, ci).entries[0][0], rep)
     values: dict[tuple[tuple[int, ...], int], int] = {}
     worst = 0.0
     two_pi_i = 2j * math.pi
@@ -636,7 +610,7 @@ def flat_class_test(b: BundleData) -> FlatClassResult:
     for edge in b.nerve.simplices_of_dim(1):
         i, j = edge
         for ci in range(len(b.nerve.components(edge))):
-            e = resolve(b.edge_matrix(i, j, ci).entries[0][0], ci)
+            e = b.edge_matrix(i, j, ci).entries[0][0]
             if e == Const(1) or e == Const(1 + 0j):
                 continue
             if e == Const(-1) or e == Const(-1 + 0j):
@@ -651,25 +625,3 @@ def flat_class_test(b: BundleData) -> FlatClassResult:
         for ci in range(len(b.nerve.components(vert))):
             signs[(vert[0], ci)] = (-1) ** verdict.primitive.get(vert, ci)
     return FlatClassResult(True, signs, verdict)
-
-
-def tensor_product(b1: BundleData, b2: BundleData) -> BundleData:
-    """Pointwise product of two rank-1 bundles on the same nerve."""
-    if b1.rank != 1 or b2.rank != 1 or b1.nerve is not b2.nerve:
-        raise ShapeError("tensor product needs two rank-1 bundles on one nerve")
-    from .hexpr import Product
-
-    transitions: TransTable = {}
-    for edge in b1.nerve.simplices_of_dim(1):
-        i, j = edge
-        cases: dict[int, MatExpr] = {}
-        nontrivial = False
-        for ci in range(len(b1.nerve.components(edge))):
-            e1 = resolve(b1.edge_matrix(i, j, ci).entries[0][0], ci)
-            e2 = resolve(b2.edge_matrix(i, j, ci).entries[0][0], ci)
-            prod = e1 if e2 == Const(1) else (e2 if e1 == Const(1) else Product((e1, e2)))
-            cases[ci] = MatExpr(((prod,),))
-            nontrivial = nontrivial or prod != Const(1)
-        if nontrivial:
-            transitions[edge] = dict(cases)
-    return BundleData(b1.cover, b1.nerve, 1, transitions)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when every machine check passes, 1 when a check fails, 2 for
-configuration or resource errors and for computations that cannot finish or
-fail their own exact re-check.  Reports go to --out, or into the directory
+configuration or resource errors, for computations that cannot finish or
+fail their own exact re-check, and for any other exception (a crash, reported
+with its traceback).  Reports go to --out, or into the directory
 named by the CECHCERT_OUT environment variable (default: current directory).
 """
 
@@ -13,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 
 from .errors import DomainError, ResolutionError, ResourceError, SamplingError, VerificationError
 from .report import emit_report
@@ -21,20 +23,29 @@ from .scenarios import ScenarioConfig, hessian_scan_rows, run_dim2, run_dimn, to
 OUT_ENV = "CECHCERT_OUT"
 
 
-def _scenario_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
-    if with_n:
-        p.add_argument("--n", type=int, default=2)
-    else:
-        p.set_defaults(n=2)  # dim2 and selftest run at n = 2
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--r", type=float, default=4.0)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--safety", type=float, default=0.5)
-    p.add_argument("--tol-cocycle", type=float, default=1e-9)
-    p.add_argument("--tol-chern", type=float, default=1e-6)
-    p.add_argument("--budget-nodes", type=int, default=10_000_000)
+# The ScenarioConfig fields a pipeline command can take as flags, with their
+# types; a flag not given leaves the field at its ScenarioConfig default.
+_FLAG_TYPES = {
+    "n": int,
+    "epsilon": float,
+    "r": float,
+    "step": float,
+    "samples": int,
+    "seed": int,
+    "safety": float,
+    "tol_cocycle": float,
+    "tol_chern": float,
+    "budget_nodes": int,
+}
+_DIM2_FLAGS = ("r", "samples", "seed", "tol_cocycle")
+_DIMN_FLAGS = tuple(f for f in _FLAG_TYPES if f != "r")
+_SELFTEST_FLAGS = tuple(f for f in _FLAG_TYPES if f != "n")
+
+
+def _scenario_flags(p: argparse.ArgumentParser, names: tuple) -> None:
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        p.add_argument(flag, type=_FLAG_TYPES[name], default=argparse.SUPPRESS)
 
 
 def _report_flags(p: argparse.ArgumentParser) -> None:
@@ -43,18 +54,7 @@ def _report_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace) -> ScenarioConfig:
-    return ScenarioConfig(
-        n=args.n,
-        epsilon=args.epsilon,
-        r=args.r,
-        step=args.step,
-        samples=args.samples,
-        seed=args.seed,
-        safety=args.safety,
-        tol_cocycle=args.tol_cocycle,
-        tol_chern=args.tol_chern,
-        budget_nodes=args.budget_nodes,
-    )
+    return ScenarioConfig(**{k: v for k, v in vars(args).items() if k in _FLAG_TYPES})
 
 
 def _out_path(args: argparse.Namespace, default_name: str) -> str:
@@ -85,11 +85,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p2 = sub.add_parser("dim2", help="slab construction certificate")
-    _scenario_flags(p2, with_n=False)
+    _scenario_flags(p2, _DIM2_FLAGS)
     _report_flags(p2)
 
     pn = sub.add_parser("dimn", help="tube construction certificate")
-    _scenario_flags(pn)
+    _scenario_flags(pn, _DIMN_FLAGS)
     _report_flags(pn)
 
     pt = sub.add_parser("cohomology-torus", help="rank table of the sector cover")
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     ph.add_argument("--out", type=str, default=None)
 
     ps = sub.add_parser("selftest", help="fast end-to-end smoke run")
-    _scenario_flags(ps, with_n=False)
+    _scenario_flags(ps, _SELFTEST_FLAGS)
 
     args = parser.parse_args(argv)
     try:
@@ -162,6 +162,9 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
+        traceback.print_exc()
         return 2
     return 2
 

@@ -150,11 +150,7 @@ def exp_chart() -> ChartMap:
         Exp(Product((Const(1j), Coord(0)))),
         Exp(Product((Const(1j), Coord(1)))),
     )
-
-    def inverse(w: np.ndarray) -> np.ndarray:
-        return -1j * np.log(np.asarray(w, dtype=complex))
-
-    return ChartMap("exp(i.)", forward, inverse, domain)
+    return ChartMap("exp(i.)", forward, domain)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "CLt",
     "CAnd",
     "COr",
-    "CNot",
     "CExpModuli",
     "evaluate",
     "Region",
@@ -231,14 +230,6 @@ class COr:
 
 
 @dataclass(frozen=True)
-class CNot:
-    item: object
-
-    def to_jsonable(self):
-        return {"op": "not", "item": self.item.to_jsonable()}
-
-
-@dataclass(frozen=True)
 class CExpModuli:
     """`item` evaluated at (e^{x_1}, 0, ..., e^{x_n}, 0): a constraint that
     depends only on the moduli |z_j|, read in log-moduli coordinates."""
@@ -298,8 +289,6 @@ def _value(e, pts: np.ndarray, memo: dict) -> np.ndarray:
             if out.all():
                 break
         return out
-    if t is CNot:
-        return ~_value(e.item, pts, memo)
     if t is CExpModuli:
         moduli = np.zeros_like(pts)
         moduli[:, 0::2] = np.exp(pts[:, 0::2])
@@ -338,14 +327,6 @@ def _value(e, pts: np.ndarray, memo: dict) -> np.ndarray:
     if t is SNormSq:
         return np.sum(pts * pts, axis=1)
     raise TypeError(f"cannot evaluate {t.__name__}")
-
-
-def lt(lhs, rhs) -> CLt:
-    if isinstance(lhs, (int, float)):
-        lhs = SConst(float(lhs))
-    if isinstance(rhs, (int, float)):
-        rhs = SConst(float(rhs))
-    return CLt(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Evaluable holomorphic expression trees and matrices of them.
 
 The language is deliberately small: constants, coordinates, integer powers,
-products, sums, exp, and piecewise-by-component values.  That is enough for
-every transition function the certificates use, and small enough that taking a
-continuous logarithm of a monomial expression stays decidable.
+products, sums and exp.  That is enough for every transition function the
+certificates use, and small enough that taking a continuous logarithm of a
+monomial expression stays decidable.  A transition that differs between the
+components of an overlap is one expression per component, held in the
+bundle's transition table.
 
 Expressions evaluate in batch on (m, n) complex coordinate arrays; a CPoint is
 converted to a one-row batch.  All nodes are frozen, so equality is structural
@@ -13,9 +15,8 @@ and expressions are safe to share.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,19 +31,13 @@ __all__ = [
     "Product",
     "Sum",
     "Exp",
-    "Piecewise",
-    "piecewise",
     "heval",
     "subst",
-    "resolve",
     "as_monomial",
-    "holomorphy_residual",
     "MonLog",
     "mon_log",
     "MatExpr",
     "mat_identity",
-    "mat_scalar",
-    "mat_mul",
     "ChartMap",
 ]
 
@@ -134,56 +129,12 @@ class Exp:
         return {"op": "exp", "arg": self.arg.to_jsonable()}
 
 
-@dataclass(frozen=True)
-class Piecewise:
-    """One expression per overlap component; must be resolved before evaluation."""
-
-    cases: tuple  # sorted tuple of (component-id, HExpr)
-
-    def ev(self, zc: np.ndarray) -> np.ndarray:
-        raise ShapeError("piecewise expression evaluated without a component")
-
-    def case(self, component: int) -> "HExpr":
-        for ci, e in self.cases:
-            if ci == component:
-                return e
-        raise ShapeError(f"no case for component {component}")
-
-    def to_jsonable(self):
-        return {
-            "op": "piecewise",
-            "cases": [{"component": ci, "expr": e.to_jsonable()} for ci, e in self.cases],
-        }
+HExpr = Union[Const, Coord, IntPower, Product, Sum, Exp]
 
 
-HExpr = Union[Const, Coord, IntPower, Product, Sum, Exp, Piecewise]
-
-
-def piecewise(cases: dict[int, HExpr]) -> Piecewise:
-    return Piecewise(tuple(sorted(cases.items())))
-
-
-def resolve(e: HExpr, component: Optional[int]) -> HExpr:
-    """Replace every piecewise node by its case for the given component."""
-    if isinstance(e, Piecewise):
-        if component is None:
-            raise ShapeError("piecewise expression needs a component")
-        return resolve(e.case(component), component)
-    if isinstance(e, IntPower):
-        return IntPower(resolve(e.base, component), e.k)
-    if isinstance(e, Product):
-        return Product(tuple(resolve(f, component) for f in e.factors))
-    if isinstance(e, Sum):
-        return Sum(tuple(resolve(t, component) for t in e.terms))
-    if isinstance(e, Exp):
-        return Exp(resolve(e.arg, component))
-    return e
-
-
-def heval(e: HExpr, z, component: Optional[int] = None):
+def heval(e: HExpr, z):
     """Evaluate at a CPoint (returns a complex scalar) or a complex batch."""
-    r = resolve(e, component)
-    out = r.ev(_as_batch(z))
+    out = e.ev(_as_batch(z))
     if isinstance(z, CPoint):
         return complex(out[0])
     return out
@@ -201,8 +152,6 @@ def subst(e: HExpr, mapping: dict[int, HExpr]) -> HExpr:
         return Sum(tuple(subst(t, mapping) for t in e.terms))
     if isinstance(e, Exp):
         return Exp(subst(e.arg, mapping))
-    if isinstance(e, Piecewise):
-        return Piecewise(tuple((ci, subst(x, mapping)) for ci, x in e.cases))
     return e
 
 
@@ -224,30 +173,6 @@ def as_monomial(e: HExpr) -> tuple[complex, dict[int, int]]:
                 exps[j] = exps.get(j, 0) + k
         return c, {j: k for j, k in exps.items() if k != 0}
     raise ShapeError(f"not a monomial expression: {type(e).__name__}")
-
-
-def holomorphy_residual(e: HExpr, z: CPoint, h: float, component: Optional[int] = None) -> float:
-    """Max over coordinates of the central-difference Wirtinger dbar residual.
-
-    Near zero for holomorphic expressions; order-one for conjugate-analytic
-    contamination.
-    """
-    if h <= 0.0:
-        raise DomainError("step must be positive")
-    r = resolve(e, component)
-    zc = z.to_complex()
-    worst = 0.0
-    for j in range(z.n):
-        ex = np.zeros_like(zc)
-        ex[j] = h
-        ey = np.zeros_like(zc)
-        ey[j] = 1j * h
-        batch = np.stack([zc + ex, zc - ex, zc + ey, zc - ey])
-        v = r.ev(batch)
-        dx = (v[0] - v[1]) / (2.0 * h)
-        dy = (v[2] - v[3]) / (2.0 * h)
-        worst = max(worst, abs(0.5 * (dx + 1j * dy)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +218,6 @@ class MonLog:
 
 def mon_log(
     e: HExpr,
-    component: Optional[int],
     representative: CPoint,
     rel_perturbation: float = 1e-3,
 ) -> MonLog:
@@ -302,8 +226,7 @@ def mon_log(
     Validated by round-tripping exp(log) against the expression at the
     representative and 32 deterministic perturbations of it.
     """
-    r = resolve(e, component)
-    coeff, exps = as_monomial(r)
+    coeff, exps = as_monomial(e)
     if coeff == 0:
         raise ShapeError("cannot take the log of the zero expression")
     zc = representative.to_complex()
@@ -316,7 +239,7 @@ def mon_log(
     scale = rel_perturbation * min([abs(zc[j]) for j in exps], default=1.0)
     pert = rng.normal(size=(32, zc.size)) + 1j * rng.normal(size=(32, zc.size))
     batch = np.concatenate([zc.reshape(1, -1), zc.reshape(1, -1) + scale * pert])
-    want = r.ev(batch)
+    want = e.ev(batch)
     got = np.exp(ml.ev(batch))
     err = float(np.max(np.abs(got - want)))
     if err > 1e-10 * max(1.0, float(np.max(np.abs(want)))):
@@ -345,17 +268,17 @@ class MatExpr:
     def r(self) -> int:
         return len(self.entries)
 
-    def ev(self, zc: np.ndarray, component: Optional[int] = None) -> np.ndarray:
+    def ev(self, zc: np.ndarray) -> np.ndarray:
         zc = _as_batch(zc)
         r = self.r
         out = np.empty((zc.shape[0], r, r), dtype=complex)
         for a in range(r):
             for b in range(r):
-                out[:, a, b] = resolve(self.entries[a][b], component).ev(zc)
+                out[:, a, b] = self.entries[a][b].ev(zc)
         return out
 
-    def at(self, z: CPoint, component: Optional[int] = None) -> np.ndarray:
-        return self.ev(z.to_complex().reshape(1, -1), component)[0]
+    def at(self, z: CPoint) -> np.ndarray:
+        return self.ev(z.to_complex().reshape(1, -1))[0]
 
     def to_jsonable(self):
         return {
@@ -370,61 +293,20 @@ def mat_identity(r: int) -> MatExpr:
     )
 
 
-def mat_scalar(e: HExpr, r: int = 1) -> MatExpr:
-    return MatExpr(tuple(tuple(e if a == b else Const(0) for b in range(r)) for a in range(r)))
-
-
-def _simp_sum(terms: list) -> HExpr:
-    terms = [t for t in terms if t != Const(0)]
-    if not terms:
-        return Const(0)
-    if len(terms) == 1:
-        return terms[0]
-    return Sum(tuple(terms))
-
-
-def _simp_prod(a: HExpr, b: HExpr) -> HExpr:
-    if a == Const(0) or b == Const(0):
-        return Const(0)
-    if a == Const(1):
-        return b
-    if b == Const(1):
-        return a
-    return Product((a, b))
-
-
-def mat_mul(A: MatExpr, B: MatExpr) -> MatExpr:
-    """Structural matrix product (with trivial 0/1 simplification)."""
-    if A.r != B.r:
-        raise ShapeError("matrix size mismatch")
-    r = A.r
-    rows = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            row.append(
-                _simp_sum([_simp_prod(A.entries[a][k], B.entries[k][b]) for k in range(r)])
-            )
-        rows.append(tuple(row))
-    return MatExpr(tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # Chart maps
 
 
 @dataclass
 class ChartMap:
-    """A holomorphic map with an explicit inverse on a declared injectivity chart.
+    """A holomorphic map and a declared chart on which it is injective.
 
-    forward: one expression per target coordinate.  inverse_fn: vectorized map
-    from (m, n_out) complex arrays back to (m, n_in).  domain: the chart in the
+    forward: one expression per target coordinate.  domain: the chart in the
     source space on which the map is injective.
     """
 
     name: str
     forward: tuple
-    inverse_fn: Callable[[np.ndarray], np.ndarray]
     domain: Region
 
     @property
@@ -449,13 +331,3 @@ class ChartMap:
 
     def forward_point(self, z: CPoint) -> CPoint:
         return CPoint.from_complex(self.forward_complex(z.to_complex().reshape(1, -1))[0])
-
-    def inverse_point(self, w: CPoint) -> CPoint:
-        return CPoint.from_complex(self.inverse_fn(w.to_complex().reshape(1, -1))[0])
-
-    def roundtrip_residual(self, pts: np.ndarray) -> float:
-        """Max |phi^{-1}(phi(z)) - z| over a batch of chart points."""
-        pts = np.asarray(pts, dtype=float)
-        zc = pts[:, 0::2] + 1j * pts[:, 1::2]
-        back = self.inverse_fn(self.forward_complex(zc))
-        return float(np.max(np.abs(back - zc))) if zc.size else 0.0

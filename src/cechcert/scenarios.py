@@ -35,7 +35,7 @@ from .bundles import (
     restrict_to_sets,
     validate_cocycle,
 )
-from .errors import DomainError, ResolutionError, ResourceError
+from .errors import DomainError, ResolutionError, ResourceError, SamplingError
 from .geometry import (
     CPoint,
     grid_components,
@@ -206,13 +206,18 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
                 checked += 1
                 ci_p = nerve.locate((0, 1), p)
                 ci_s = nerve.locate((0, 1), shifted)
-                v_p = complex(bundle.edge_matrix(0, 1, ci_p).at(p, ci_p)[0, 0])
-                v_s = complex(bundle.edge_matrix(0, 1, ci_s).at(shifted, ci_s)[0, 0])
+                v_p = complex(bundle.edge_matrix(0, 1, ci_p).at(p)[0, 0])
+                v_s = complex(bundle.edge_matrix(0, 1, ci_s).at(shifted)[0, 0])
                 if ci_p != ci_s or v_p != v_s:
                     period_ok = False
+    if checked == 0:
+        raise SamplingError(
+            f"no 2 pi-shifted pair of overlap points lies in D_r for r = {cfg.r}; "
+            "the periodicity check needs r > pi"
+        )
     rep.add(
         "periodicity",
-        period_ok and checked > 0,
+        period_ok,
         {"pairs_checked": checked},
         "transition values are invariant under 2 pi shifts of x1, x2",
     )

@@ -14,13 +14,13 @@ from cechcert import nerve as nerve_mod
 from cechcert.errors import NotACocycleError, ResolutionError, VerificationError
 from cechcert.geometry import (
     CAnd,
+    CLt,
     CPoint,
     Region,
     SAbsZ,
     SConst,
     SX,
     ball_region,
-    lt,
 )
 from cechcert.nerve import (
     AnalyticPatch,
@@ -53,14 +53,14 @@ def dim2_nerve():
 
 
 def _annulus(name: str = "annulus") -> Region:
-    c = CAnd((lt(SConst(1.0), SAbsZ(0)), lt(SAbsZ(0), SConst(2.0))))
+    c = CAnd((CLt(SConst(1.0), SAbsZ(0)), CLt(SAbsZ(0), SConst(2.0))))
     return Region(name, c, np.array([[-2.0, 2.0], [-2.0, 2.0]]))
 
 
 def _arc_cover(order=("A", "B")) -> Cover:
     ann = _annulus()
-    a = ann.intersect(Region("xpos", lt(SConst(-0.5), SX(0)), ann.bbox), name="A")
-    b = ann.intersect(Region("xneg", lt(SX(0), SConst(0.5)), ann.bbox), name="B")
+    a = ann.intersect(Region("xpos", CLt(SConst(-0.5), SX(0)), ann.bbox), name="A")
+    b = ann.intersect(Region("xneg", CLt(SX(0), SConst(0.5)), ann.bbox), name="B")
     named = {"A": a, "B": b}
     return Cover(ann, [(n, named[n]) for n in order])
 

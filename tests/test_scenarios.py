@@ -199,6 +199,12 @@ def test_cli_dimn_coarse_step_is_refused(tmp_path, capsys):
         ["dim2", "--n", "3"],
         ["selftest", "--n", "3"],
         ["dimn", "--delta", "0.3"],
+        ["dim2", "--epsilon", "5"],
+        ["dim2", "--step", "9"],
+        ["dim2", "--safety", "0.2"],
+        ["dim2", "--tol-chern", "1"],
+        ["dim2", "--budget-nodes", "3"],
+        ["dimn", "--r", "9"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
@@ -228,6 +234,25 @@ def test_cli_computation_error_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_dimn", fail)
     assert main(["dimn", "--out", str(tmp_path / "x.json")]) == 2
     assert "error: no in-region point found" in capsys.readouterr().err
+
+
+def test_cli_crash_exit(tmp_path, monkeypatch, capsys):
+    # exit 1 means a failed check; an exception no handler expects is a crash
+    def crash(cfg):
+        raise TypeError("bug in run_dimn")
+
+    monkeypatch.setattr(cli, "run_dimn", crash)
+    assert main(["dimn", "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: bug in run_dimn" in err
+
+
+def test_cli_dim2_without_shifted_pairs_is_refused(tmp_path, capsys):
+    # no 2 pi shift of x stays in D_r for r <= pi, so periodicity has no pair
+    assert main(["dim2", "--r", "3", "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "r = 3.0" in err and "r > pi" in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_dim2_check_cover_bug_propagates(monkeypatch):
