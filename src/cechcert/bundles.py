@@ -26,7 +26,7 @@ from .errors import (
     ResolutionError,
     ShapeError,
 )
-from .geometry import CPoint, Region
+from .geometry import COr, CPoint, Region
 from .hexpr import (
     ChartMap,
     Const,
@@ -292,8 +292,6 @@ def _union_cover(bU: BundleData, bV: BundleData) -> Cover:
     if names_u & set(bV.cover.names):
         raise GlueError("cover set name collision between the two bundles")
     amb_u, amb_v = bU.cover.ambient, bV.cover.ambient
-    from .geometry import COr
-
     lo = np.minimum(amb_u.bbox[:, 0], amb_v.bbox[:, 0])
     hi = np.maximum(amb_u.bbox[:, 1], amb_v.bbox[:, 1])
     ambient = Region(
@@ -312,11 +310,15 @@ def _carry_transitions(
 ) -> None:
     """Copy a bundle's transitions onto the matching union-nerve edges,
     re-keying components by locating the union representatives with the
-    original nerve's locators."""
+    original nerve's locators.  An edge missing from the union nerve would
+    drop its transition, so it is refused."""
     for (i, j), bycomp in src_bundle.transitions.items():
         edge = (i + offset, j + offset)
         if edge not in union_nerve.simplices:
-            continue
+            raise GlueError(
+                f"the glued resolution has no overlap {edge} for the transition on "
+                f"{src_bundle.cover.names[i]} x {src_bundle.cover.names[j]}"
+            )
         out: dict[Optional[int], MatExpr] = {}
         if set(bycomp) == {None}:
             out[None] = bycomp[None]
@@ -397,8 +399,9 @@ def glue(
     Transitions are assigned verbatim: the inputs' own pairs keep their
     matrices, and each mixed pair (U_i, V_j) gets the isomorphism matrix
     h(j, i).  Returns the glued bundle with the iso-validation and cocycle
-    reports; gluing refuses only on structural errors, validation failures are
-    reported in the returned reports.
+    reports; gluing refuses only on structural errors (GlueError: ranks, set
+    names, or a transition or iso on an overlap the resolution lacks),
+    validation failures are reported in the returned reports.
     """
     if bU.rank != bV.rank:
         raise GlueError(f"rank mismatch: {bU.rank} vs {bV.rank}")

@@ -18,13 +18,16 @@ import traceback
 
 from .errors import DomainError, ResolutionError, ResourceError, SamplingError, VerificationError
 from .report import emit_report
-from .scenarios import ScenarioConfig, hessian_scan_rows, run_dim2, run_dimn, torus_rank_table
+from .scenarios import (
+    DIM2_FIELDS, DIMN_FIELDS, ScenarioConfig, hessian_scan_rows, run_dim2, run_dimn, torus_rank_table
+)
 
 OUT_ENV = "CECHCERT_OUT"
 
 
-# The ScenarioConfig fields a pipeline command can take as flags, with their
-# types; a flag not given leaves the field at its ScenarioConfig default.
+# The types of the ScenarioConfig fields a command takes as flags; a flag not
+# given leaves the field at its ScenarioConfig default.  run_connectivity has
+# no flag: a pipeline command scans, selftest does not.
 _FLAG_TYPES = {
     "n": int,
     "epsilon": float,
@@ -37,15 +40,17 @@ _FLAG_TYPES = {
     "tol_chern": float,
     "budget_nodes": int,
 }
-_DIM2_FLAGS = ("r", "samples", "seed", "tol_cocycle")
-_DIMN_FLAGS = tuple(f for f in _FLAG_TYPES if f != "r")
-_SELFTEST_FLAGS = tuple(f for f in _FLAG_TYPES if f != "n")
+# selftest runs both pipelines at n = 2 without the connectivity scan, the
+# only reader of step and budget_nodes
+_SELFTEST_FIELDS = tuple(
+    dict.fromkeys(f for f in DIM2_FIELDS + DIMN_FIELDS if f not in ("n", "step", "budget_nodes"))
+)
 
 
-def _scenario_flags(p: argparse.ArgumentParser, names: tuple) -> None:
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, type=_FLAG_TYPES[name], default=argparse.SUPPRESS)
+def _scenario_flags(p: argparse.ArgumentParser, fields: tuple) -> None:
+    for name in fields:
+        if name in _FLAG_TYPES:
+            p.add_argument("--" + name.replace("_", "-"), type=_FLAG_TYPES[name], default=argparse.SUPPRESS)
 
 
 def _report_flags(p: argparse.ArgumentParser) -> None:
@@ -85,11 +90,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p2 = sub.add_parser("dim2", help="slab construction certificate")
-    _scenario_flags(p2, _DIM2_FLAGS)
+    _scenario_flags(p2, DIM2_FIELDS)
     _report_flags(p2)
 
     pn = sub.add_parser("dimn", help="tube construction certificate")
-    _scenario_flags(pn, _DIMN_FLAGS)
+    _scenario_flags(pn, DIMN_FIELDS)
     _report_flags(pn)
 
     pt = sub.add_parser("cohomology-torus", help="rank table of the sector cover")
@@ -106,7 +111,7 @@ def main(argv=None) -> int:
     ph.add_argument("--out", type=str, default=None)
 
     ps = sub.add_parser("selftest", help="fast end-to-end smoke run")
-    _scenario_flags(ps, _SELFTEST_FLAGS)
+    _scenario_flags(ps, _SELFTEST_FIELDS)
 
     args = parser.parse_args(argv)
     try:

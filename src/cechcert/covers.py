@@ -126,12 +126,10 @@ def dim2_resolution() -> Resolution:
     """Analytic component data for the D_r cover: connected sets, and the
     overlap split by the sign of y1."""
     patches = {
-        (0,): AnalyticPatch([CPoint((0.0, 0.0, 0.0, -0.5))], lambda p: 0, "U1"),
-        (1,): AnalyticPatch([CPoint((0.0, 0.0, 0.0, 0.5))], lambda p: 0, "U2"),
+        (0,): AnalyticPatch([CPoint((0.0, 0.0, 0.0, -0.5))], lambda p: 0),
+        (1,): AnalyticPatch([CPoint((0.0, 0.0, 0.0, 0.5))], lambda p: 0),
         (0, 1): AnalyticPatch(
-            [CPoint((0.0, -0.5, 0.0, 0.0)), CPoint((0.0, 0.5, 0.0, 0.0))],
-            _sign_of_y1,
-            "U1&U2 by sign of y1",
+            [CPoint((0.0, -0.5, 0.0, 0.0)), CPoint((0.0, 0.5, 0.0, 0.0))], _sign_of_y1
         ),
     }
     return Resolution(patches=patches)
@@ -199,14 +197,11 @@ def _tube_edge_label(p: CPoint) -> int:
 def tube_resolution_dim2() -> Resolution:
     e_half = math.exp(0.5)
     patches = {
-        (0,): AnalyticPatch([CPoint((1.0, 0.0, e_half, 0.0))], lambda p: 0, "phiU1"),
-        (1,): AnalyticPatch(
-            [CPoint((1.0, 0.0, math.exp(-0.5), 0.0))], lambda p: 0, "phiU2"
-        ),
+        (0,): AnalyticPatch([CPoint((1.0, 0.0, e_half, 0.0))], lambda p: 0),
+        (1,): AnalyticPatch([CPoint((1.0, 0.0, math.exp(-0.5), 0.0))], lambda p: 0),
         (0, 1): AnalyticPatch(
             [CPoint((e_half, 0.0, 1.0, 0.0)), CPoint((math.exp(-0.5), 0.0, 1.0, 0.0))],
             _tube_edge_label,
-            "overlap by |w1| vs 1",
         ),
     }
     return Resolution(patches=patches)
@@ -284,7 +279,7 @@ def _torus_patch(
             out = 2 * out + (0 if p.xy[2 * j + 1] > 0 else 1)
         return out
 
-    return AnalyticPatch(reps, locate, "arcs " + "-".join(map(str, tup)))
+    return AnalyticPatch(reps, locate)
 
 
 def torus_resolution(n: int, eps: float, k_max: int) -> Resolution:
@@ -377,18 +372,14 @@ def glued_resolution(
     single mixed overlap (all-A sector meets U_p inside the tube)."""
     res = torus_resolution(n, eps, k_max)
     omega_prime_idx = 2 ** n
-    res.patches[(omega_prime_idx,)] = AnalyticPatch(
-        [outer_rep(n, eps)], lambda p: 0, "Omega_prime"
-    )
-    res.patches[(0, omega_prime_idx)] = AnalyticPatch(
-        [mixed_rep(n, eps, safety)], lambda p: 0, "S_A..A & Omega_prime"
-    )
+    res.patches[(omega_prime_idx,)] = AnalyticPatch([outer_rep(n, eps)], lambda p: 0)
+    res.patches[(0, omega_prime_idx)] = AnalyticPatch([mixed_rep(n, eps, safety)], lambda p: 0)
     return res
 
 
 def one_set_cover(region: Region, rep: CPoint) -> tuple[Cover, Resolution]:
     cover = Cover(region, [(region.name, region)])
-    res = Resolution(patches={(0,): AnalyticPatch([rep], lambda p: 0, region.name)})
+    res = Resolution(patches={(0,): AnalyticPatch([rep], lambda p: 0)})
     return cover, res
 
 

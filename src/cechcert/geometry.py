@@ -15,8 +15,8 @@ undefined on the coordinate axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -371,12 +371,12 @@ class Region:
             bbox,
         )
 
-    def sample(self, count: int, rng: np.random.Generator, max_batches: int = 2000) -> np.ndarray:
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Rejection-sample `count` in-region points; deterministic given rng state."""
         lo, hi = self.bbox[:, 0], self.bbox[:, 1]
         got: list[np.ndarray] = []
         total = 0
-        for _ in range(max_batches):
+        for _ in range(2000):  # batches of candidates before giving up
             cand = rng.uniform(lo, hi, size=(max(256, count), self.dim2n))
             good = cand[self.mask(cand)]
             if good.shape[0]:

@@ -216,15 +216,12 @@ class MonLog:
         }
 
 
-def mon_log(
-    e: HExpr,
-    representative: CPoint,
-    rel_perturbation: float = 1e-3,
-) -> MonLog:
+def mon_log(e: HExpr, representative: CPoint) -> MonLog:
     """Choose a continuous log of a monomial expression near a representative.
 
     Validated by round-tripping exp(log) against the expression at the
-    representative and 32 deterministic perturbations of it.
+    representative and 32 deterministic perturbations of it, each of relative
+    size 1e-3.
     """
     coeff, exps = as_monomial(e)
     if coeff == 0:
@@ -236,7 +233,7 @@ def mon_log(
     angles = tuple(sorted((j, float(np.angle(zc[j]))) for j in exps))
     ml = MonLog(cmath.log(coeff), tuple(sorted(exps.items())), angles)
     rng = np.random.default_rng(0)
-    scale = rel_perturbation * min([abs(zc[j]) for j in exps], default=1.0)
+    scale = 1e-3 * min([abs(zc[j]) for j in exps], default=1.0)
     pert = rng.normal(size=(32, zc.size)) + 1j * rng.normal(size=(32, zc.size))
     batch = np.concatenate([zc.reshape(1, -1), zc.reshape(1, -1) + scale * pert])
     want = e.ev(batch)

@@ -86,7 +86,6 @@ class AnalyticPatch:
 
     reps: list[CPoint]
     locate: Callable[[CPoint], int]
-    name: str = "analytic"
 
 
 @dataclass

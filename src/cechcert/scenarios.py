@@ -20,7 +20,7 @@ one-set cover of the ball carries none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,7 +52,7 @@ from .geometry import (
     up_radius,
 )
 from .hexpr import Const, MatExpr
-from .nerve import Cover, IntCochain, build_nerve, check_cover, cohomology, is_coboundary
+from .nerve import Cover, build_nerve, check_cover, cohomology, is_coboundary
 from .bundles import BundleIso, trivial_bundle
 from .report import CertificateReport
 
@@ -66,9 +66,22 @@ __all__ = [
 ]
 
 
+# The ScenarioConfig fields each pipeline reads.  Its report's config echoes
+# exactly these, and its command takes them as flags (cli).
+DIM2_FIELDS = ("r", "samples", "seed", "tol_cocycle")
+DIMN_FIELDS = (
+    "n", "epsilon", "step", "samples", "seed", "safety",
+    "tol_cocycle", "tol_chern", "budget_nodes", "run_connectivity",
+)
+
+SAFETY_CONNECT = 0.9  # U_p of the connectivity check; sets its delta
+FD_STEP = 1e-4  # finite-difference step of the Hessian cross-check at p
+
+
 @dataclass
 class ScenarioConfig:
-    """Knobs for the certificate pipelines; every value is echoed in reports."""
+    """Knobs for the certificate pipelines; each report echoes the ones its
+    pipeline reads."""
 
     n: int = 2
     epsilon: Optional[float] = None  # default: n/2 for the tube pipeline
@@ -77,17 +90,13 @@ class ScenarioConfig:
     samples: int = 2000
     seed: int = 0
     safety: float = 0.5
-    safety_connect: float = 0.9  # U_p of the connectivity check; sets its delta
     tol_cocycle: float = 1e-9
     tol_chern: float = 1e-6
-    fd_step: float = 1e-4
     budget_nodes: int = 10_000_000
     run_connectivity: bool = True
-    debug_cocycle: Optional[dict] = None  # override the slab 1-cocycle values
-    debug_scale: str = "half"
 
     def __post_init__(self) -> None:
-        for name in ("samples", "budget_nodes", "r", "fd_step", "step"):
+        for name in ("samples", "budget_nodes", "r", "step"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -99,28 +108,8 @@ class ScenarioConfig:
     def eps(self) -> float:
         return self.n / 2.0 if self.epsilon is None else self.epsilon
 
-    def to_jsonable(self):
-        return {
-            "n": self.n,
-            "epsilon": self.eps(),
-            "r": self.r,
-            "step": self.step,
-            "samples": self.samples,
-            "seed": self.seed,
-            "safety": self.safety,
-            "safety_connect": self.safety_connect,
-            "tol_cocycle": self.tol_cocycle,
-            "tol_chern": self.tol_chern,
-            "fd_step": self.fd_step,
-            "budget_nodes": self.budget_nodes,
-            "run_connectivity": self.run_connectivity,
-            "debug_cocycle": (
-                None
-                if self.debug_cocycle is None
-                else {str(k): v for k, v in self.debug_cocycle.items()}
-            ),
-            "debug_scale": self.debug_scale,
-        }
+    def to_jsonable(self, fields: tuple[str, ...]) -> dict:
+        return {f: self.eps() if f == "epsilon" else getattr(self, f) for f in fields}
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +117,7 @@ class ScenarioConfig:
 
 
 def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
-    rep = CertificateReport("dim2", cfg.to_jsonable())
+    rep = CertificateReport("dim2", cfg.to_jsonable(DIM2_FIELDS))
     rng = np.random.default_rng(cfg.seed)
 
     # (1) cover of the slab minus the totally real plane
@@ -151,8 +140,6 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
     # (2) H^1 = Z with the (0, 1) cocycle as a non-primitive class
     h1 = cohomology(nerve, 1, "Z")
     c = cv.dim2_generator_cochain()
-    if cfg.debug_cocycle is not None:
-        c = IntCochain(1, "Z", dict(cfg.debug_cocycle))
     verdict = is_coboundary(nerve, c)
     rep.add(
         "h1-rank-and-generator",
@@ -168,7 +155,7 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
 
     # (3) exponential push at half scale: transitions (1, -1), no constant
     # trivialization
-    bundle = exp_sequence_push(nerve, c, cfg.debug_scale)
+    bundle = exp_sequence_push(nerve, c)
     want = bundle.edge_matrix(0, 1, 0) == MatExpr(((Const(1),),)) and bundle.edge_matrix(
         0, 1, 1
     ) == MatExpr(((Const(-1),),))
@@ -284,7 +271,7 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
 
 def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     n, eps = cfg.n, cfg.eps()
-    rep = CertificateReport("dimn", cfg.to_jsonable())
+    rep = CertificateReport("dimn", cfg.to_jsonable(DIMN_FIELDS))
     if n < 2:
         raise DomainError("the tube pipeline needs n >= 2")
     if eps <= 0:
@@ -330,7 +317,7 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     if eps < n:
         dets = [hessian_block_det(p.z(j)) for j in range(n)]
         trs = [hessian_block_trace(p.z(j)) for j in range(n)]
-        fd = hessian_fd_residual(p, cfg.fd_step)
+        fd = hessian_fd_residual(p, FD_STEP)
         rep.add(
             "hessian-pd-at-p",
             min(dets) > 0 and min(trs) > 0 and fd < 1e-5,
@@ -402,7 +389,7 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
 
     # (7) connectivity of the ball minus the thickened compact
     if cfg.run_connectivity:
-        ok, details = connectivity_check(n, eps, cfg.safety_connect, cfg.budget_nodes, cfg.step)
+        ok, details = connectivity_check(n, eps, SAFETY_CONNECT, cfg.budget_nodes, cfg.step)
         rep.add(
             "connectivity",
             ok,

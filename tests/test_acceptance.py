@@ -40,6 +40,7 @@ from cechcert.geometry import (
 from cechcert.hexpr import Const
 from cechcert.nerve import build_nerve, cohomology, is_coboundary
 from cechcert.scenarios import (
+    SAFETY_CONNECT,
     ScenarioConfig,
     connectivity_check,
     run_dim2,
@@ -187,9 +188,9 @@ def test_criterion_08_connectivity():
     t0 = time.monotonic()
     cfg = ScenarioConfig()
     n, eps = 2, cfg.eps()
-    ok, details = connectivity_check(n, eps, cfg.safety_connect, cfg.budget_nodes)
+    ok, details = connectivity_check(n, eps, SAFETY_CONNECT, cfg.budget_nodes)
     image = details["log_moduli_image"]
-    up = up_ball(n, eps, cfg.safety_connect)
+    up = up_ball(n, eps, SAFETY_CONNECT)
     no_shell = omega_minus_shell(n, eps, details["delta"])
     witnesses = [CPoint(tuple(w["point"])) for w in details["witnesses"]]
     rhos = sorted(w["rho"] for w in details["witnesses"])

@@ -338,6 +338,15 @@ def test_glue_rejects_rank_mismatch_and_name_collision():
         glue(bU, bU, iso, res, k_max=2)
 
 
+def test_glue_refuses_to_drop_an_input_transition():
+    # A1 and A2 still meet in the union cover, but a resolution without that
+    # overlap would leave bU's transition on it out of the glued bundle
+    bU, bV, iso, res = _ball_glue_instance(3, 1)
+    del res.patches[(0, 1)], res.patches[(0, 1, 2)]
+    with pytest.raises(GlueError, match=r"no overlap \(0, 1\) for the transition on A1 x A2"):
+        glue(bU, bV, iso, res, k_max=2)
+
+
 def _self_glue_resolution(n: int, k_max: int) -> Resolution:
     letters = sector_letters(n)
     N = len(letters)

@@ -14,9 +14,8 @@ from cechcert import covers
 from cechcert.covers import omega_minus_shell
 from cechcert.errors import ResourceError
 from cechcert.geometry import ball_region, grid_components, log_moduli_image
-from cechcert.scenarios import ScenarioConfig, connectivity_check
+from cechcert.scenarios import SAFETY_CONNECT, ScenarioConfig, connectivity_check
 
-_SAFETY = ScenarioConfig().safety_connect
 _BUDGET = ScenarioConfig().budget_nodes
 
 
@@ -27,9 +26,9 @@ def test_connectivity_sweep(n, share):
     if (n, share) == (4, 0.9):
         # the thin shell near eps = n needs a finer lattice than 10^7 nodes allow
         with pytest.raises(ResourceError, match=r"lattice step [\d.]+ .* width is [\d.]+"):
-            connectivity_check(n, eps, _SAFETY, _BUDGET)
+            connectivity_check(n, eps, SAFETY_CONNECT, _BUDGET)
         return
-    ok, details = connectivity_check(n, eps, _SAFETY, _BUDGET)
+    ok, details = connectivity_check(n, eps, SAFETY_CONNECT, _BUDGET)
     assert ok
     image = details["log_moduli_image"]
     assert image["component_count"] == 2
@@ -53,12 +52,12 @@ def test_log_image_count_matches_the_scan_in_c2(eps, delta, expected):
 
 
 def test_up_missing_the_inner_piece_fails(monkeypatch):
-    ok, details = connectivity_check(2, 1.0, _SAFETY, 100_000)
+    ok, details = connectivity_check(2, 1.0, SAFETY_CONNECT, 100_000)
     assert ok
     outer = details["witnesses"][1]["point"]
     # a small ball around the outer witness stays off the tube's interior
     monkeypatch.setattr(covers, "up_ball", lambda n, eps, safety: ball_region(outer, 0.01))
-    ok, details = connectivity_check(2, 1.0, _SAFETY, 100_000)
+    ok, details = connectivity_check(2, 1.0, SAFETY_CONNECT, 100_000)
     assert not ok
     assert details["log_moduli_image"]["component_count"] == 2
     assert [w["in_up_and_omega_minus_shell"] for w in details["witnesses"]] == [False, True]

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from cechcert import cli, scenarios
+from cechcert import cli, covers, scenarios
 from cechcert.cli import main
 from cechcert.errors import DomainError, SamplingError
+from cechcert.nerve import IntCochain
 from cechcert.report import CertificateReport, emit_report
 from cechcert.scenarios import (
     ScenarioConfig,
@@ -48,16 +49,23 @@ def test_dim2_passes(dim2_report):
         assert want in names
 
 
-def test_dim2_debug_cocycle_fails():
-    cfg = _fast_cfg(debug_cocycle={((0, 1), 0): 1, ((0, 1), 1): 1})
-    rep = run_dim2(cfg)
+def test_dim2_debug_cocycle_fails(monkeypatch):
+    # 1 on both overlap components is the coboundary of the 0-cochain (0, 1)
+    def coboundary_cochain():
+        return IntCochain(1, "Z", {((0, 1), 0): 1, ((0, 1), 1): 1})
+
+    monkeypatch.setattr(covers, "dim2_generator_cochain", coboundary_cochain)
+    rep = run_dim2(_fast_cfg())
     assert not rep.overall_pass
     status = {c.name: c.status for c in rep.checks}
     assert status["h1-rank-and-generator"] == "fail"
 
 
-def test_dim2_debug_scale_fails():
-    rep = run_dim2(_fast_cfg(debug_scale="full"))
+def test_dim2_debug_scale_fails(monkeypatch):
+    # the full-scale push has trivial transitions, so the flat obstruction is gone
+    push = scenarios.exp_sequence_push
+    monkeypatch.setattr(scenarios, "exp_sequence_push", lambda nerve, c: push(nerve, c, "full"))
+    rep = run_dim2(_fast_cfg())
     assert not rep.overall_pass
     status = {c.name: c.status for c in rep.checks}
     assert status["flat-obstruction"] == "fail"
@@ -102,6 +110,14 @@ def test_dimn_rejects_bad_config():
         run_dimn(_fast_cfg(epsilon=-1.0))
     with pytest.raises(DomainError):
         run_dimn(_fast_cfg(n=1))
+
+
+def test_report_config_echoes_the_fields_its_pipeline_reads(dim2_report, dimn_report):
+    assert set(json.loads(dim2_report.to_json())["config"]) == {"r", "samples", "seed", "tol_cocycle"}
+    assert set(json.loads(dimn_report.to_json())["config"]) == {
+        "n", "epsilon", "step", "samples", "seed", "safety",
+        "tol_cocycle", "tol_chern", "budget_nodes", "run_connectivity",
+    }
 
 
 def test_report_json_roundtrip(dim2_report):
@@ -205,6 +221,8 @@ def test_cli_dimn_coarse_step_is_refused(tmp_path, capsys):
         ["dim2", "--tol-chern", "1"],
         ["dim2", "--budget-nodes", "3"],
         ["dimn", "--r", "9"],
+        ["selftest", "--step", "9"],
+        ["selftest", "--budget-nodes", "3"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
