@@ -285,14 +285,6 @@ class IntCochain:
         basis = nerve.basis(self.degree)
         return np.array([self.get(s, ci) for s, ci in basis], dtype=object)
 
-    @classmethod
-    def from_vector(
-        cls, nerve: ResolvedNerve, degree: int, vec, ring: str = "Z"
-    ) -> "IntCochain":
-        basis = nerve.basis(degree)
-        vals = {key: int(v) for key, v in zip(basis, vec) if int(v) != 0}
-        return cls(degree, ring, vals)
-
     def to_jsonable(self):
         return {
             "degree": self.degree,
@@ -310,6 +302,8 @@ def coboundary(nerve: ResolvedNerve, c: IntCochain) -> IntCochain:
     k = c.degree
     if k + 1 > nerve.k_max:
         raise ValueError("nerve not built deep enough for this coboundary")
+    if k < 0:
+        return IntCochain(0, c.ring, {})  # a (-1)-cochain lives on the zero group
     out: dict[tuple[Simplex, int], int] = {}
     for s, ci in nerve.basis(k + 1):
         total = 0
@@ -327,6 +321,8 @@ def coboundary(nerve: ResolvedNerve, c: IntCochain) -> IntCochain:
 def delta_rows(nerve: ResolvedNerve, k: int) -> list[dict[int, int]]:
     """Sparse rows of the degree-k differential: one {column: entry} dict per
     (k+1)-cochain, columns indexing k-cochains, both in canonical basis order."""
+    if k < 0:
+        return [{} for _ in nerve.basis(0)]  # d^{-1} maps from the zero group
     col_index = {key: i for i, key in enumerate(nerve.basis(k))}
     # the facets of a simplex differ, so its faces land in distinct columns
     return [
@@ -376,7 +372,7 @@ def cohomology(nerve: ResolvedNerve, k: int, ring: str = "Z") -> CohomologyResul
         raise ValueError(f"k_max={nerve.k_max} too small to compute H^{k}")
     dim_k = len(nerve.basis(k))
     A = delta_rows(nerve, k)
-    B = delta_rows(nerve, k - 1) if k >= 1 else [{} for _ in range(dim_k)]
+    B = delta_rows(nerve, k - 1)
     # the rank formula below counts ker(d^k) / im(d^{k-1}) only if d^k d^{k-1} = 0;
     # the product is summed exactly over Python ints, row by row
     for a in A:
@@ -400,7 +396,7 @@ def cohomology(nerve: ResolvedNerve, k: int, ring: str = "Z") -> CohomologyResul
 @dataclass
 class CoboundaryVerdict:
     """Either yes with a primitive b satisfying d(b) = c exactly, or no with
-    the SNF obstruction (the class's nonzero coordinate in the cokernel)."""
+    the (index, value) obstruction of `solve_integer` on d^{k-1} and c."""
 
     primitive: Optional[IntCochain]
     obstruction: Optional[tuple[int, int]]
@@ -423,19 +419,11 @@ def is_coboundary(nerve: ResolvedNerve, c: IntCochain) -> CoboundaryVerdict:
     if not coboundary(nerve, c).is_zero():
         raise NotACocycleError("input cochain is not a cocycle")
     k = c.degree
-    if k == 0:
-        if c.is_zero():
-            return CoboundaryVerdict(IntCochain(-1, c.ring, {}), None)
-        key = next(key for key, v in sorted(c.values.items()) if v != 0)
-        return CoboundaryVerdict(None, (nerve.basis(0).index(key), c.values[key]))
-    B = delta_matrix(nerve, k - 1)
-    snfB = smith_normal_form(B)
-    vec = c.vector(nerve)
     modulus = 2 if c.ring == "Z2" else None
-    x, obs = solve_integer(snfB, vec, modulus=modulus)
+    x, obs = solve_integer(delta_rows(nerve, k - 1), c.vector(nerve), modulus=modulus)
     if obs is not None:
-        return CoboundaryVerdict(None, (int(obs[0]), int(obs[1])))
-    primitive = IntCochain.from_vector(nerve, k - 1, x, ring=c.ring)
+        return CoboundaryVerdict(None, obs)
+    primitive = IntCochain(k - 1, c.ring, {key: v for key, v in zip(nerve.basis(k - 1), x) if v})
     check = coboundary(nerve, primitive)
     for s, ci in nerve.basis(k):
         diff = check.get(s, ci) - c.get(s, ci)

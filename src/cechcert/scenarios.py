@@ -96,6 +96,10 @@ class ScenarioConfig:
     run_connectivity: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "r", "step", "safety", "tol_cocycle", "tol_chern"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("samples", "budget_nodes", "r", "step"):
             value = getattr(self, name)
             if value is not None and not value > 0:

@@ -1,21 +1,18 @@
-"""Exact Smith normal form of integer matrices, with the transforms tracked.
+"""Exact integer linear algebra: invariant factors, and solutions of M x = c.
 
-`smith_divisors` returns the invariant factors alone, of a dense matrix or of
-sparse rows.  It first eliminates the +-1 pivots with exact row operations,
-then hands what is left to `smith_normal_form`.
+One sparse elimination serves both: exact row operations clear the +-1 pivots
+of M (and act on c in a solve), leaving a remainder of rows with no unit
+entry, usually empty.  `smith_divisors` returns a 1 per pivot and the
+divisors of the remainder.  `solve_integer` back-substitutes through the
+pivots or returns an obstruction (index, value): below the row count m of M,
+index is a row that elimination reduced to 0 = value; from m on, index - m is
+a coordinate of the remainder's Smith basis whose value its divisor does not
+divide.
 
-The tracked reduction keeps U * M * V equal to the working matrix at every
-step, with U and V unimodular; it ends diagonal, with nonzero entries
-satisfying the divisibility chain d1 | d2 | ...  Pivoting always selects a
-smallest-magnitude nonzero entry, which keeps coefficient growth tame on
-incidence-style matrices.
-
-Arithmetic runs on int64 with an overflow guard; if any intermediate value
-approaches the guard bound the whole reduction restarts on Python integers
-(numpy object dtype), so no value overflows.  A result, once returned, is
-exact, but the reduction has no proven bound on its entries or its number of
-steps: on small dense inputs (random 7 x 7 with entries in +-10) it can run
-for minutes.
+Only remainders go to `smith_normal_form`: unimodular U, V with U * M * V
+diagonal, d1 | d2 | ..., on int64 until a value nears the overflow guard, then
+on Python integers.  It is exact, but with no proven bound on its entries or
+steps: small dense inputs (random 7 x 7, entries in +-10) can take minutes.
 """
 
 from __future__ import annotations
@@ -147,35 +144,30 @@ def smith_normal_form(M) -> SNFResult:
         return _reduce(Mo, guard=False)
 
 
-def smith_divisors(M) -> tuple[int, ...]:
-    """Nonzero invariant factors of an integer matrix, so the rank is their count.
-
-    M is a 2-d array or a list of sparse rows ({column: entry} dicts), which
-    are copied, not changed.  The shortest live row goes first and pivots on
-    its +-1 entry in the shortest column (Markowitz order); exact row
-    operations clear that column from every other row, so the matrix splits as
-    1 (+) the rest.  A row with no +-1 entry waits until fill-in gives it one.
-    The rows left over go to `smith_normal_form`, restricted to the columns
-    they touch.  That call is made even when nothing is left, so a trace of
-    `smith_normal_form` always shows the dense work that remains.
-    """
+def _rows(M) -> list[dict[int, int]]:
+    """{column: entry} rows of a 2-d array, or copies of sparse rows."""
     if isinstance(M, list) and all(isinstance(row, dict) for row in M):
-        rows = [{j: int(v) for j, v in row.items() if v} for row in M]
-    else:
-        M = np.asarray(M)
-        if M.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
-        rows = [{} for _ in range(M.shape[0])]
-        nz = np.nonzero(M)
-        for i, j, v in zip(nz[0].tolist(), nz[1].tolist(), M[nz].tolist()):
-            rows[i][j] = int(v)
+        return [{j: int(v) for j, v in row.items() if v} for row in M]
+    M = np.asarray(M)
+    if M.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in M.tolist()]
+
+
+def _eliminate(rows: list[dict[int, int]], rhs: list[int] | None = None):
+    """Eliminate +-1 pivots of sparse rows in place, and on `rhs` if given: the
+    shortest live row pivots on a +-1 entry in the shortest column (Markowitz
+    order), and row operations clear that column from every other row.
+    Returns the pivots in order, as {row: (column, entry, rest of the row)},
+    and the leftover rows: their indices, the columns they touch, and their
+    dense layout on those columns."""
     cols: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
-    pivots = 0
+    pivots: dict[int, tuple[int, int, dict[int, int]]] = {}
     while heap:
         size, i = heapq.heappop(heap)
         row = rows[i]
@@ -201,51 +193,66 @@ def smith_divisors(M) -> tuple[int, ...]:
                 else:
                     del other[c]
                     cols[c].discard(r)
+            if rhs is not None:
+                rhs[r] -= q * rhs[i]
             heapq.heappush(heap, (len(other), r))
-        pivots += 1
-    left = [row for row in rows if row]
-    at = {c: x for x, c in enumerate(sorted({c for row in left for c in row}))}
+        pivots[i] = (j, p, row)
+    left = [i for i, row in enumerate(rows) if row]
+    at = {c: x for x, c in enumerate(sorted({c for i in left for c in rows[i]}))}
     R = np.zeros((len(left), len(at)), dtype=object)
-    for y, row in enumerate(left):
-        for c, v in row.items():
+    for y, i in enumerate(left):
+        for c, v in rows[i].items():
             R[y, at[c]] = v
-    return (1,) * pivots + smith_normal_form(R).divisors
+    return pivots, left, list(at), R
 
 
-def solve_integer(snf: SNFResult, c: np.ndarray, modulus: int | None = None):
-    """Solve M x = c (over Z, or mod `modulus`) given the SNF of M.
+def smith_divisors(M) -> tuple[int, ...]:
+    """Nonzero invariant factors of an integer matrix, so the rank is their count.
 
-    Returns (x, None) on success or (None, obstruction) where the obstruction
-    is the (index, residue) coordinate of c's class in the cokernel.
+    M is a 2-d array or a list of sparse rows ({column: entry} dicts), which
+    are copied, not changed.  `smith_normal_form` gets the remainder even when
+    it is empty, so a trace of it always shows the dense work that remains.
     """
-    c = np.asarray(c)
-    y = snf.U.astype(object) @ c.astype(object)
-    w = np.zeros(snf.V.shape[0], dtype=object)
-    for i in range(snf.U.shape[0]):
-        yi = int(y[i]) if modulus is None else int(y[i]) % modulus
-        if i >= snf.rank:
-            if yi != 0:
-                return None, (i, yi)
-        elif modulus is None:
-            d = snf.divisors[i]
-            if yi % d != 0:
-                return None, (i, yi % d)
-            w[i] = yi // d
-        else:
-            sol = _mod_solve(snf.divisors[i], yi, modulus)
-            if sol is None:
-                return None, (i, yi)
-            w[i] = sol
-    x = snf.V.astype(object) @ w
-    if modulus is not None:
-        x = x % modulus
-    return x, None
+    pivots, _, _, R = _eliminate(_rows(M))
+    return (1,) * len(pivots) + smith_normal_form(R).divisors
 
 
-def _mod_solve(a: int, b: int, mod: int):
-    """Smallest x with a*x = b (mod mod), or None."""
-    a, b = a % mod, b % mod
-    for x in range(mod):
-        if (a * x) % mod == b:
-            return x
-    return None
+def solve_integer(M, c, modulus: int | None = None):
+    """Solve M x = c exactly over Z, or over Z/2 with modulus=2.
+
+    M is as for `smith_divisors`.  Returns (x, None), with one int in x per
+    column of M (for sparse rows, up to the last column they touch), or
+    (None, (index, value)), value reduced mod 2 over Z/2.  Below the row count
+    m of M, index is a row that elimination reduced to 0 = value; from m on,
+    index - m is a coordinate of the remainder's Smith basis whose value its
+    divisor does not divide.
+    """
+    if modulus not in (None, 2):
+        raise ValueError(f"modulus must be None or 2, got {modulus}")
+    red = (lambda v: v % 2) if modulus else int
+    rows = _rows(M)
+    n = np.shape(M)[1] if np.ndim(M) == 2 else max(map(max, filter(None, rows)), default=-1) + 1
+    rhs = [int(v) for v in c]
+    if len(rhs) != len(rows):
+        raise ValueError(f"right-hand side has {len(rhs)} entries for {len(rows)} rows")
+    pivots, left, cols, R = _eliminate(rows, rhs)
+    for i, row in enumerate(rows):
+        if not row and i not in pivots and red(rhs[i]):
+            return None, (i, red(rhs[i]))
+    snf = smith_normal_form(R)
+    w = np.zeros(len(cols), dtype=object)
+    for t, v in enumerate(snf.U.astype(object) @ np.array([rhs[i] for i in left], dtype=object)):
+        d = snf.divisors[t] if t < snf.rank else 0
+        d = d % 2 if modulus else d  # mod 2 an odd divisor is a unit, an even one 0
+        res = red(v % d if d else v)
+        if res:
+            return None, (len(rows) + t, res)
+        if d:
+            w[t] = v // d
+    x = [0] * n
+    for col, v in zip(cols, snf.V.astype(object) @ w):
+        x[col] = int(v)
+    # a pivot row holds no earlier pivot column, so reverse order is back-substitution
+    for i, (j, p, row) in reversed(pivots.items()):
+        x[j] = p * (rhs[i] - sum(v * x[col] for col, v in row.items()))
+    return [red(v) for v in x], None

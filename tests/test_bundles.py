@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ def test_lnt_chern_generates_h2(torus2):
     verdict = is_coboundary(nerve, cc.cochain)
     assert not verdict.yes
     assert cohomology(nerve, 2).free_rank == 1
+
+
+def test_lnt_chern_has_no_primitive_at_n4_in_bounded_time():
+    # d^1 of the n = 4 sector nerve is 5760 x 640, so the solve must stay sparse
+    cover = torus_cover(4, 2.0)
+    nerve = build_nerve(cover, 3, torus_resolution(4, 2.0, 3))
+    chern = chern_cocycle(lnt_bundle(cover, nerve, 4))
+    start = time.perf_counter()
+    verdict = is_coboundary(nerve, chern.cochain)
+    assert time.perf_counter() - start < 30.0
+    assert not verdict.yes and verdict.obstruction is not None
 
 
 def test_chern_of_constant_bundle(tube2):

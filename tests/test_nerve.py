@@ -130,9 +130,9 @@ if not sys.flags.optimize:
 solve = nerve.solve_integer
 
 
-def doubled(snf, c, modulus=None):
-    x, obs = solve(snf, c, modulus=modulus)
-    return 2 * x, obs
+def doubled(M, c, modulus=None):
+    x, obs = solve(M, c, modulus=modulus)
+    return [2 * v for v in x], obs
 
 
 nerve.solve_integer = doubled

@@ -245,6 +245,22 @@ def test_cli_rejects_zero_samples(tmp_path, capsys):
         ScenarioConfig(budget_nodes=0)
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["dimn", "--epsilon", "nan"], "epsilon"),
+        (["dimn", "--epsilon", "inf"], "epsilon"),
+        (["dim2", "--r", "inf"], "r"),
+    ],
+    ids=["dimn-epsilon-nan", "dimn-epsilon-inf", "dim2-r-inf"],
+)
+def test_cli_rejects_non_finite_settings(argv, field, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_cli_computation_error_exit(tmp_path, monkeypatch, capsys):
     def fail(cfg):
         raise SamplingError("no in-region point found")

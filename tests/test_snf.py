@@ -1,6 +1,6 @@
 """Exactness and transform-tracking properties of the Smith normal form, and
-the divisors of the sparse unit-pivot elimination, with sympy's invariant
-factors as an independent oracle for both."""
+the divisors and solves of the sparse unit-pivot elimination, with sympy's
+invariant factors as an independent oracle for all three."""
 
 import itertools
 
@@ -219,25 +219,82 @@ def test_solve_integer_roundtrip():
         M = rng.integers(-5, 6, size=(4, 3))
         x0 = rng.integers(-4, 5, size=3)
         c = M @ x0
-        s = smith_normal_form(M)
-        x, obs = solve_integer(s, c)
+        x, obs = solve_integer(M, c)
         assert obs is None
         assert np.array_equal(M.astype(object) @ x, c.astype(object))
 
 
 def test_solve_integer_obstruction():
     M = np.array([[2, 0], [0, 2]])
-    s = smith_normal_form(M)
-    x, obs = solve_integer(s, np.array([1, 0]))
+    x, obs = solve_integer(M, np.array([1, 0]))
     assert x is None and obs is not None
 
 
 def test_solve_mod2():
     M = np.array([[2, 1], [0, 1]])
-    s = smith_normal_form(M)
-    x, obs = solve_integer(s, np.array([1, 1]), modulus=2)
+    x, obs = solve_integer(M, np.array([1, 1]), modulus=2)
     assert obs is None
     assert np.array_equal((M.astype(object) @ x) % 2, np.array([1, 1], dtype=object))
+
+
+def _check_solve(M, c, modulus, sparse=False):
+    """`solve_integer` answers yes exactly when the oracle does: over Z when M
+    and [M | c] have the same invariant factors, over Z/2 the same rank; a
+    returned x solves M x = c exactly, or mod 2."""
+    M, c = np.asarray(M), np.asarray(c)
+    A = np.column_stack([M, c])
+    want = _oracle(M) == _oracle(A) if modulus is None else _rank_mod2(M) == _rank_mod2(A)
+    rows = [{j: int(v) for j, v in enumerate(r) if v} for r in M]
+    x, obs = solve_integer(rows if sparse else M, c, modulus=modulus)
+    assert (obs is None) == want, (x, obs)
+    if x is not None:
+        x = x + [0] * (M.shape[1] - len(x))  # sparse rows end at the last column they touch
+        residual = M.astype(object) @ np.array(x, dtype=object) - c.astype(object)
+        assert not any(v % modulus if modulus else v for v in residual)
+    return obs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=st.integers(-3, 3)),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from((None, 2)),
+    st.booleans(),
+    st.data(),
+)
+def test_solve_integer_against_invariant_factors(M, doubled, in_image, modulus, sparse, data):
+    if doubled:
+        M = 2 * M  # no +-1 entry, so everything goes to the remainder
+    if in_image:
+        c = M @ data.draw(arrays(np.int64, M.shape[1], elements=st.integers(-3, 3)))
+    else:
+        c = data.draw(arrays(np.int64, M.shape[0], elements=st.integers(-6, 6)))
+    _check_solve(M, c, modulus, sparse)
+
+
+def test_solve_integer_through_the_rp2_remainder():
+    D = _rp2_coboundary()
+    inside = D @ (np.arange(15) % 4 - 1)
+    outside = np.eye(10, dtype=np.int64)[0]  # one triangle: the class of order 2
+    for modulus in (None, 2):
+        for sparse in (False, True):
+            assert _check_solve(D, inside, modulus, sparse) is None
+            obs = _check_solve(D, outside, modulus, sparse)
+            # nine rows pivot and the tenth is the 1x3 remainder, so no row is
+            # emptied and the obstruction is the remainder's coordinate 0
+            assert obs == (10, 1)
+
+
+def test_solve_integer_through_a_divisor_that_is_odd():
+    # 3 x = 1 has no integer solution, but 3 is a unit mod 2, so x = 1 solves it there
+    assert _check_solve(np.array([[3]]), np.array([1]), None) == (1, 1)
+    assert _check_solve(np.array([[3]]), np.array([1]), 2) is None
+
+
+def test_solve_integer_rejects_other_moduli():
+    with pytest.raises(ValueError, match="modulus"):
+        solve_integer(np.eye(2, dtype=np.int64), np.array([1, 1]), modulus=3)
 
 
 def test_rejects_non_2d():
