@@ -12,7 +12,7 @@ locally-constant trivialization test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -525,17 +525,6 @@ def exp_sequence_push(
 class ChernCocycle:
     cochain: IntCochain
     max_rounding_residual: float
-    logs: dict[tuple[Edge, int], MonLog] = field(default_factory=dict)
-
-    def to_jsonable(self):
-        return {
-            "cochain": self.cochain.to_jsonable(),
-            "max_rounding_residual": self.max_rounding_residual,
-            "logs": [
-                {"edge": list(e), "component": ci, "log": ml.to_jsonable()}
-                for (e, ci), ml in sorted(self.logs.items())
-            ],
-        }
 
 
 def chern_cocycle(b: BundleData, tol_round: float = 1e-6) -> ChernCocycle:
@@ -581,7 +570,7 @@ def chern_cocycle(b: BundleData, tol_round: float = 1e-6) -> ChernCocycle:
     cochain = IntCochain(2, "Z", values)
     if b.nerve.k_max >= 3 and not coboundary(b.nerve, cochain).is_zero():
         raise NotACocycleError("rounded degree-2 cochain is not a cocycle")
-    return ChernCocycle(cochain, worst, logs)
+    return ChernCocycle(cochain, worst)
 
 
 @dataclass

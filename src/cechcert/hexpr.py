@@ -208,13 +208,6 @@ class MonLog:
     def at(self, z: CPoint) -> complex:
         return complex(self.ev(z.to_complex().reshape(1, -1))[0])
 
-    def to_jsonable(self):
-        return {
-            "coeff_log": [self.coeff_log.real, self.coeff_log.imag],
-            "exps": [list(e) for e in self.exps],
-            "branch_angles": [[j, th] for j, th in self.branch_angles],
-        }
-
 
 def mon_log(e: HExpr, representative: CPoint) -> MonLog:
     """Choose a continuous log of a monomial expression near a representative.

@@ -349,20 +349,8 @@ def delta_matrix(nerve: ResolvedNerve, k: int) -> np.ndarray:
 
 @dataclass
 class CohomologyResult:
-    degree: int
-    ring: str
     free_rank: int
     torsion: tuple[int, ...]
-    dims: dict[str, int]
-
-    def to_jsonable(self):
-        return {
-            "degree": self.degree,
-            "ring": self.ring,
-            "free_rank": self.free_rank,
-            "torsion": list(self.torsion),
-            "dims": self.dims,
-        }
 
 
 def cohomology(nerve: ResolvedNerve, k: int, ring: str = "Z") -> CohomologyResult:
@@ -384,13 +372,11 @@ def cohomology(nerve: ResolvedNerve, k: int, ring: str = "Z") -> CohomologyResul
             raise VerificationError(f"d^{k} d^{k - 1} is not zero: the differential is broken")
     divA = smith_divisors(A)
     divB = smith_divisors(B)
-    dims = {"C_k": dim_k, "C_k+1": len(A), "C_k-1": len(nerve.basis(k - 1))}
     if ring == "Z2":
         rank2 = sum(1 for d in divA + divB if d % 2 != 0)
-        return CohomologyResult(k, ring, dim_k - rank2, (), dims)
+        return CohomologyResult(dim_k - rank2, ())
     free = dim_k - len(divA) - len(divB)
-    torsion = tuple(d for d in divB if d > 1)
-    return CohomologyResult(k, ring, free, torsion, dims)
+    return CohomologyResult(free, tuple(d for d in divB if d > 1))
 
 
 @dataclass

@@ -586,6 +586,8 @@ def connectivity_check(
 def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] = None):
     """Cohomology ranks of the sector cover of the tube, degree by degree."""
     eps = n / 2.0 if eps is None else eps
+    if not math.isfinite(eps):
+        raise ValueError(f"epsilon must be finite, got {eps}")
     k_max = n + 1 if k_max is None else k_max
     cover = cv.torus_cover(n, eps)
     res = cv.torus_resolution(n, eps, k_max)
@@ -607,6 +609,9 @@ def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] =
 def hessian_scan_rows(lo: float = 0.5, hi: float = 3.5, count: int = 1000):
     """Sweep of the per-coordinate Hessian block trace and determinant
     (unscaled closed forms) over the modulus range."""
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     rows = []
     for s in np.linspace(lo, hi, count):
         z = complex(float(s), 0.0)

@@ -10,9 +10,9 @@ a coordinate of the remainder's Smith basis whose value its divisor does not
 divide.
 
 Only remainders go to `smith_normal_form`: unimodular U, V with U * M * V
-diagonal, d1 | d2 | ..., on int64 until a value nears the overflow guard, then
-on Python integers.  It is exact, but with no proven bound on its entries or
-steps: small dense inputs (random 7 x 7, entries in +-10) can take minutes.
+diagonal, d1 | d2 | ..., from one reduction on Python integers.  It is exact,
+but with no proven bound on its running time: small dense inputs (random
+7 x 7, entries in +-10) can take minutes.
 """
 
 from __future__ import annotations
@@ -25,36 +25,22 @@ import numpy as np
 
 __all__ = ["SNFResult", "smith_divisors", "smith_normal_form", "solve_integer"]
 
-_GUARD = 1 << 20
-
 
 @dataclass
 class SNFResult:
-    """U, V unimodular with U @ M @ V zero except for its first rank diagonal
-    entries, which are the divisors."""
+    """U, V unimodular (object arrays of Python ints) with U @ M @ V zero
+    except for its first len(divisors) diagonal entries, which are the divisors."""
 
     U: np.ndarray
     V: np.ndarray
-    rank: int
     divisors: tuple[int, ...]
 
 
-class _Overflow(Exception):
-    pass
-
-
-def _reduce(M: np.ndarray, guard: bool) -> SNFResult:
-    A = M.copy()
+def _reduce(A: np.ndarray) -> SNFResult:
+    """Reduce an object array of Python ints in place to its Smith form."""
     m, n = A.shape
-    dt = A.dtype
-    U = np.eye(m, dtype=dt)
-    V = np.eye(n, dtype=dt)
-
-    def check() -> None:
-        if guard and max(
-            (np.abs(A).max(initial=0), np.abs(U).max(initial=0), np.abs(V).max(initial=0))
-        ) > _GUARD:
-            raise _Overflow
+    U = np.eye(m, dtype=object)
+    V = np.eye(n, dtype=object)
 
     def row_add(dst: int, src: int, q) -> None:
         A[dst] -= q * A[src]
@@ -112,7 +98,6 @@ def _reduce(M: np.ndarray, guard: bool) -> SNFResult:
                         if A[t, t] < 0:
                             row_neg(t)
                         done = False
-            check()
             if done:
                 break
         # enforce divisibility of the remaining block by the pivot
@@ -120,10 +105,10 @@ def _reduce(M: np.ndarray, guard: bool) -> SNFResult:
         if rem.size and A[t, t] != 0:
             bad = np.nonzero(rem % A[t, t])
             if bad[0].size:
-                row_add(t, t + 1 + int(bad[0][0]), dt.type(-1) if dt != object else -1)
+                row_add(t, t + 1 + int(bad[0][0]), -1)
                 continue
         t += 1
-    return SNFResult(U, V, t, tuple(int(A[i, i]) for i in range(t)))
+    return SNFResult(U, V, tuple(A[i, i] for i in range(t)))
 
 
 def smith_normal_form(M) -> SNFResult:
@@ -131,17 +116,7 @@ def smith_normal_form(M) -> SNFResult:
     M = np.asarray(M)
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    try:
-        Mi = M.astype(np.int64)
-        if not np.array_equal(Mi, M):
-            raise _Overflow
-        return _reduce(Mi, guard=True)
-    except (_Overflow, OverflowError):
-        Mo = np.empty(M.shape, dtype=object)
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                Mo[i, j] = int(M[i, j])
-        return _reduce(Mo, guard=False)
+    return _reduce(np.frompyfunc(int, 1, 1)(M))
 
 
 def _rows(M) -> list[dict[int, int]]:
@@ -241,8 +216,8 @@ def solve_integer(M, c, modulus: int | None = None):
             return None, (i, red(rhs[i]))
     snf = smith_normal_form(R)
     w = np.zeros(len(cols), dtype=object)
-    for t, v in enumerate(snf.U.astype(object) @ np.array([rhs[i] for i in left], dtype=object)):
-        d = snf.divisors[t] if t < snf.rank else 0
+    for t, v in enumerate(snf.U @ np.array([rhs[i] for i in left], dtype=object)):
+        d = snf.divisors[t] if t < len(snf.divisors) else 0
         d = d % 2 if modulus else d  # mod 2 an odd divisor is a unit, an even one 0
         res = red(v % d if d else v)
         if res:
@@ -250,7 +225,7 @@ def solve_integer(M, c, modulus: int | None = None):
         if d:
             w[t] = v // d
     x = [0] * n
-    for col, v in zip(cols, snf.V.astype(object) @ w):
+    for col, v in zip(cols, snf.V @ w):
         x[col] = int(v)
     # a pivot row holds no earlier pivot column, so reverse order is back-substitution
     for i, (j, p, row) in reversed(pivots.items()):

@@ -251,8 +251,20 @@ def test_cli_rejects_zero_samples(tmp_path, capsys):
         (["dimn", "--epsilon", "nan"], "epsilon"),
         (["dimn", "--epsilon", "inf"], "epsilon"),
         (["dim2", "--r", "inf"], "r"),
+        (["cohomology-torus", "--epsilon", "nan"], "epsilon"),
+        (["cohomology-torus", "--epsilon", "inf"], "epsilon"),
+        (["hessian-scan", "--lo", "nan"], "lo"),
+        (["hessian-scan", "--hi", "inf"], "hi"),
     ],
-    ids=["dimn-epsilon-nan", "dimn-epsilon-inf", "dim2-r-inf"],
+    ids=[
+        "dimn-epsilon-nan",
+        "dimn-epsilon-inf",
+        "dim2-r-inf",
+        "torus-epsilon-nan",
+        "torus-epsilon-inf",
+        "hessian-lo-nan",
+        "hessian-hi-inf",
+    ],
 )
 def test_cli_rejects_non_finite_settings(argv, field, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
@@ -311,6 +323,14 @@ def test_cli_torus_table_accepts_seed(tmp_path):
     # the rank table ignores --seed, but the benchmark passes it to every command
     out = tmp_path / "ranks.json"
     assert main(["cohomology-torus", "--n", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert [r["rank"] for r in json.loads(out.read_text())] == [1, 2, 1]
+
+
+def test_cli_torus_table_at_epsilon_beyond_n(tmp_path):
+    # every sector intersection is an argument sector times the ball rho < eps,
+    # so the table is the torus's for every finite eps > 0, eps >= n included
+    out = tmp_path / "ranks.json"
+    assert main(["cohomology-torus", "--n", "2", "--epsilon", "5", "--out", str(out)]) == 0
     assert [r["rank"] for r in json.loads(out.read_text())] == [1, 2, 1]
 
 
