@@ -2,17 +2,18 @@
 
 A bundle stores one matrix expression per ordered set pair (i, j) with i < j
 and overlap component, or one for every component under the key None; the
-stored matrix carries frame i to frame j, and the reverse transition is the
-numerical inverse.  On top of this sit the cocycle validator, the gluing
-construction, restriction to a subset of the cover sets and pullback, the
-integer-to-units exponential push, first-Chern-class extraction, and the
-locally-constant trivialization test.
+stored matrix carries frame i to frame j; no inverse is ever formed.  On top
+of this sit the exact cocycle and gluing validators, the gluing construction,
+restriction to a subset of the cover sets and pullback, the integer-to-units
+exponential push, first-Chern-class extraction, and the locally-constant
+trivialization test.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,18 +21,20 @@ import numpy as np
 from .errors import (
     BranchError,
     ChartError,
-    DomainError,
     GlueError,
     NotACocycleError,
-    ResolutionError,
     ShapeError,
 )
-from .geometry import COr, CPoint, Region
+from .geometry import CAnd, CLt, COr, CPoint, Region, SConst, SPow, SRho, SSum, SX, SY
 from .hexpr import (
     ChartMap,
     Const,
+    Laurent,
     MatExpr,
     MonLog,
+    as_laurent,
+    laurent_add,
+    laurent_mul,
     mat_identity,
     mon_log,
     subst,
@@ -54,7 +57,6 @@ __all__ = [
     "ChernCocycle",
     "FlatClassResult",
     "trivial_bundle",
-    "transition_at",
     "validate_cocycle",
     "validate_iso",
     "glue",
@@ -138,67 +140,77 @@ def trivial_bundle(cover: Cover, nerve: ResolvedNerve, rank: int = 1) -> BundleD
     return BundleData(cover, nerve, rank, {})
 
 
-def transition_at(
-    b: BundleData, dst: int, src: int, z: CPoint, comp: int
-) -> np.ndarray:
-    """Numeric transition carrying frame src to frame dst at a point.
-
-    comp indexes the components of the overlap simplex (min, max)."""
-    if dst == src:
-        return np.eye(b.rank, dtype=complex)
-    i, j = min(src, dst), max(src, dst)
-    M = b.edge_matrix(i, j, comp).at(z)
-    return M if (src, dst) == (i, j) else np.linalg.inv(M)
-
-
 # ---------------------------------------------------------------------------
-# Sampling near representatives
+# Exact validation of transition identities
+
+LMat = list[list[Laurent]]
 
 
-def _samples_in_component(
-    nerve: ResolvedNerve,
-    simplex: tuple[int, ...],
-    comp: int,
-    count: int,
-    rng: np.random.Generator,
-) -> list[CPoint]:
-    """The component representative plus nearby in-component points.
-
-    Points are drawn from shrinking balls around the representative and kept
-    when region membership and the component locator both agree; sampling is
-    best-effort and always includes the representative itself.
-    """
-    rep = nerve.components(simplex)[comp]
-    region = nerve.cover.intersection(simplex)
-    pts = [rep]
-    dims = len(rep.xy)
-    scale = 0.05 * float(np.max(region.bbox[:, 1] - region.bbox[:, 0]))
-    for radius in (scale, scale / 4, scale / 16):
-        if len(pts) > count:
-            break
-        cand = np.asarray(rep.xy) + rng.uniform(-radius, radius, size=(4 * count, dims))
-        good = cand[region.mask(cand)]
-        for row in good:
-            p = CPoint(tuple(row))
-            try:
-                if nerve.locate(simplex, p) == comp:
-                    pts.append(p)
-            except (ResolutionError, DomainError):
-                continue
-            if len(pts) > count:
-                break
-    return pts[: count + 1]
+def _lmat_det(A: LMat) -> Laurent:
+    """Determinant by expansion along the first row."""
+    if len(A) == 1:
+        return A[0][0]
+    out: Laurent = {}
+    for c in range(len(A)):
+        minor = [row[:c] + row[c + 1 :] for row in A[1:]]
+        out = laurent_add(out, laurent_mul(A[0][c], _lmat_det(minor)), (-1) ** c)
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Cocycle validation
+def _defect(A: LMat, B: LMat, C: LMat, D: LMat) -> float:
+    """The largest coefficient modulus of A B - C D (0.0 when they agree)."""
+    worst, r = 0.0, len(A)
+    for a, c in itertools.product(range(r), repeat=2):
+        entry: Laurent = {}
+        for k in range(r):
+            entry = laurent_add(entry, laurent_mul(A[a][k], B[k][c]))
+            entry = laurent_add(entry, laurent_mul(C[a][k], D[k][c]), -1)
+        worst = max([worst, *map(abs, entry.values())])
+    return worst
+
+
+def _nonvanishing(node, n: int) -> set[int]:
+    """The j with z_j != 0 wherever a constraint holds, proved from its tree:
+    rho < c forces every z_j != 0 (rho is +inf on the axes), and a sum of
+    squares below r^2 with a term (x_j - c)^2 or (y_j - c)^2, |c| >= r (as
+    `ball_region` builds) forces z_j != 0.  A conjunction proves what any item
+    proves."""
+    if type(node) is CAnd:
+        return set().union(*(_nonvanishing(it, n) for it in node.items))
+    if type(node) is not CLt or type(node.rhs) is not SConst:
+        return set()
+    if type(node.lhs) is SRho:
+        return set(range(n))
+    terms = node.lhs.terms if type(node.lhs) is SSum else ()
+    if not terms or any(type(s) is not SPow or s.k != 2 for s in terms):
+        return set()
+    offsets = [s.base.terms for s in terms if type(s.base) is SSum and len(s.base.terms) == 2]
+    return {
+        x.j
+        for c, x in offsets
+        if type(c) is SConst and type(x) in (SX, SY) and c.value**2 >= node.rhs.value
+    }
+
+
+def _unit_failure(A: LMat, proven: set[int]) -> Optional[str]:
+    """Why a matrix is not proved a unit where the coordinates in `proven`
+    are nonzero, or None.  Its determinant must be one term c z^a with |c|
+    above `_DET_FLOOR`, and each coordinate with a nonzero exponent in that
+    term or a negative exponent in an entry must be in `proven`."""
+    det = _lmat_det(A)
+    if len(det) != 1 or abs(next(iter(det.values()))) <= _DET_FLOOR:
+        return "determinant below floor"
+    need = {j for j, _ in next(iter(det))}
+    need.update(j for row in A for p in row for m in p for j, k in m if k < 0)
+    need -= proven
+    return f"z_{min(need) + 1} is not proved nonzero on the overlap" if need else None
 
 
 @dataclass
 class CocycleReport:
     max_residual: float
     worst_location: str
-    points_checked: int
+    points_checked: int  # the identities checked
     det_floor_ok: bool
     tol: float
 
@@ -207,65 +219,59 @@ class CocycleReport:
         return self.det_floor_ok and self.max_residual < self.tol
 
     def to_jsonable(self):
-        return {
-            "max_residual": self.max_residual,
-            "worst_location": self.worst_location,
-            "points_checked": self.points_checked,
-            "det_floor_ok": self.det_floor_ok,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
-def validate_cocycle(
-    b: BundleData,
-    samples_per_simplex: int = 12,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> CocycleReport:
-    """Check inverse-pair consistency on edges and the triple-product identity
-    f(k<-j) f(j<-i) = f(k<-i) on every (triple overlap, component), at the
-    representatives and sampled nearby points.  A transition with determinant
-    at or below `_DET_FLOOR` fails the check, and the report then names the
-    first such point."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    where = ""
-    npts = 0
-    det_ok = True
-    for edge in b.nerve.simplices_of_dim(1):
-        i, j = edge
-        for ci in range(len(b.nerve.components(edge))):
-            for z in _samples_in_component(b.nerve, edge, ci, samples_per_simplex, rng):
-                M = b.edge_matrix(i, j, ci).at(z)
-                npts += 1
-                if abs(np.linalg.det(M)) <= _DET_FLOOR:
-                    if det_ok:
-                        det_ok = False
-                        where = f"edge {edge} comp {ci}: determinant below floor"
-                    continue
-                res = float(np.max(np.abs(M @ np.linalg.inv(M) - np.eye(b.rank))))
-                if res > worst:
-                    worst = res
-                    if det_ok:
-                        where = f"edge {edge} comp {ci}"
-    for tri in b.nerve.simplices_of_dim(2):
-        i, j, k = tri
-        for ci in range(len(b.nerve.components(tri))):
-            c_jk = b.nerve.face_component(tri, ci, 0)
-            c_ik = b.nerve.face_component(tri, ci, 1)
-            c_ij = b.nerve.face_component(tri, ci, 2)
-            for z in _samples_in_component(b.nerve, tri, ci, samples_per_simplex, rng):
-                f_kj = transition_at(b, k, j, z, c_jk)
-                f_ji = transition_at(b, j, i, z, c_ij)
-                f_ki = transition_at(b, k, i, z, c_ik)
-                npts += 1
-                res = float(np.max(np.abs(f_kj @ f_ji - f_ki)))
-                if res > worst:
-                    worst = res
-                    if det_ok:
-                        where = f"triple {tri} comp {ci}"
-    return CocycleReport(worst, where, npts, det_ok, tol)
+def _report(cover: Cover, items, tol: float) -> CocycleReport:
+    """Fold (location, units, identity) items into a report: each unit
+    (M, simplex) must pass `_unit_failure` on the intersection of the simplex,
+    and each identity (A, B, C, D) or None must give A B = C D; max_residual
+    is the largest coefficient of A B - C D.  The location is the first unit
+    failure, or else the first identity with the largest residual."""
+    forms: dict[MatExpr, LMat] = {}  # transitions are shared between simplices
+
+    def form(M: MatExpr) -> LMat:
+        if M not in forms:
+            forms[M] = [[as_laurent(e) for e in row] for row in M.entries]
+        return forms[M]
+
+    worst, where, count, det_ok = 0.0, "", 0, True
+    for loc, units, identity in items:
+        for M, simplex in units:
+            overlap = cover.intersection(simplex).constraint
+            why = _unit_failure(form(M), _nonvanishing(overlap, cover.ambient.dim2n // 2))
+            if why and det_ok:
+                det_ok, where = False, f"{loc}: {why}"
+        if identity:
+            res = _defect(*map(form, identity))
+            count += 1
+            if res > worst:
+                worst = res
+                if det_ok:
+                    where = loc
+    return CocycleReport(worst, where, count, det_ok, tol)
+
+
+def validate_cocycle(b: BundleData, tol: float = 1e-9) -> CocycleReport:
+    """Check the cocycle identity f(k<-j) f(j<-i) = f(k<-i) exactly on every
+    (triple overlap, component), in the stored forward matrices of its faces'
+    components, and that every stored transition is a unit on its overlap
+    (`_report`)."""
+
+    def items():
+        for edge in sorted(b.transitions):
+            for ci in range(len(b.nerve.components(edge))):
+                yield f"edge {edge} comp {ci}", [(b.edge_matrix(*edge, ci), edge)], None
+        one = mat_identity(b.rank)
+        for tri in b.nerve.simplices_of_dim(2):
+            for ci in range(len(b.nerve.components(tri))):
+                f_jk, f_ik, f_ij = (
+                    b.edge_matrix(*(tri[:m] + tri[m + 1 :]), b.nerve.face_component(tri, ci, m))
+                    for m in range(3)
+                )
+                yield f"triple {tri} comp {ci}", [], (f_jk, f_ij, f_ik, one)
+
+    return _report(b.cover, items(), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -329,59 +335,46 @@ def _carry_transitions(
         dst[edge] = out
 
 
+def _input_edge(b: BundleData, a: int, c: int, rep: CPoint) -> MatExpr:
+    """b's stored matrix carrying frame a to frame c (a <= c) on the component
+    of their overlap that holds rep; the identity when a == c."""
+    if a == c:
+        return mat_identity(b.rank)
+    return b.edge_matrix(a, c, b.nerve.locate((a, c), rep))
+
+
 def validate_iso(
     bU: BundleData,
     bV: BundleData,
     iso: BundleIso,
     union_nerve: ResolvedNerve,
-    samples_per_simplex: int = 12,
     tol: float = 1e-9,
-    seed: int = 0,
 ) -> CocycleReport:
-    """Check the transition equation of the gluing construction on every mixed
-    simplex of the union nerve: with h carrying U-frames to V-frames,
-    f(i2<-i1) = h(j2,i2)^{-1} g(j2<-j1) h(j1,i1) on each component.  An h
-    with determinant at or below `_DET_FLOOR` fails the check, and the report
-    then names the first such point."""
+    """Check the gluing equation f(i2<-i1) = h(i2,j2)^{-1} g(j2<-j1) h(i1,j1),
+    with h carrying U-frames to V-frames, exactly as h(i2,j2) f = g h(i1,j1)
+    on every component of every mixed simplex of the union nerve, and that
+    each h used is a unit on its overlap (`_report`).  The inputs' edge
+    components are found by locating the union representative in their
+    nerves."""
     off = len(bU.cover.sets)
-    rng = np.random.default_rng(seed)
-    worst, where, npts = 0.0, "", 0
-    det_ok = True
-    for s in sorted(union_nerve.simplices):
-        us = [i for i in s if i < off]
-        vs = [j - off for j in s if j >= off]
-        if not us or not vs or len(s) < 2:
-            continue
-        i1, i2 = us[0], us[-1]
-        j1, j2 = vs[0], vs[-1]
-        for ci in range(len(union_nerve.components(s))):
-            for z in _samples_in_component(union_nerve, s, ci, samples_per_simplex, rng):
 
-                def hmat(i: int, j: int) -> np.ndarray:
-                    e = (i, j + off)
-                    comp = union_nerve.locate(e, z) if e in union_nerve.simplices else 0
-                    return iso.matrix(i, j, comp, bU.rank).at(z)
+    def items():
+        for s in sorted(union_nerve.simplices):
+            us = [i for i in s if i < off]
+            vs = [j for j in s if j >= off]
+            if not us or not vs:
+                continue
+            e1, e2 = (us[0], vs[0]), (us[-1], vs[-1])
+            for ci, rep in enumerate(union_nerve.components(s)):
+                h1, h2 = (
+                    iso.matrix(i, j - off, union_nerve.locate((i, j), rep), bU.rank)
+                    for i, j in (e1, e2)
+                )
+                f = _input_edge(bU, us[0], us[-1], rep)
+                g = _input_edge(bV, vs[0] - off, vs[-1] - off, rep)
+                yield f"mixed simplex {s} comp {ci}", [(h1, e1), (h2, e2)], (h2, f, g, h1)
 
-                def comp_of(nerve: ResolvedNerve, a: int, bidx: int) -> int:
-                    if a == bidx:
-                        return 0
-                    return nerve.locate((min(a, bidx), max(a, bidx)), z)
-
-                f = transition_at(bU, i2, i1, z, comp_of(bU.nerve, i1, i2))
-                g = transition_at(bV, j2, j1, z, comp_of(bV.nerve, j1, j2))
-                h2, h1 = hmat(i2, j2), hmat(i1, j1)
-                npts += 1
-                if min(abs(np.linalg.det(h2)), abs(np.linalg.det(h1))) <= _DET_FLOOR:
-                    if det_ok:
-                        det_ok = False
-                        where = f"mixed simplex {s} comp {ci}: determinant below floor"
-                    continue
-                res = float(np.max(np.abs(f - np.linalg.inv(h2) @ g @ h1)))
-                if res > worst:
-                    worst = res
-                    if det_ok:
-                        where = f"mixed simplex {s} comp {ci}"
-    return CocycleReport(worst, where, npts, det_ok, tol)
+    return _report(union_nerve.cover, items(), tol)
 
 
 def glue(
@@ -390,18 +383,17 @@ def glue(
     iso: BundleIso,
     resolution: Resolution,
     k_max: int = 3,
-    samples_per_simplex: int = 12,
     tol: float = 1e-9,
-    seed: int = 0,
 ) -> tuple[BundleData, CocycleReport, CocycleReport]:
     """Bundle on the union cover restricting to each input.
 
     Transitions are assigned verbatim: the inputs' own pairs keep their
     matrices, and each mixed pair (U_i, V_j) gets the isomorphism matrix
-    h(j, i).  Returns the glued bundle with the iso-validation and cocycle
-    reports; gluing refuses only on structural errors (GlueError: ranks, set
-    names, or a transition or iso on an overlap the resolution lacks),
-    validation failures are reported in the returned reports.
+    h(i, j).  Returns the glued bundle with the reports of `validate_iso` and
+    of `validate_cocycle` on the result, both exact; gluing refuses only on
+    structural errors (GlueError: ranks, set names, or a transition or iso on
+    an overlap the resolution lacks), validation failures are reported in the
+    returned reports.
     """
     if bU.rank != bV.rank:
         raise GlueError(f"rank mismatch: {bU.rank} vs {bV.rank}")
@@ -417,9 +409,7 @@ def glue(
             raise GlueError(f"iso given on empty overlap U_{i} x V_{j}")
         transitions[edge] = dict(bycomp)
     out = BundleData(cover, nerve, bU.rank, transitions)
-    iso_rep = validate_iso(bU, bV, iso, nerve, samples_per_simplex, tol, seed)
-    coc_rep = validate_cocycle(out, samples_per_simplex, tol, seed)
-    return out, iso_rep, coc_rep
+    return out, validate_iso(bU, bV, iso, nerve, tol), validate_cocycle(out, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +592,10 @@ def flat_class_test(b: BundleData) -> FlatClassResult:
     for edge in b.nerve.simplices_of_dim(1):
         i, j = edge
         for ci in range(len(b.nerve.components(edge))):
-            e = b.edge_matrix(i, j, ci).entries[0][0]
-            if e == Const(1) or e == Const(1 + 0j):
-                continue
-            if e == Const(-1) or e == Const(-1 + 0j):
+            unit = as_laurent(b.edge_matrix(i, j, ci).entries[0][0])
+            if unit == {(): -1}:
                 bits[(edge, ci)] = 1
-            else:
+            elif unit != {(): 1}:
                 raise ShapeError(f"transition on {edge} comp {ci} is not a +-1 constant")
     verdict = is_coboundary(b.nerve, IntCochain(1, "Z2", bits))
     if not verdict.yes:

@@ -292,7 +292,10 @@ def _value(e, pts: np.ndarray, memo: dict) -> np.ndarray:
     if t is CExpModuli:
         moduli = np.zeros_like(pts)
         moduli[:, 0::2] = np.exp(pts[:, 0::2])
-        return _value(e.item, moduli, {})
+        # |z_j| = e^{x_j} and log|z_j| = x_j are known, not recomputed
+        coords = range(pts.shape[1] // 2)
+        inner = {(k, j): a[:, 2 * j] for k, a in (("abs", moduli), ("log", pts)) for j in coords}
+        return _value(e.item, moduli, inner)
     if t is SConst:
         return np.full(m, e.value)
     if t is SX:

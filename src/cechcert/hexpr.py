@@ -3,7 +3,8 @@
 The language is deliberately small: constants, coordinates, integer powers,
 products, sums and exp.  That is enough for every transition function the
 certificates use, and small enough that taking a continuous logarithm of a
-monomial expression stays decidable.  A transition that differs between the
+monomial expression stays decidable and that every exp-free expression has an
+exact Laurent polynomial normal form.  A transition that differs between the
 components of an overlap is one expression per component, held in the
 bundle's transition table.
 
@@ -15,6 +16,9 @@ and expressions are safe to share.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,6 +37,10 @@ __all__ = [
     "Exp",
     "heval",
     "subst",
+    "Laurent",
+    "laurent_add",
+    "laurent_mul",
+    "as_laurent",
     "as_monomial",
     "MonLog",
     "mon_log",
@@ -155,24 +163,60 @@ def subst(e: HExpr, mapping: dict[int, HExpr]) -> HExpr:
     return e
 
 
+# A Laurent polynomial in normal form: monomial -> nonzero coefficient, where
+# a monomial prod_j z_j^{k_j} is the sorted tuple of its (j, k_j) with k_j != 0.
+Laurent = dict[tuple[tuple[int, int], ...], complex]
+
+
+def laurent_add(p: Laurent, q: Laurent, sign: int = 1) -> Laurent:
+    """p + sign * q."""
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def laurent_mul(p: Laurent, q: Laurent) -> Laurent:
+    out: Laurent = {}
+    for (a, c), (b, d) in itertools.product(p.items(), q.items()):
+        exps = Counter(dict(a))
+        exps.update(dict(b))  # adds exponents, keeping negative sums
+        out = laurent_add(out, {tuple(sorted((j, k) for j, k in exps.items() if k)): c * d})
+    return out
+
+
+def as_laurent(e: HExpr) -> Laurent:
+    """Exact normal form of a Laurent polynomial expression (the zero
+    expression gives {}): constants, coordinates, sums, products, nonnegative
+    powers and negative powers of a monomial.  Anything else, exp or a negative
+    power of a sum, raises ShapeError."""
+    t, one = type(e), {(): 1 + 0j}
+    if t is Const:
+        return {(): complex(e.value)} if e.value != 0 else {}
+    if t is Coord:
+        return {((e.j, 1),): 1 + 0j}
+    if t is Sum:
+        return functools.reduce(laurent_add, map(as_laurent, e.terms), {})
+    if t is Product:
+        return functools.reduce(laurent_mul, map(as_laurent, e.factors), one)
+    if t is IntPower:
+        base = as_laurent(e.base)
+        if e.k >= 0:
+            return functools.reduce(laurent_mul, [base] * e.k, one)
+        if len(base) != 1:
+            raise ShapeError("negative power of an expression that is not a monomial")
+        ((m, c),) = base.items()
+        return {tuple((j, k * e.k) for j, k in m): c ** e.k}
+    raise ShapeError(f"not a Laurent polynomial: {t.__name__}")
+
+
 def as_monomial(e: HExpr) -> tuple[complex, dict[int, int]]:
     """Decompose into Const * prod_j z_j^{k_j}, or raise ShapeError."""
-    if isinstance(e, Const):
-        return complex(e.value), {}
-    if isinstance(e, Coord):
-        return 1.0 + 0.0j, {e.j: 1}
-    if isinstance(e, IntPower):
-        c, exps = as_monomial(e.base)
-        return c ** e.k, {j: k * e.k for j, k in exps.items()}
-    if isinstance(e, Product):
-        c, exps = 1.0 + 0.0j, {}
-        for f in e.factors:
-            cf, ef = as_monomial(f)
-            c *= cf
-            for j, k in ef.items():
-                exps[j] = exps.get(j, 0) + k
-        return c, {j: k for j, k in exps.items() if k != 0}
-    raise ShapeError(f"not a monomial expression: {type(e).__name__}")
+    terms = as_laurent(e)
+    if len(terms) > 1:
+        raise ShapeError(f"not a monomial expression: {len(terms)} terms")
+    ((m, c),) = terms.items() or [((), 0j)]
+    return c, dict(m)
 
 
 # ---------------------------------------------------------------------------
@@ -198,24 +242,19 @@ class MonLog:
     exps: tuple[tuple[int, int], ...]  # sorted (j, k_j)
     branch_angles: tuple[tuple[int, float], ...]  # sorted (j, theta_j)
 
-    def ev(self, zc: np.ndarray) -> np.ndarray:
-        angles = dict(self.branch_angles)
-        out = np.full(zc.shape[0], complex(self.coeff_log))
-        for j, k in self.exps:
-            out = out + k * _log_branch(zc[:, j], angles[j])
-        return out
-
     def at(self, z: CPoint) -> complex:
-        return complex(self.ev(z.to_complex().reshape(1, -1))[0])
+        zc, angles = z.to_complex(), dict(self.branch_angles)
+        out = complex(self.coeff_log)
+        for j, k in self.exps:
+            out = out + k * _log_branch(zc[j], angles[j])
+        return complex(out)
 
 
 def mon_log(e: HExpr, representative: CPoint) -> MonLog:
     """Choose a continuous log of a monomial expression near a representative.
 
-    Validated by round-tripping exp(log) against the expression at the
-    representative and 32 deterministic perturbations of it, each of relative
-    size 1e-3.
-    """
+    exp of it is the exact monomial normal form of e (`as_monomial`), so no
+    round trip is evaluated."""
     coeff, exps = as_monomial(e)
     if coeff == 0:
         raise ShapeError("cannot take the log of the zero expression")
@@ -224,17 +263,7 @@ def mon_log(e: HExpr, representative: CPoint) -> MonLog:
         if zc[j] == 0:
             raise BranchError(f"representative has z_{j + 1} = 0")
     angles = tuple(sorted((j, float(np.angle(zc[j]))) for j in exps))
-    ml = MonLog(cmath.log(coeff), tuple(sorted(exps.items())), angles)
-    rng = np.random.default_rng(0)
-    scale = 1e-3 * min([abs(zc[j]) for j in exps], default=1.0)
-    pert = rng.normal(size=(32, zc.size)) + 1j * rng.normal(size=(32, zc.size))
-    batch = np.concatenate([zc.reshape(1, -1), zc.reshape(1, -1) + scale * pert])
-    want = e.ev(batch)
-    got = np.exp(ml.ev(batch))
-    err = float(np.max(np.abs(got - want)))
-    if err > 1e-10 * max(1.0, float(np.max(np.abs(want)))):
-        raise BranchError(f"log validation failed with round-trip error {err:.3e}")
-    return ml
+    return MonLog(cmath.log(coeff), tuple(sorted(exps.items())), angles)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +272,8 @@ def mon_log(e: HExpr, representative: CPoint) -> MonLog:
 
 @dataclass(frozen=True)
 class MatExpr:
-    """An r x r matrix of expressions; transitions are required to keep the
-    determinant modulus above a configured floor on their domains (checked by
-    sampling in the bundle validators, not here)."""
+    """An r x r matrix of expressions; transitions are required to be units
+    on their domains (checked exactly in the bundle validators, not here)."""
 
     entries: tuple  # r-tuple of r-tuples of HExpr
 

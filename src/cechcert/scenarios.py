@@ -218,7 +218,7 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
     tube_res = cv.tube_resolution_dim2()
     tube_nerve = build_nerve(tube_cover, 2, tube_res)
     tube_bundle = cv.tube_bundle_dim2(tube_cover, tube_nerve)
-    coc = validate_cocycle(tube_bundle, tol=cfg.tol_cocycle, seed=cfg.seed)
+    coc = validate_cocycle(tube_bundle, tol=cfg.tol_cocycle)
     chart = cv.exp_chart()
     pre_sets = []
     for name, reg in cover.sets:
@@ -413,7 +413,7 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     res = cv.torus_resolution(n, eps, k_max)
     nerve = build_nerve(cover, k_max, res)
     lnt = cv.lnt_bundle(cover, nerve, n)
-    coc = validate_cocycle(lnt, tol=cfg.tol_cocycle, seed=cfg.seed)
+    coc = validate_cocycle(lnt, tol=cfg.tol_cocycle)
     chern = chern_cocycle(lnt, cfg.tol_chern)
     ch_verdict = is_coboundary(nerve, chern.cochain)
     h2 = cohomology(nerve, 2, "Z")
@@ -448,9 +448,7 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     triv = trivial_bundle(out_cover, out_nerve, 1)
     iso = BundleIso({(0, 0): {None: MatExpr(((Const(1),),))}})
     glued_res = cv.glued_resolution(n, eps, cfg.safety, k_max)
-    lcex, iso_rep, coc_rep = glue(
-        lnt, triv, iso, glued_res, k_max=k_max, tol=cfg.tol_cocycle, seed=cfg.seed
-    )
+    lcex, iso_rep, coc_rep = glue(lnt, triv, iso, glued_res, k_max=k_max, tol=cfg.tol_cocycle)
     rep.add(
         "overlap-containment-and-glue",
         sector_ok and only_a and iso_rep.passed and coc_rep.passed,
@@ -585,6 +583,8 @@ def connectivity_check(
 
 def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] = None):
     """Cohomology ranks of the sector cover of the tube, degree by degree."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     eps = n / 2.0 if eps is None else eps
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")

@@ -213,11 +213,9 @@ def test_criterion_09_gluing_contract():
     for rank in (1, 2):
         for seed in range(10):
             bU, bV, iso, res = _ball_glue_instance(seed, rank)
-            if not validate_cocycle(bU, samples_per_simplex=4).passed:
+            if not validate_cocycle(bU).passed:
                 ok = False
-            glued, iso_rep, coc_rep = glue(
-                bU, bV, iso, res, k_max=2, samples_per_simplex=6, tol=1e-9
-            )
+            glued, iso_rep, coc_rep = glue(bU, bV, iso, res, k_max=2, tol=1e-9)
             ok = ok and iso_rep.max_residual < 1e-9 and coc_rep.passed
             back = restrict_to_sets(glued, [0, 1])
             ok = ok and back.transitions == bU.transitions

@@ -12,6 +12,7 @@ from cechcert.geometry import CPoint, ball_region
 from cechcert.hexpr import (
     Const,
     Coord,
+    Exp,
     IntPower,
     MatExpr,
     Product,
@@ -36,7 +37,6 @@ from cechcert.bundles import (
     glue,
     pullback,
     restrict_to_sets,
-    transition_at,
     trivial_bundle,
     validate_cocycle,
     validate_iso,
@@ -75,17 +75,18 @@ def tube2():
 def test_trivial_bundle_cocycle(torus2):
     cover, nerve = torus2
     b = trivial_bundle(cover, nerve)
-    rep = validate_cocycle(b, samples_per_simplex=4)
+    rep = validate_cocycle(b)
     assert rep.passed
     assert rep.max_residual == 0.0
+    assert rep.points_checked == _triple_pairs(nerve)
 
 
 def test_tube_bundle_validates(tube2):
     cover, nerve = tube2
     b = tube_bundle_dim2(cover, nerve)
-    rep = validate_cocycle(b, samples_per_simplex=20)
-    assert rep.passed  # no triple overlaps, so only the edge checks fire
-    assert rep.points_checked >= 40
+    rep = validate_cocycle(b)
+    assert rep.passed  # no triple overlaps, so only the determinant checks fire
+    assert rep.points_checked == 0
 
 
 def test_transition_table_must_match_the_overlap_components(tube2):
@@ -97,26 +98,98 @@ def test_transition_table_must_match_the_overlap_components(tube2):
         BundleData(cover, nerve, 1, {(0, 1): {0: one, 1: one, 2: one}})
     b = BundleData(cover, nerve, 1, {(0, 1): {0: one, None: MatExpr(((Const(-1),),))}})
     assert b.edge_matrix(0, 1, 1).entries[0][0] == Const(-1)
-    assert validate_cocycle(b, samples_per_simplex=4).passed
+    assert validate_cocycle(b).passed
 
 
-def test_transition_at_inverse_direction(tube2):
-    cover, nerve = tube2
-    b = tube_bundle_dim2(cover, nerve)
-    z = nerve.components((0, 1))[1]
-    fwd = transition_at(b, 1, 0, z, 1)
-    back = transition_at(b, 0, 1, z, 1)
-    assert np.allclose(fwd @ back, np.eye(1))
-    assert fwd[0, 0] == -1
+def _triple_pairs(nerve) -> int:
+    return sum(len(nerve.components(t)) for t in nerve.simplices_of_dim(2))
 
 
 def test_lnt_cocycle_many_points(torus2):
     cover, nerve = torus2
     b = lnt_bundle(cover, nerve, 2)
-    rep = validate_cocycle(b, samples_per_simplex=70, tol=1e-9)
+    rep = validate_cocycle(b, tol=1e-9)
     assert rep.passed
-    assert rep.points_checked >= 1000
+    assert rep.points_checked == _triple_pairs(nerve) > 0
     assert rep.max_residual < 1e-9
+    assert rep.max_residual == 0.0  # +-1 and z_2^{+-1} multiply exactly
+
+
+def _first_triple_through(nerve, edge, comp):
+    """The first (triple, component) the validator visits with the given edge
+    component among its faces."""
+    for tri in nerve.simplices_of_dim(2):
+        for ci in range(len(nerve.components(tri))):
+            for m in range(3):
+                if tri[:m] + tri[m + 1 :] == edge and nerve.face_component(tri, ci, m) == comp:
+                    return tri, ci
+    raise AssertionError("the edge component lies in no triple")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda e: IntPower(Coord(1), 2) if e == Coord(1) else e,  # one exponent
+        lambda e: Const(-1) if e == Const(1) else Product((Const(-1), e)),  # one constant
+    ],
+    ids=["exponent", "constant"],
+)
+def test_broken_lnt_transition_fails_at_its_triple(torus2, change):
+    cover, nerve = torus2
+    b = lnt_bundle(cover, nerve, 2)
+    for edge in sorted(b.transitions):  # the first edge with a z_2 component
+        lower = [ci for ci, m in b.transitions[edge].items() if m.entries[0][0] == Coord(1)]
+        if lower:
+            break
+    ci = lower[0]
+    table = {e: dict(bycomp) for e, bycomp in b.transitions.items()}
+    table[edge][ci] = MatExpr(((change(table[edge][ci].entries[0][0]),),))
+    rep = validate_cocycle(BundleData(cover, nerve, 1, table))
+    assert not rep.passed and rep.det_floor_ok
+    assert rep.max_residual >= 1.0
+    tri, tci = _first_triple_through(nerve, edge, ci)
+    assert rep.worst_location == f"triple {tri} comp {tci}"
+
+
+def test_exp_transition_is_refused(tube2):
+    cover, nerve = tube2
+    b = BundleData(cover, nerve, 1, {(0, 1): {None: MatExpr(((Exp(Coord(0)),),))}})
+    with pytest.raises(ShapeError):
+        validate_cocycle(b)
+
+
+def _two_ball_bundle(x0: float, e) -> BundleData:
+    """Two balls in C^2 centred at (x0 -+ 0.2, 0, 2, 0), so |x_2 - 2| < 0.45
+    keeps z_2 away from 0 while z_1 = 0 lies in the overlap when x0 = 0, with
+    the transition e on their overlap."""
+    amb = ball_region((x0, 0.0, 2.0, 0.0), 1.2, name="ambient")
+    a1 = ball_region((x0 - 0.2, 0.0, 2.0, 0.0), 0.45, name="A1")
+    a2 = ball_region((x0 + 0.2, 0.0, 2.0, 0.0), 0.45, name="A2")
+    res = Resolution(
+        patches={
+            (0,): _ball_patch((x0 - 0.2, 0.0, 2.0, 0.0)),
+            (1,): _ball_patch((x0 + 0.2, 0.0, 2.0, 0.0)),
+            (0, 1): _ball_patch((x0, 0.0, 2.0, 0.0)),
+        }
+    )
+    cover = Cover(amb, [("A1", a1), ("A2", a2)])
+    return BundleData(cover, build_nerve(cover, 1, res), 1, {(0, 1): {None: MatExpr(((e,),))}})
+
+
+def test_inverse_coordinate_must_be_proved_nonzero():
+    # z_1 = 0 lies in the overlap of the balls about x_1 = -+0.2
+    rep = validate_cocycle(_two_ball_bundle(0.0, IntPower(Coord(0), -1)))
+    assert not rep.det_floor_ok and not rep.passed
+    assert rep.worst_location == "edge (0, 1) comp 0: z_1 is not proved nonzero on the overlap"
+    # a positive power vanishes there too, so its determinant is no unit
+    rep = validate_cocycle(_two_ball_bundle(0.0, Coord(0)))
+    assert rep.worst_location == "edge (0, 1) comp 0: z_1 is not proved nonzero on the overlap"
+    # every ball keeps |x_2 - 2| < 0.45, and moved to x_1 near 2 also x_1 != 0
+    assert validate_cocycle(_two_ball_bundle(0.0, IntPower(Coord(1), -1))).passed
+    assert validate_cocycle(_two_ball_bundle(2.0, IntPower(Coord(0), -1))).passed
+    # a determinant with two terms is no unit, although z_2 + 10 never vanishes here
+    rep = validate_cocycle(_two_ball_bundle(2.0, Sum((Coord(1), Const(10)))))
+    assert rep.worst_location == "edge (0, 1) comp 0: determinant below floor"
 
 
 def test_lnt_chern_generates_h2(torus2):
@@ -335,7 +408,7 @@ def _ball_glue_instance(seed: int, rank: int):
 @pytest.mark.parametrize("rank", (1, 2))
 def test_randomized_glue_instances(seed, rank):
     bU, bV, iso, res = _ball_glue_instance(seed, rank)
-    glued, iso_rep, coc_rep = glue(bU, bV, iso, res, k_max=2, samples_per_simplex=6)
+    glued, iso_rep, coc_rep = glue(bU, bV, iso, res, k_max=2)
     assert iso_rep.max_residual < 1e-9
     assert coc_rep.passed
     assert (0, 1, 2) in glued.nerve.simplices
@@ -397,9 +470,7 @@ def test_self_glue_along_own_transitions(torus2):
                 cases[ci] = MatExpr(((e,),))
             h[(i, j)] = cases
     iso = BundleIso(h)
-    glued, iso_rep, coc_rep = glue(
-        b, b2, iso, _self_glue_resolution(n, 2), k_max=2, samples_per_simplex=6
-    )
+    glued, iso_rep, coc_rep = glue(b, b2, iso, _self_glue_resolution(n, 2), k_max=2)
     assert iso_rep.max_residual < 1e-9
     assert coc_rep.passed
     back = restrict_to_sets(glued, list(range(N)))
@@ -409,14 +480,14 @@ def test_self_glue_along_own_transitions(torus2):
 def test_validate_iso_detects_wrong_iso():
     bU, bV, iso, res = _ball_glue_instance(1, 1)
     bad = BundleIso({k: {None: MatExpr(((Const(2.0),),))} for k in iso.h})
-    glued, iso_rep, coc_rep = glue(bU, bV, bad, res, k_max=2, samples_per_simplex=4)
+    glued, iso_rep, coc_rep = glue(bU, bV, bad, res, k_max=2)
     assert iso_rep.max_residual > 1e-3
 
 
 def test_validate_iso_flags_singular_iso():
     bU, bV, iso, res = _ball_glue_instance(1, 1)
     zero = BundleIso({k: {None: MatExpr(((Const(0.0),),))} for k in iso.h})
-    glued, iso_rep, coc_rep = glue(bU, bV, zero, res, k_max=2, samples_per_simplex=4)
+    glued, iso_rep, coc_rep = glue(bU, bV, zero, res, k_max=2)
     assert not iso_rep.det_floor_ok and not iso_rep.passed
     assert iso_rep.to_jsonable()["det_floor_ok"] is False
     assert "determinant below floor" in iso_rep.worst_location
@@ -425,15 +496,42 @@ def test_validate_iso_flags_singular_iso():
 
 def test_singular_point_keeps_its_location_in_both_reports():
     # h(0,0) = (z0 - 2.2)(z0 - 2.1) vanishes at the representatives of the
-    # triple (0, 1, 2) and of the mixed edge (0, 2), the first points each
-    # check visits; at the points sampled after them it is invertible but
-    # wrong, so they carry residuals far above the worst so far.
+    # triple (0, 1, 2) and of the mixed edge (0, 2), so its determinant is no
+    # unit, and it is wrong, so the identities through it carry residuals; the
+    # reports keep the first determinant failure as the location.
     bU, bV, iso, res = _ball_glue_instance(1, 1)
     h = dict(iso.h)
     roots = (Sum((Coord(0), Const(-2.2))), Sum((Coord(0), Const(-2.1))))
     h[(0, 0)] = {None: MatExpr(((Product(roots),),))}
-    glued, iso_rep, coc_rep = glue(bU, bV, BundleIso(h), res, k_max=2, samples_per_simplex=4)
+    glued, iso_rep, coc_rep = glue(bU, bV, BundleIso(h), res, k_max=2)
     assert not iso_rep.det_floor_ok and iso_rep.max_residual > 1e-3
     assert iso_rep.worst_location == "mixed simplex (0, 1, 2) comp 0: determinant below floor"
     assert not coc_rep.det_floor_ok and coc_rep.max_residual > 1e-3
     assert coc_rep.worst_location == "edge (0, 2) comp 0: determinant below floor"
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("rank", (1, 2))
+def test_exact_check_agrees_with_evaluation(seed, rank):
+    """On random monomial frames the exact identities hold; scaling one entry
+    of one transition by 1 + 1e-3 breaks the triple identity, exactly and at
+    the triple's representative in floating point alike."""
+    bU, bV, iso, res = _ball_glue_instance(seed, rank)
+    glued, iso_rep, coc_rep = glue(bU, bV, iso, res, k_max=2)
+    assert iso_rep.passed and coc_rep.passed and coc_rep.points_checked == 1
+
+    def identity_at_rep(b: BundleData) -> float:
+        z = b.nerve.components((0, 1, 2))[0]
+        f = {e: b.edge_matrix(*e, 0).at(z) for e in ((0, 1), (0, 2), (1, 2))}
+        return float(np.max(np.abs(f[(1, 2)] @ f[(0, 1)] - f[(0, 2)])))
+
+    assert identity_at_rep(glued) < 1e-9
+    table = dict(glued.transitions)
+    rows = [list(row) for row in table[(0, 1)][None].entries]
+    rows[0][0] = Product((Const(1 + 1e-3), rows[0][0]))
+    table[(0, 1)] = {None: MatExpr(tuple(tuple(row) for row in rows))}
+    broken = BundleData(glued.cover, glued.nerve, rank, table)
+    rep = validate_cocycle(broken)
+    assert not rep.passed and rep.det_floor_ok
+    assert rep.worst_location == "triple (0, 1, 2) comp 0"
+    assert identity_at_rep(broken) > 1e-9

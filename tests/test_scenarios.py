@@ -334,6 +334,16 @@ def test_cli_torus_table_at_epsilon_beyond_n(tmp_path):
     assert [r["rank"] for r in json.loads(out.read_text())] == [1, 2, 1]
 
 
+def test_cli_torus_table_refuses_n_below_one(tmp_path, capsys):
+    out = tmp_path / "ranks.json"
+    for n in ("0", "-3"):
+        assert main(["cohomology-torus", "--n", n, "--out", str(out)]) == 2
+        assert f"n must be at least 1, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["cohomology-torus", "--n", "1", "--out", str(out)]) == 0
+    assert [r["rank"] for r in json.loads(out.read_text())] == [1, 1]
+
+
 def test_cli_torus_table_fails_on_torsion(tmp_path, monkeypatch, capsys):
     # Kuenneth predicts free cohomology; a torsion row fails the table even
     # when every rank matches
