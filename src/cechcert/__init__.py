@@ -3,7 +3,6 @@ over explicit covers: component-resolved nerve cohomology, gluing, and
 non-extension obstructions, with a scenario-driven CLI."""
 
 from .errors import (
-    BranchError,
     ChartError,
     DomainError,
     GlueError,
@@ -18,7 +17,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchError",
     "ChartError",
     "DomainError",
     "GlueError",

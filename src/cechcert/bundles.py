@@ -5,22 +5,24 @@ and overlap component, or one for every component under the key None; the
 stored matrix carries frame i to frame j; no inverse is ever formed.  On top
 of this sit the exact cocycle and gluing validators, the gluing construction,
 restriction to a subset of the cover sets and pullback, the integer-to-units
-exponential push, first-Chern-class extraction, and the locally-constant
-trivialization test.
+exponential push, the first Chern cocycle as exact integers from exponents and
+windings, and the locally-constant trivialization test.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
-    BranchError,
     ChartError,
+    DomainError,
     GlueError,
     NotACocycleError,
     ShapeError,
@@ -31,12 +33,11 @@ from .hexpr import (
     Const,
     Laurent,
     MatExpr,
-    MonLog,
     as_laurent,
+    as_monomial,
     laurent_add,
     laurent_mul,
     mat_identity,
-    mon_log,
     subst,
 )
 from .nerve import (
@@ -54,7 +55,6 @@ __all__ = [
     "BundleData",
     "BundleIso",
     "CocycleReport",
-    "ChernCocycle",
     "FlatClassResult",
     "trivial_bundle",
     "validate_cocycle",
@@ -216,7 +216,7 @@ class CocycleReport:
 
     @property
     def passed(self) -> bool:
-        return self.det_floor_ok and self.max_residual < self.tol
+        return self.det_floor_ok and self.max_residual <= self.tol
 
     def to_jsonable(self):
         return {**asdict(self), "passed": self.passed}
@@ -511,56 +511,62 @@ def exp_sequence_push(
     return BundleData(nerve.cover, nerve, 1, transitions)
 
 
-@dataclass
-class ChernCocycle:
-    cochain: IntCochain
-    max_rounding_residual: float
+def _winding(z: complex, u: complex) -> int:
+    """The w with arg z + 2 pi w in (arg u - pi, arg u + pi): the branch of
+    log z_j fixed at an edge representative u, read at a triple's
+    representative z.  z or u zero, or z on the cut opposite u, is refused."""
+    d = cmath.phase(z) - cmath.phase(u)
+    if z == 0 or u == 0 or abs(d) == math.pi:
+        raise DomainError(f"no branch of log z at {z} fixed at {u}")
+    return (d < -math.pi) - (d > math.pi)
 
 
-def chern_cocycle(b: BundleData, tol_round: float = 1e-6) -> ChernCocycle:
-    """Degree-2 integer cocycle of a rank-1 bundle with monomial transitions.
+def chern_cocycle(b: BundleData) -> IntCochain:
+    """Degree-2 integer cocycle of a rank-1 bundle with monomial transitions,
+    c1 = delta[(1/2 pi i) log f] of the exponential sequence.
 
-    One continuous log determination is fixed per (edge, component); on each
-    (triple, component) the alternating sum of the three logs at the
-    representative, divided by 2 pi i, is rounded to the nearest integer.  The
-    rounding residual must stay below tol_round and the resulting integer
-    cochain must be a cocycle exactly.
+    Each (edge, component) fixes log f = log c + sum_j k_j log z_j for its
+    transition c z^k (`as_monomial`), with arg z_j within pi of its
+    representative's.  On a (triple, component) the faces' exponents must
+    cancel and c_jk c_ij = c_ik must hold exactly (else NotACocycleError), so
+    the alternating sum of the three logs over 2 pi i is the integer
+    sum_faces +-sum_j k_j w_j + m: w_j is the winding of z_j at the triple's
+    representative (`_winding`), and m in {-1, 0, 1} makes
+    Arg c_jk + Arg c_ij - 2 pi m = Arg c_ik.  The cochain must be a cocycle.
     """
     if b.rank != 1:
         raise ShapeError("first-Chern extraction is rank-1 only")
-    logs: dict[tuple[Edge, int], MonLog] = {}
+    mono = {}
     for edge in b.nerve.simplices_of_dim(1):
-        i, j = edge
         for ci, rep in enumerate(b.nerve.components(edge)):
-            logs[(edge, ci)] = mon_log(b.edge_matrix(i, j, ci).entries[0][0], rep)
+            c, k = as_monomial(b.edge_matrix(*edge, ci).entries[0][0])
+            if c == 0:
+                raise ShapeError(f"transition on {edge} comp {ci} is zero")
+            mono[(edge, ci)] = c, k, rep
     values: dict[tuple[tuple[int, ...], int], int] = {}
-    worst = 0.0
-    two_pi_i = 2j * math.pi
     for tri in b.nerve.simplices_of_dim(2):
-        i, j, k = tri
         for ci, rep in enumerate(b.nerve.components(tri)):
-            c_jk = b.nerve.face_component(tri, ci, 0)
-            c_ik = b.nerve.face_component(tri, ci, 1)
-            c_ij = b.nerve.face_component(tri, ci, 2)
-            raw = (
-                logs[((j, k), c_jk)].at(rep)
-                - logs[((i, k), c_ik)].at(rep)
-                + logs[((i, j), c_ij)].at(rep)
-            ) / two_pi_i
-            rounded = int(round(raw.real))
-            resid = abs(raw - rounded)
-            worst = max(worst, resid)
-            if resid >= tol_round:
-                raise BranchError(
-                    f"rounding residual {resid:.3e} at simplex {tri} component {ci}: "
-                    "inconsistent branch choice"
+            total, exps, coeffs = 0, Counter(), []
+            for face, sign in ((0, 1), (1, -1), (2, 1)):
+                edge = tri[:face] + tri[face + 1 :]
+                c, k, edge_rep = mono[(edge, b.nerve.face_component(tri, ci, face))]
+                coeffs.append(c)
+                for j, kj in k.items():
+                    exps[j] += sign * kj
+                    total += sign * kj * _winding(rep.z(j), edge_rep.z(j))
+            c_jk, c_ik, c_ij = coeffs
+            if any(exps.values()) or c_jk * c_ij != c_ik:
+                raise NotACocycleError(
+                    f"transitions do not compose on simplex {tri} component {ci}"
                 )
-            if rounded:
-                values[(tri, ci)] = rounded
+            arg = cmath.phase(c_jk) + cmath.phase(c_ij)
+            total += (arg > math.pi) - (arg <= -math.pi)
+            if total:
+                values[(tri, ci)] = total
     cochain = IntCochain(2, "Z", values)
     if b.nerve.k_max >= 3 and not coboundary(b.nerve, cochain).is_zero():
-        raise NotACocycleError("rounded degree-2 cochain is not a cocycle")
-    return ChernCocycle(cochain, worst)
+        raise NotACocycleError("degree-2 Chern cochain is not a cocycle")
+    return cochain
 
 
 @dataclass

@@ -37,7 +37,6 @@ _FLAG_TYPES = {
     "seed": int,
     "safety": float,
     "tol_cocycle": float,
-    "tol_chern": float,
     "budget_nodes": int,
 }
 # selftest runs both pipelines at n = 2 without the connectivity scan, the

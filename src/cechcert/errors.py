@@ -25,10 +25,6 @@ class ShapeError(ValueError):
     """An expression does not have the shape an operation requires."""
 
 
-class BranchError(ValueError):
-    """A logarithm branch choice failed its continuity validation."""
-
-
 class NotACocycleError(ValueError):
     """A cochain that was required to be a cocycle is not one."""
 

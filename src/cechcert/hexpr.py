@@ -2,9 +2,9 @@
 
 The language is deliberately small: constants, coordinates, integer powers,
 products, sums and exp.  That is enough for every transition function the
-certificates use, and small enough that taking a continuous logarithm of a
-monomial expression stays decidable and that every exp-free expression has an
-exact Laurent polynomial normal form.  A transition that differs between the
+certificates use, and small enough that every exp-free expression has an
+exact Laurent polynomial normal form, from which a monomial's coefficient and
+exponents are read off (`as_monomial`).  A transition that differs between the
 components of an overlap is one expression per component, held in the
 bundle's transition table.
 
@@ -15,7 +15,6 @@ and expressions are safe to share.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 from collections import Counter
@@ -24,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BranchError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .geometry import CPoint, Region
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "laurent_mul",
     "as_laurent",
     "as_monomial",
-    "MonLog",
-    "mon_log",
     "MatExpr",
     "mat_identity",
     "ChartMap",
@@ -217,53 +214,6 @@ def as_monomial(e: HExpr) -> tuple[complex, dict[int, int]]:
         raise ShapeError(f"not a monomial expression: {len(terms)} terms")
     ((m, c),) = terms.items() or [((), 0j)]
     return c, dict(m)
-
-
-# ---------------------------------------------------------------------------
-# Continuous logarithms of monomial expressions
-
-
-def _log_branch(w: np.ndarray, theta: float) -> np.ndarray:
-    """Logarithm with the branch cut at angle theta + pi (opposite theta)."""
-    return np.log(w * cmath.exp(-1j * theta)) + 1j * theta
-
-
-@dataclass(frozen=True)
-class MonLog:
-    """A log determination of Const * prod z_j^{k_j}, continuous on one
-    overlap component.
-
-    The cut for coordinate j is placed antipodal to branch_angles[j] (the
-    representative's argument), so the determination stays continuous as long
-    as the component keeps arg z_j within pi of that angle.
-    """
-
-    coeff_log: complex
-    exps: tuple[tuple[int, int], ...]  # sorted (j, k_j)
-    branch_angles: tuple[tuple[int, float], ...]  # sorted (j, theta_j)
-
-    def at(self, z: CPoint) -> complex:
-        zc, angles = z.to_complex(), dict(self.branch_angles)
-        out = complex(self.coeff_log)
-        for j, k in self.exps:
-            out = out + k * _log_branch(zc[j], angles[j])
-        return complex(out)
-
-
-def mon_log(e: HExpr, representative: CPoint) -> MonLog:
-    """Choose a continuous log of a monomial expression near a representative.
-
-    exp of it is the exact monomial normal form of e (`as_monomial`), so no
-    round trip is evaluated."""
-    coeff, exps = as_monomial(e)
-    if coeff == 0:
-        raise ShapeError("cannot take the log of the zero expression")
-    zc = representative.to_complex()
-    for j in exps:
-        if zc[j] == 0:
-            raise BranchError(f"representative has z_{j + 1} = 0")
-    angles = tuple(sorted((j, float(np.angle(zc[j]))) for j in exps))
-    return MonLog(cmath.log(coeff), tuple(sorted(exps.items())), angles)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .geometry import (
     segment_convexity,
     up_radius,
 )
-from .hexpr import Const, MatExpr
+from .hexpr import Const, MatExpr, as_laurent
 from .nerve import Cover, build_nerve, check_cover, cohomology, is_coboundary
 from .bundles import BundleIso, trivial_bundle
 from .report import CertificateReport
@@ -71,7 +71,7 @@ __all__ = [
 DIM2_FIELDS = ("r", "samples", "seed", "tol_cocycle")
 DIMN_FIELDS = (
     "n", "epsilon", "step", "samples", "seed", "safety",
-    "tol_cocycle", "tol_chern", "budget_nodes", "run_connectivity",
+    "tol_cocycle", "budget_nodes", "run_connectivity",
 )
 
 SAFETY_CONNECT = 0.9  # U_p of the connectivity check; sets its delta
@@ -91,12 +91,11 @@ class ScenarioConfig:
     seed: int = 0
     safety: float = 0.5
     tol_cocycle: float = 1e-9
-    tol_chern: float = 1e-6
     budget_nodes: int = 10_000_000
     run_connectivity: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "r", "step", "safety", "tol_cocycle", "tol_chern"):
+        for name in ("epsilon", "r", "step", "safety", "tol_cocycle"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -104,10 +103,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        for name in ("tol_cocycle", "tol_chern"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        if not self.tol_cocycle >= 0:
+            raise ValueError(f"tol_cocycle must be non-negative, got {self.tol_cocycle}")
 
     def eps(self) -> float:
         return self.n / 2.0 if self.epsilon is None else self.epsilon
@@ -175,8 +172,11 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
         "half-scale push gives (+1, -1); the sign system is unsolvable",
     )
 
-    # (4) periodicity of the transition data under 2 pi shifts of x
-    period_ok = True
+    # (4) periodicity of the transition data under 2 pi shifts of x: each
+    # transition is a constant (a normal form without a coordinate), so a
+    # shifted pair has equal values when it stays on one component
+    forms = [as_laurent(bundle.edge_matrix(0, 1, ci).entries[0][0]) for ci in range(n_overlap)]
+    period_ok = all(set(f) <= {()} for f in forms)
     checked = 0
     for ci in range(n_overlap):
         pts = [nerve.components((0, 1))[ci]]
@@ -197,9 +197,7 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
                 checked += 1
                 ci_p = nerve.locate((0, 1), p)
                 ci_s = nerve.locate((0, 1), shifted)
-                v_p = complex(bundle.edge_matrix(0, 1, ci_p).at(p)[0, 0])
-                v_s = complex(bundle.edge_matrix(0, 1, ci_s).at(shifted)[0, 0])
-                if ci_p != ci_s or v_p != v_s:
+                if ci_p != ci_s:
                     period_ok = False
     if checked == 0:
         raise SamplingError(
@@ -414,8 +412,7 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     nerve = build_nerve(cover, k_max, res)
     lnt = cv.lnt_bundle(cover, nerve, n)
     coc = validate_cocycle(lnt, tol=cfg.tol_cocycle)
-    chern = chern_cocycle(lnt, cfg.tol_chern)
-    ch_verdict = is_coboundary(nerve, chern.cochain)
+    ch_verdict = is_coboundary(nerve, chern_cocycle(lnt))
     h2 = cohomology(nerve, 2, "Z")
     expect_rank = math.comb(n, 2)
     rep.add(
@@ -423,7 +420,6 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
         coc.passed and not ch_verdict.yes and h2.free_rank == expect_rank and not h2.torsion,
         {
             "cocycle": coc.to_jsonable(),
-            "chern_rounding": chern.max_rounding_residual,
             "chern_coboundary": ch_verdict.to_jsonable(),
             "h2_rank": h2.free_rank,
             "h2_expected": expect_rank,
@@ -462,8 +458,7 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     )
 
     # (10) the glued class survives, while the one-set ball cover has none
-    chern_cex = chern_cocycle(lcex, cfg.tol_chern)
-    cex_verdict = is_coboundary(lcex.nerve, chern_cex.cochain)
+    cex_verdict = is_coboundary(lcex.nerve, chern_cocycle(lcex))
     omega = cv.omega_region(n, eps)
     o_cover, o_res = cv.one_set_cover(omega, CPoint.from_complex([0.0] * n))
     o_nerve = build_nerve(o_cover, 3, o_res)
@@ -478,7 +473,6 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
         and h2o.free_rank == 0
         and restr_same,
         {
-            "chern_rounding": chern_cex.max_rounding_residual,
             "chern_coboundary": cex_verdict.to_jsonable(),
             "ball_h1_rank": h1o.free_rank,
             "ball_h2_rank": h2o.free_rank,

@@ -1,13 +1,15 @@
 """Transition data, cocycle validation, gluing, and characteristic cochains."""
 
+import cmath
 import itertools
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
-from cechcert.errors import GlueError, NotACocycleError, ShapeError
+from cechcert.errors import DomainError, GlueError, NotACocycleError, ShapeError
 from cechcert.geometry import CPoint, ball_region
 from cechcert.hexpr import (
     Const,
@@ -31,6 +33,7 @@ from cechcert.nerve import (
 from cechcert.bundles import (
     BundleData,
     BundleIso,
+    _winding,
     chern_cocycle,
     exp_sequence_push,
     flat_class_test,
@@ -47,13 +50,18 @@ from cechcert.covers import (
     dim2_generator_cochain,
     dim2_resolution,
     exp_chart,
+    glued_resolution,
     lnt_bundle,
+    omega_prime_region,
+    one_set_cover,
+    outer_rep,
     sector_letters,
     torus_cover,
     torus_resolution,
     tube_bundle_dim2,
     tube_cover_dim2,
     tube_resolution_dim2,
+    up_ball,
 )
 
 
@@ -126,7 +134,7 @@ def _first_triple_through(nerve, edge, comp):
     raise AssertionError("the edge component lies in no triple")
 
 
-@pytest.mark.parametrize(
+_CHANGES = pytest.mark.parametrize(
     "change",
     [
         lambda e: IntPower(Coord(1), 2) if e == Coord(1) else e,  # one exponent
@@ -134,8 +142,11 @@ def _first_triple_through(nerve, edge, comp):
     ],
     ids=["exponent", "constant"],
 )
-def test_broken_lnt_transition_fails_at_its_triple(torus2, change):
-    cover, nerve = torus2
+
+
+def _broken_lnt(cover, nerve, change):
+    """The n = 2 clutching bundle with `change` applied to its first z_2
+    transition; returns the bundle, that edge and its component."""
     b = lnt_bundle(cover, nerve, 2)
     for edge in sorted(b.transitions):  # the first edge with a z_2 component
         lower = [ci for ci, m in b.transitions[edge].items() if m.entries[0][0] == Coord(1)]
@@ -144,7 +155,14 @@ def test_broken_lnt_transition_fails_at_its_triple(torus2, change):
     ci = lower[0]
     table = {e: dict(bycomp) for e, bycomp in b.transitions.items()}
     table[edge][ci] = MatExpr(((change(table[edge][ci].entries[0][0]),),))
-    rep = validate_cocycle(BundleData(cover, nerve, 1, table))
+    return BundleData(cover, nerve, 1, table), edge, ci
+
+
+@_CHANGES
+def test_broken_lnt_transition_fails_at_its_triple(torus2, change):
+    cover, nerve = torus2
+    b, edge, ci = _broken_lnt(cover, nerve, change)
+    rep = validate_cocycle(b)
     assert not rep.passed and rep.det_floor_ok
     assert rep.max_residual >= 1.0
     tri, tci = _first_triple_through(nerve, edge, ci)
@@ -196,9 +214,8 @@ def test_lnt_chern_generates_h2(torus2):
     cover, nerve = torus2
     b = lnt_bundle(cover, nerve, 2)
     cc = chern_cocycle(b)
-    assert cc.max_rounding_residual < 1e-6
-    assert not cc.cochain.is_zero()
-    verdict = is_coboundary(nerve, cc.cochain)
+    assert not cc.is_zero()
+    verdict = is_coboundary(nerve, cc)
     assert not verdict.yes
     assert cohomology(nerve, 2).free_rank == 1
 
@@ -209,7 +226,7 @@ def test_lnt_chern_has_no_primitive_at_n4_in_bounded_time():
     nerve = build_nerve(cover, 3, torus_resolution(4, 2.0, 3))
     chern = chern_cocycle(lnt_bundle(cover, nerve, 4))
     start = time.perf_counter()
-    verdict = is_coboundary(nerve, chern.cochain)
+    verdict = is_coboundary(nerve, chern)
     assert time.perf_counter() - start < 30.0
     assert not verdict.yes and verdict.obstruction is not None
 
@@ -217,9 +234,128 @@ def test_lnt_chern_has_no_primitive_at_n4_in_bounded_time():
 def test_chern_of_constant_bundle(tube2):
     cover, nerve = tube2
     b = tube_bundle_dim2(cover, nerve)
-    cc = chern_cocycle(b)
-    assert cc.cochain.is_zero()  # two sets, no triple overlaps
-    assert cc.max_rounding_residual == 0.0
+    assert chern_cocycle(b).is_zero()  # two sets, no triple overlaps
+
+
+def _rounded_log_sum(b: BundleData) -> dict:
+    """Oracle for chern_cocycle: one log determination per (edge, component),
+    its cut opposite the representative's argument in each coordinate, summed
+    in floats at each triple representative and rounded to an integer."""
+
+    def log_at(e, edge_rep: CPoint, z: CPoint) -> complex:
+        c, exps = as_monomial(e)
+        out = cmath.log(c)
+        for j, k in exps.items():
+            theta = cmath.phase(edge_rep.z(j))
+            out += k * (cmath.log(z.z(j) * cmath.exp(-1j * theta)) + 1j * theta)
+        return out
+
+    values = {}
+    for tri in b.nerve.simplices_of_dim(2):
+        for ci, rep in enumerate(b.nerve.components(tri)):
+            raw = 0j
+            for m, sign in ((0, 1), (1, -1), (2, 1)):
+                edge = tri[:m] + tri[m + 1 :]
+                fc = b.nerve.face_component(tri, ci, m)
+                e = b.edge_matrix(*edge, fc).entries[0][0]
+                raw += sign * log_at(e, b.nerve.components(edge)[fc], rep)
+            raw /= 2j * math.pi
+            value = round(raw.real)
+            assert abs(raw - value) < 1e-6
+            if value:
+                values[(tri, ci)] = value
+    return values
+
+
+@pytest.fixture(scope="module", params=[2, 3])
+def clutching_and_glued(request):
+    """The clutching bundle on the sector cover and its gluing with the
+    trivial bundle on Omega', as run_dimn builds them, glued at tol 0."""
+    n = request.param
+    eps, safety = n / 2.0, 0.5
+    cover = torus_cover(n, eps)
+    lnt = lnt_bundle(cover, build_nerve(cover, 3, torus_resolution(n, eps, 3)), n)
+    out_cover, out_res = one_set_cover(
+        omega_prime_region(n, eps, up_ball(n, eps, safety)), outer_rep(n, eps)
+    )
+    triv = trivial_bundle(out_cover, build_nerve(out_cover, 1, out_res))
+    iso = BundleIso({(0, 0): {None: MatExpr(((Const(1),),))}})
+    glued, iso_rep, coc_rep = glue(
+        lnt, triv, iso, glued_resolution(n, eps, safety, 3), k_max=3, tol=0.0
+    )
+    return lnt, glued, iso_rep, coc_rep
+
+
+def test_chern_matches_the_rounded_log_sum(clutching_and_glued):
+    lnt, glued, _, _ = clutching_and_glued
+    for b in (lnt, glued):
+        cc = chern_cocycle(b)
+        assert not cc.is_zero()
+        assert cc.values == _rounded_log_sum(b)
+
+
+def test_exact_identities_pass_at_zero_tolerance(torus2, clutching_and_glued):
+    lnt, _, iso_rep, coc_rep = clutching_and_glued
+    assert validate_cocycle(lnt, tol=0.0).passed
+    assert iso_rep.passed and coc_rep.passed
+    assert iso_rep.max_residual == coc_rep.max_residual == 0.0
+    broken, _, _ = _broken_lnt(*torus2, lambda e: Product((Const(-1), e)))
+    assert not validate_cocycle(broken, tol=0.0).passed
+
+
+@_CHANGES
+def test_broken_lnt_transition_has_no_chern_cocycle(torus2, change):
+    cover, nerve = torus2
+    b, edge, ci = _broken_lnt(cover, nerve, change)
+    tri, tci = _first_triple_through(nerve, edge, ci)
+    with pytest.raises(NotACocycleError, match=re.escape(f"simplex {tri} component {tci}")):
+        chern_cocycle(b)
+
+
+def _three_balls():
+    """Three balls about (0, 0, 2, 0), every representative of an overlap at
+    that point, where z_1 = 0."""
+    centers = [(-0.2, 0.0, 2.0, 0.0), (0.2, 0.0, 2.0, 0.0), (0.0, 0.2, 2.0, 0.0)]
+    balls = [(f"A{i}", ball_region(c, 0.45, name=f"A{i}")) for i, c in enumerate(centers)]
+    origin = (0.0, 0.0, 2.0, 0.0)
+    patches = {(i,): _ball_patch(c) for i, c in enumerate(centers)}
+    patches.update({s: _ball_patch(origin) for s in ((0, 1), (0, 2), (1, 2), (0, 1, 2))})
+    cover = Cover(ball_region(origin, 1.2, name="ambient"), balls)
+    return cover, build_nerve(cover, 2, Resolution(patches=patches))
+
+
+@pytest.mark.parametrize(
+    "f01, f12, f02, value",
+    [(-1, -1, 1, 1), (1j, 1j, -1, 0), (-1j, -1j, -1, -1), (-1, 1, -1, 0)],
+)
+def test_chern_of_constants_corrects_the_argument_sum(f01, f12, f02, value):
+    # Arg c_jk + Arg c_ij above pi, at pi, and at -pi, against the oracle
+    cover, nerve = _three_balls()
+    edges = {(0, 1): f01, (1, 2): f12, (0, 2): f02}
+    b = BundleData(cover, nerve, 1, {e: {None: MatExpr(((Const(c),),))} for e, c in edges.items()})
+    want = {((0, 1, 2), 0): value} if value else {}
+    assert chern_cocycle(b).values == _rounded_log_sum(b) == want
+
+
+def test_chern_refuses_a_zero_coordinate_at_a_representative():
+    # the triple representative has z_1 = 0, where no branch of log z_1 exists
+    cover, nerve = _three_balls()
+    z1 = {None: MatExpr(((Coord(0),),))}
+    b = BundleData(cover, nerve, 1, {(0, 1): z1, (0, 2): z1})
+    with pytest.raises(DomainError, match="no branch of log z"):
+        chern_cocycle(b)
+    zero = BundleData(cover, nerve, 1, {(0, 1): {None: MatExpr(((Const(0),),))}})
+    with pytest.raises(ShapeError, match="is zero"):
+        chern_cocycle(zero)
+
+
+def test_winding_places_the_argument_within_pi_of_the_representative():
+    assert _winding(1j, 1) == 0
+    assert _winding(-1 - 0.1j, -1 + 0.1j) == 1  # arg crosses the principal cut upwards
+    assert _winding(-1 + 0.1j, -1 - 0.1j) == -1
+    for z, u in ((-1, 1), (0, 1), (1, 0)):  # on the cut opposite u, or a zero
+        with pytest.raises(DomainError):
+            _winding(z, u)
 
 
 def test_chern_rejects_higher_rank(torus2):
@@ -474,7 +610,7 @@ def test_self_glue_along_own_transitions(torus2):
     assert iso_rep.max_residual < 1e-9
     assert coc_rep.passed
     back = restrict_to_sets(glued, list(range(N)))
-    assert chern_cocycle(back).cochain.values == chern_cocycle(b).cochain.values
+    assert chern_cocycle(back).values == chern_cocycle(b).values
 
 
 def test_validate_iso_detects_wrong_iso():

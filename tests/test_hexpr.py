@@ -1,4 +1,4 @@
-"""Holomorphic expression trees, log determinations, and chart maps."""
+"""Holomorphic expression trees, their normal forms, and chart maps."""
 
 import cmath
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cechcert.errors import BranchError, DomainError, ShapeError
+from cechcert.errors import DomainError, ShapeError
 from cechcert.geometry import CPoint
 from cechcert.hexpr import (
     Const,
@@ -17,7 +17,6 @@ from cechcert.hexpr import (
     Sum,
     as_monomial,
     heval,
-    mon_log,
     subst,
 )
 from cechcert.covers import exp_chart
@@ -51,33 +50,6 @@ def test_as_monomial():
     assert exps == {0: 1, 1: -2}
     with pytest.raises(ShapeError):
         as_monomial(Sum((Coord(0), Const(1))))
-
-
-def test_mon_log_examples():
-    p = CPoint.from_complex([1.0, 1.0])
-    assert abs(mon_log(Const(-1), p).at(p) - 1j * math.pi) < 1e-14
-    assert abs(mon_log(Const(1), p).at(p)) < 1e-14
-    q = CPoint.from_complex([2.0 + 0.1j, 1.0])
-    ml = mon_log(Coord(0), q)
-    assert abs(ml.at(q) - cmath.log(2.0 + 0.1j)) < 1e-13
-
-
-def test_mon_log_follows_representative_branch():
-    # near the negative real axis the principal branch would jump; the
-    # antipodal cut keeps the determination continuous around the rep
-    rep = CPoint.from_complex([-2.0 + 0.01j, 1.0])
-    ml = mon_log(Coord(0), rep)
-    below = CPoint.from_complex([-2.0 - 0.01j, 1.0])
-    assert abs(ml.at(rep) - ml.at(below)) < 0.1
-    assert abs(cmath.exp(ml.at(below)) - below.z(0)) < 1e-12
-
-
-def test_mon_log_rejects_zero_cases():
-    p = CPoint.from_complex([0.0, 1.0])
-    with pytest.raises(BranchError):
-        mon_log(Coord(0), p)
-    with pytest.raises(ShapeError):
-        mon_log(Const(0), CPoint.from_complex([1.0, 1.0]))
 
 
 def test_subst_composition():

@@ -112,11 +112,16 @@ def test_dimn_rejects_bad_config():
         run_dimn(_fast_cfg(n=1))
 
 
+def test_dim2_passes_at_zero_tolerance():
+    # the tube bundle's identities hold exactly, so tol_cocycle = 0 is no failure
+    assert run_dim2(_fast_cfg(tol_cocycle=0.0)).overall_pass
+
+
 def test_report_config_echoes_the_fields_its_pipeline_reads(dim2_report, dimn_report):
     assert set(json.loads(dim2_report.to_json())["config"]) == {"r", "samples", "seed", "tol_cocycle"}
     assert set(json.loads(dimn_report.to_json())["config"]) == {
         "n", "epsilon", "step", "samples", "seed", "safety",
-        "tol_cocycle", "tol_chern", "budget_nodes", "run_connectivity",
+        "tol_cocycle", "budget_nodes", "run_connectivity",
     }
 
 
@@ -221,6 +226,8 @@ def test_cli_dimn_coarse_step_is_refused(tmp_path, capsys):
         ["dim2", "--tol-chern", "1"],
         ["dim2", "--budget-nodes", "3"],
         ["dimn", "--r", "9"],
+        ["dimn", "--tol-chern", "1"],
+        ["selftest", "--tol-chern", "1"],
         ["selftest", "--step", "9"],
         ["selftest", "--budget-nodes", "3"],
     ],
