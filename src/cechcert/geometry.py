@@ -582,9 +582,6 @@ class GridLabeling:
     def n_in_region(self) -> int:
         return int(self.mask.sum())
 
-    def node_point(self, idx: tuple[int, ...]) -> CPoint:
-        return CPoint(tuple(self.origin + self.step * np.asarray(idx, dtype=float)))
-
     def label_at(self, p: CPoint) -> int:
         """Component id of the lattice node nearest to p (0 if out of region)."""
         idx = np.rint((np.asarray(p.xy) - self.origin) / self.step).astype(int)

@@ -34,7 +34,6 @@ __all__ = [
     "Product",
     "Sum",
     "Exp",
-    "heval",
     "subst",
     "Laurent",
     "laurent_add",
@@ -135,14 +134,6 @@ class Exp:
 
 
 HExpr = Union[Const, Coord, IntPower, Product, Sum, Exp]
-
-
-def heval(e: HExpr, z):
-    """Evaluate at a CPoint (returns a complex scalar) or a complex batch."""
-    out = e.ev(_as_batch(z))
-    if isinstance(z, CPoint):
-        return complex(out[0])
-    return out
 
 
 def subst(e: HExpr, mapping: dict[int, HExpr]) -> HExpr:

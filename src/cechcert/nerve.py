@@ -154,27 +154,6 @@ class ResolvedNerve:
                             faces[(ns, ci, m)] = self.faces[(s, ci, m)]
         return ResolvedNerve(sub_cover, self.k_max, simplices, faces, locators)
 
-    def check_faces(self) -> None:
-        """Verify the simplicial identity: dropping two indices in either order
-        lands in the same component."""
-        for s, comps in self.simplices.items():
-            if len(s) < 3:
-                continue
-            for ci in range(len(comps)):
-                for m1 in range(len(s)):
-                    t1 = s[:m1] + s[m1 + 1 :]
-                    c1 = self.faces[(s, ci, m1)]
-                    for m2 in range(m1 + 1, len(s)):
-                        t2 = s[:m2] + s[m2 + 1 :]
-                        c2 = self.faces[(s, ci, m2)]
-                        # drop m2 then m1 vs drop m1 then m2-1
-                        a = self.faces[(t2, c2, m1)]
-                        b = self.faces[(t1, c1, m2 - 1)]
-                        ta = t2[:m1] + t2[m1 + 1 :]
-                        tb = t1[: m2 - 1] + t1[m2:]
-                        if ta != tb or a != b:
-                            raise ResolutionError(f"face maps do not commute at {s}")
-
     def to_jsonable(self):
         return {
             "k_max": self.k_max,
@@ -381,11 +360,13 @@ def cohomology(nerve: ResolvedNerve, k: int, ring: str = "Z") -> CohomologyResul
 
 @dataclass
 class CoboundaryVerdict:
-    """Either yes with a primitive b satisfying d(b) = c exactly, or no with
-    the (index, value) obstruction of `solve_integer` on d^{k-1} and c."""
+    """Either yes, with a primitive b satisfying d(b) = c exactly, or no, with
+    a witness: a k-chain y on `nerve.basis(k)` and a modulus q (0: exact)
+    with y . d(b) = 0 for every (k-1)-cochain b and y . c != 0, both mod q."""
 
     primitive: Optional[IntCochain]
-    obstruction: Optional[tuple[int, int]]
+    witness: Optional[IntCochain] = None
+    modulus: int = 0
 
     @property
     def yes(self) -> bool:
@@ -395,27 +376,40 @@ class CoboundaryVerdict:
         out = {"coboundary": self.yes}
         if self.primitive is not None:
             out["primitive"] = self.primitive.to_jsonable()
-        if self.obstruction is not None:
-            out["obstruction"] = {"index": self.obstruction[0], "value": self.obstruction[1]}
+        if self.witness is not None:
+            out["witness"] = {**self.witness.to_jsonable(), "modulus": self.modulus}
         return out
 
 
 def is_coboundary(nerve: ResolvedNerve, c: IntCochain) -> CoboundaryVerdict:
-    """Decide solvability of d(b) = c over the cochain's ring, exactly."""
+    """Decide solvability of d(b) = c over the cochain's ring, exactly.
+
+    Both answers are re-checked here, outside the elimination: a primitive by
+    d(b) = c, a witness y by y . d^{k-1} = 0 and y . c != 0 mod q, one sparse
+    product over the rows of d^{k-1} in the support of y."""
     if not coboundary(nerve, c).is_zero():
         raise NotACocycleError("input cochain is not a cocycle")
     k = c.degree
-    modulus = 2 if c.ring == "Z2" else None
-    x, obs = solve_integer(delta_rows(nerve, k - 1), c.vector(nerve), modulus=modulus)
-    if obs is not None:
-        return CoboundaryVerdict(None, obs)
+    rows = delta_rows(nerve, k - 1)
+    x, cert = solve_integer(rows, c.vector(nerve), modulus=2 if c.ring == "Z2" else None)
+    if x is None:
+        y, q = cert
+        basis = nerve.basis(k)
+        yd: dict[int, int] = {}
+        for r, v in y.items():
+            for col, e in rows[r].items():
+                yd[col] = yd.get(col, 0) + v * e
+        yc = sum(v * c.get(*basis[r]) for r, v in y.items())
+        if any(v % q if q else v for v in yd.values()) or not (yc % q if q else yc):
+            raise VerificationError(f"witness fails y . d = 0 != y . c mod {q}")
+        return CoboundaryVerdict(None, IntCochain(k, c.ring, {basis[r]: v for r, v in y.items()}), q)
     primitive = IntCochain(k - 1, c.ring, {key: v for key, v in zip(nerve.basis(k - 1), x) if v})
     check = coboundary(nerve, primitive)
     for s, ci in nerve.basis(k):
         diff = check.get(s, ci) - c.get(s, ci)
-        if (diff if modulus is None else diff % modulus) != 0:
+        if (diff if c.ring == "Z" else diff % 2) != 0:
             raise VerificationError(f"primitive fails d(b) = c on simplex {s}, component {ci}")
-    return CoboundaryVerdict(primitive, None)
+    return CoboundaryVerdict(primitive)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Exact integer linear algebra: invariant factors, and solutions of M x = c.
 
 One sparse elimination serves both: exact row operations clear the +-1 pivots
-of M (and act on c in a solve), leaving a remainder of rows with no unit
-entry, usually empty.  `smith_divisors` returns a 1 per pivot and the
-divisors of the remainder.  `solve_integer` back-substitutes through the
-pivots or returns an obstruction (index, value): below the row count m of M,
-index is a row that elimination reduced to 0 = value; from m on, index - m is
-a coordinate of the remainder's Smith basis whose value its divisor does not
-divide.
+of M, leaving a remainder of rows with no unit entry, usually empty.  In a
+solve every row also carries its provenance, the combination of input rows it
+now is, so its right-hand side is provenance . c.  `smith_divisors` returns a
+1 per pivot and the divisors of the remainder.  `solve_integer`
+back-substitutes through the pivots, or answers "no" with a witness (y, q):
+row weights y with y M = 0 and y c != 0 modulo q (q = 0: exactly).  That is
+the integer Farkas lemma (Kronecker; Schrijver, Theory of Linear and Integer
+Programming, 1986, Cor. 4.1a): then y M x = 0 != y c mod q for every integer
+x, and anyone can check it with two products.
 
 Only remainders go to `smith_normal_form`: unimodular U, V with U * M * V
 diagonal, d1 | d2 | ..., from one reduction on Python integers.  It is exact,
@@ -129,13 +131,13 @@ def _rows(M) -> list[dict[int, int]]:
     return [{j: int(v) for j, v in enumerate(row) if v} for row in M.tolist()]
 
 
-def _eliminate(rows: list[dict[int, int]], rhs: list[int] | None = None):
-    """Eliminate +-1 pivots of sparse rows in place, and on `rhs` if given: the
-    shortest live row pivots on a +-1 entry in the shortest column (Markowitz
-    order), and row operations clear that column from every other row.
-    Returns the pivots in order, as {row: (column, entry, rest of the row)},
-    and the leftover rows: their indices, the columns they touch, and their
-    dense layout on those columns."""
+def _eliminate(rows: list[dict[int, int]], prov: list[dict[int, int]] | None = None):
+    """Eliminate +-1 pivots of sparse rows in place, and on their provenance
+    rows `prov` if given: the shortest live row pivots on a +-1 entry in the
+    shortest column (Markowitz order), and row operations clear that column
+    from every other row.  Returns the pivots in order, as {row: (column,
+    entry, rest of the row)}, and the leftover rows: their indices, the
+    columns they touch, and their dense layout on those columns."""
     cols: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in enumerate(rows):
         for j in row:
@@ -168,8 +170,9 @@ def _eliminate(rows: list[dict[int, int]], rhs: list[int] | None = None):
                 else:
                     del other[c]
                     cols[c].discard(r)
-            if rhs is not None:
-                rhs[r] -= q * rhs[i]
+            if prov is not None:  # zero weights may stay
+                for s, e in prov[i].items():
+                    prov[r][s] = prov[r].get(s, 0) - q * e
             heapq.heappush(heap, (len(other), r))
         pivots[i] = (j, p, row)
     left = [i for i, row in enumerate(rows) if row]
@@ -197,31 +200,42 @@ def solve_integer(M, c, modulus: int | None = None):
 
     M is as for `smith_divisors`.  Returns (x, None), with one int in x per
     column of M (for sparse rows, up to the last column they touch), or
-    (None, (index, value)), value reduced mod 2 over Z/2.  Below the row count
-    m of M, index is a row that elimination reduced to 0 = value; from m on,
-    index - m is a coordinate of the remainder's Smith basis whose value its
-    divisor does not divide.
+    (None, (y, q)): sparse row weights y ({row of M: weight}) with y M = 0 and
+    y c != 0 modulo q, which prove that no x exists.  q is 2 over Z/2 (y then
+    reduced mod 2).  Over Z, q = 0 (exact) when y is a row that elimination
+    reduced to 0 = y c; on the remainder R, y is a row U_t of its Smith
+    transform (U_t R = d_t V^-1_t) applied to the rows of R, and q = d_t, or
+    0 past the rank of R.
     """
     if modulus not in (None, 2):
         raise ValueError(f"modulus must be None or 2, got {modulus}")
     red = (lambda v: v % 2) if modulus else int
     rows = _rows(M)
     n = np.shape(M)[1] if np.ndim(M) == 2 else max(map(max, filter(None, rows)), default=-1) + 1
-    rhs = [int(v) for v in c]
-    if len(rhs) != len(rows):
-        raise ValueError(f"right-hand side has {len(rhs)} entries for {len(rows)} rows")
-    pivots, left, cols, R = _eliminate(rows, rhs)
+    c = [int(v) for v in c]
+    if len(c) != len(rows):
+        raise ValueError(f"right-hand side has {len(c)} entries for {len(rows)} rows")
+    prov = [{i: 1} for i in range(len(rows))]
+    pivots, left, cols, R = _eliminate(rows, prov)
+    rhs = [sum(v * c[r] for r, v in y.items()) for y in prov]
+
+    def witness(y: dict[int, int], q: int):
+        return None, ({r: red(v) for r, v in y.items() if red(v)}, modulus or q)
+
     for i, row in enumerate(rows):
         if not row and i not in pivots and red(rhs[i]):
-            return None, (i, red(rhs[i]))
+            return witness(prov[i], 0)
     snf = smith_normal_form(R)
     w = np.zeros(len(cols), dtype=object)
     for t, v in enumerate(snf.U @ np.array([rhs[i] for i in left], dtype=object)):
         d = snf.divisors[t] if t < len(snf.divisors) else 0
         d = d % 2 if modulus else d  # mod 2 an odd divisor is a unit, an even one 0
-        res = red(v % d if d else v)
-        if res:
-            return None, (len(rows) + t, res)
+        if red(v % d if d else v):
+            y: dict[int, int] = {}
+            for u, i in zip(snf.U[t], left):
+                for r, e in prov[i].items():
+                    y[r] = y.get(r, 0) + u * e
+            return witness(y, d)
         if d:
             w[t] = v // d
     x = [0] * n

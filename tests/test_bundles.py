@@ -228,7 +228,9 @@ def test_lnt_chern_has_no_primitive_at_n4_in_bounded_time():
     start = time.perf_counter()
     verdict = is_coboundary(nerve, chern)
     assert time.perf_counter() - start < 30.0
-    assert not verdict.yes and verdict.obstruction is not None
+    assert not verdict.yes and verdict.modulus == 0
+    # a 2-cycle of the nerve on which the Chern class is +-1
+    assert abs(sum(v * chern.get(*key) for key, v in verdict.witness.values.items())) == 1
 
 
 def test_chern_of_constant_bundle(tube2):

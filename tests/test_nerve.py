@@ -27,6 +27,7 @@ from cechcert.nerve import (
     Cover,
     IntCochain,
     Resolution,
+    ResolvedNerve,
     build_nerve,
     check_cover,
     coboundary,
@@ -35,10 +36,12 @@ from cechcert.nerve import (
     delta_rows,
     is_coboundary,
 )
+from cechcert.bundles import chern_cocycle
 from cechcert.covers import (
     dim2_cover,
     dim2_generator_cochain,
     dim2_resolution,
+    lnt_bundle,
     one_set_cover,
     torus_cover,
     torus_resolution,
@@ -109,7 +112,10 @@ def test_dim2_h1_rank_one_and_generator(dim2_nerve):
     gen = dim2_generator_cochain()
     verdict = is_coboundary(dim2_nerve, gen)
     assert not verdict.yes
-    assert verdict.obstruction is not None
+    # the witness is the loop through both overlap components: it pairs to 0
+    # with every coboundary (equal values on the two) and to 1 with gen
+    assert verdict.modulus == 0
+    assert verdict.witness.values == {((0, 1), 0): -1, ((0, 1), 1): 1}
 
 
 def test_dim2_equal_values_are_coboundaries(dim2_nerve):
@@ -154,6 +160,69 @@ def test_is_coboundary_rechecks_primitive_under_optimize():
     )
     assert proc.returncode == 1, proc.stderr
     assert "VerificationError: primitive fails d(b) = c" in proc.stderr
+
+
+_WRONG_WITNESS = """
+import sys
+import cechcert.nerve as nerve
+from cechcert.covers import dim2_cover, dim2_generator_cochain, dim2_resolution
+
+if not sys.flags.optimize:
+    sys.exit(3)
+solve = nerve.solve_integer
+
+
+def corrupted(M, c, modulus=None):
+    x, (y, q) = solve(M, c, modulus=modulus)
+    if sys.argv[1] == "entry":
+        r = min(y)
+        y = {**y, r: -y[r]}
+    else:
+        q = 1
+    return x, (y, q)
+
+
+nerve.solve_integer = corrupted
+n = nerve.build_nerve(dim2_cover(4.0), 2, dim2_resolution())
+nerve.is_coboundary(n, dim2_generator_cochain())
+"""
+
+
+@pytest.mark.parametrize("corruption", ["entry", "modulus"])
+def test_is_coboundary_rechecks_witness_under_optimize(corruption):
+    # a witness with one entry negated no longer sums to 0 against d^0, and
+    # modulo q = 1 nothing is nonzero: both must be caught even with -O
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cechcert.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_WITNESS, corruption],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "VerificationError: witness fails" in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["dim2", "dim2-mod-2", "clutching-n2"])
+def test_every_corrupted_witness_entry_is_caught(case, dim2_nerve, torus_nerve, monkeypatch):
+    # negating an entry of an exact witness (or clearing one mod 2) moves
+    # y . d by a nonzero multiple of one row of d, so the re-check must fail
+    if case == "clutching-n2":
+        nerve, c = torus_nerve, chern_cocycle(lnt_bundle(torus_cover(2, 1.0), torus_nerve, 2))
+    elif case == "dim2":
+        nerve, c = dim2_nerve, dim2_generator_cochain()
+    else:  # the half-scale push's sign cochain: -1 on component 1 only
+        nerve, c = dim2_nerve, IntCochain(1, "Z2", {((0, 1), 1): 1})
+    mod2 = c.ring == "Z2"
+    rows = delta_rows(nerve, c.degree - 1)
+    _, (y, q) = nerve_mod.solve_integer(rows, c.vector(nerve), modulus=2 if mod2 else None)
+    assert q == (2 if mod2 else 0) and is_coboundary(nerve, c).witness is not None
+    for r in y:
+        bad = {**y, r: 0 if q == 2 else -y[r]}
+        monkeypatch.setattr(nerve_mod, "solve_integer", lambda *a, **kw: (None, (bad, q)))
+        with pytest.raises(VerificationError, match="witness fails"):
+            is_coboundary(nerve, c)
 
 
 def test_is_coboundary_zero_and_constant(dim2_nerve):
@@ -215,7 +284,21 @@ def torus_nerve():
 
 
 def test_torus_nerve_faces_commute(torus_nerve):
-    torus_nerve.check_faces()
+    # the two face paths from a simplex to a codimension-2 face carry opposite
+    # signs, so d^k d^{k-1} = 0, which `cohomology` checks exactly, holds
+    # exactly when both paths land on one component
+    for k in range(torus_nerve.k_max):
+        cohomology(torus_nerve, k)
+    quad, facet = (0, 1, 2, 3), (1, 2, 3)
+    n_comps = len(torus_nerve.components(facet))
+    assert n_comps > 1
+    faces = dict(torus_nerve.faces)
+    faces[(quad, 0, 0)] = (faces[(quad, 0, 0)] + 1) % n_comps  # another component of the facet
+    moved = ResolvedNerve(
+        torus_nerve.cover, torus_nerve.k_max, torus_nerve.simplices, faces, torus_nerve.locators
+    )
+    with pytest.raises(VerificationError, match="d\\^2 d\\^1 is not zero"):
+        cohomology(moved, 2)
 
 
 def test_torus_ranks(torus_nerve):

@@ -165,4 +165,4 @@ def test_grid_components_match_networkx(region, step, expected):
         assert cid not in seen
         seen.add(cid)
         first = min(comp, key=lambda node: np.ravel_multi_index(node, lab.shape))
-        assert lab.representatives[cid - 1].xy == lab.node_point(first).xy
+        assert lab.representatives[cid - 1].xy == tuple(lo + step * np.asarray(first, dtype=float))

@@ -49,6 +49,42 @@ def test_dim2_passes(dim2_report):
         assert want in names
 
 
+def _chain(witness: dict) -> dict:
+    return {(tuple(e["simplex"]), e["component"]): e["value"] for e in witness["values"]}
+
+
+def test_dim2_witnesses_are_the_two_component_loop(dim2_report):
+    metrics = {c.name: c.metrics for c in dim2_report.checks}
+    h1 = metrics["h1-rank-and-generator"]["coboundary"]["witness"]
+    flat = metrics["flat-obstruction"]["flat"]["verdict"]["witness"]
+    loop = {((0, 1), 0): 1, ((0, 1), 1): -1}
+    assert h1["modulus"] == 0 and _chain(h1) in (loop, {k: -v for k, v in loop.items()})
+    assert flat["modulus"] == 2 and _chain(flat) == {k: v % 2 for k, v in loop.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dimn_clutching_witness_pairs_to_one_with_the_chern_cocycle(n, monkeypatch):
+    calls = []
+    real = scenarios.is_coboundary
+
+    def recording(nerve, c):
+        verdict = real(nerve, c)
+        calls.append((c, verdict))
+        return verdict
+
+    monkeypatch.setattr(scenarios, "is_coboundary", recording)
+    rep = run_dimn(_fast_cfg(n=n))
+    metrics = {c.name: c.metrics for c in rep.checks}
+    reported = [
+        metrics["clutching-bundle"]["chern_coboundary"],
+        metrics["glued-class-obstruction"]["chern_coboundary"],
+    ]
+    assert [v.to_jsonable() for _, v in calls] == reported
+    for c, verdict in calls:
+        assert verdict.modulus == 0
+        assert abs(sum(v * c.get(*key) for key, v in verdict.witness.values.items())) == 1
+
+
 def test_dim2_debug_cocycle_fails(monkeypatch):
     # 1 on both overlap components is the coboundary of the 0-cochain (0, 1)
     def coboundary_cochain():

@@ -237,7 +237,8 @@ def test_solve_integer_roundtrip():
 def test_solve_integer_obstruction():
     M = np.array([[2, 0], [0, 2]])
     x, obs = solve_integer(M, np.array([1, 0]))
-    assert x is None and obs is not None
+    # no unit pivot: the remainder is M itself, and row 0 is 0 = 1 mod 2
+    assert x is None and obs == ({0: 1}, 2)
 
 
 def test_solve_mod2():
@@ -250,7 +251,8 @@ def test_solve_mod2():
 def _check_solve(M, c, modulus, sparse=False):
     """`solve_integer` answers yes exactly when the oracle does: over Z when M
     and [M | c] have the same invariant factors, over Z/2 the same rank; a
-    returned x solves M x = c exactly, or mod 2."""
+    returned x solves M x = c exactly, or mod 2, and a returned witness (y, q)
+    has y M = 0 and y c != 0 mod q (q = 0: exactly; q = 2 over Z/2)."""
     M, c = np.asarray(M), np.asarray(c)
     A = np.column_stack([M, c])
     want = _oracle(M) == _oracle(A) if modulus is None else _rank_mod2(M) == _rank_mod2(A)
@@ -261,6 +263,15 @@ def _check_solve(M, c, modulus, sparse=False):
         x = x + [0] * (M.shape[1] - len(x))  # sparse rows end at the last column they touch
         residual = M.astype(object) @ np.array(x, dtype=object) - c.astype(object)
         assert not any(v % modulus if modulus else v for v in residual)
+    else:
+        y, q = obs
+        assert (q == 2) if modulus else (q != 1)  # modulo 1 nothing is nonzero
+        yv = np.zeros(M.shape[0], dtype=object)
+        for r, v in y.items():
+            yv[r] = v
+        yM, yc = yv @ M.astype(object), yv @ c.astype(object)
+        assert not any(v % q if q else v for v in yM)
+        assert yc % q if q else yc
     return obs
 
 
@@ -290,15 +301,15 @@ def test_solve_integer_through_the_rp2_remainder():
     for modulus in (None, 2):
         for sparse in (False, True):
             assert _check_solve(D, inside, modulus, sparse) is None
-            obs = _check_solve(D, outside, modulus, sparse)
-            # nine rows pivot and the tenth is the 1x3 remainder, so no row is
-            # emptied and the obstruction is the remainder's coordinate 0
-            assert obs == (10, 1)
+            # nine rows pivot and the tenth is the 1x3 remainder of +-2 entries,
+            # so no row is emptied and the witness is taken mod its divisor 2
+            _, q = _check_solve(D, outside, modulus, sparse)
+            assert q == 2
 
 
 def test_solve_integer_through_a_divisor_that_is_odd():
     # 3 x = 1 has no integer solution, but 3 is a unit mod 2, so x = 1 solves it there
-    assert _check_solve(np.array([[3]]), np.array([1]), None) == (1, 1)
+    assert _check_solve(np.array([[3]]), np.array([1]), None) == ({0: 1}, 3)
     assert _check_solve(np.array([[3]]), np.array([1]), 2) is None
 
 
