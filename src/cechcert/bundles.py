@@ -228,12 +228,15 @@ def _report(cover: Cover, items, tol: float) -> CocycleReport:
     and each identity (A, B, C, D) or None must give A B = C D; max_residual
     is the largest coefficient of A B - C D.  The location is the first unit
     failure, or else the first identity with the largest residual."""
-    forms: dict[MatExpr, LMat] = {}  # transitions are shared between simplices
+    # transitions are shared between simplices; keyed by id, as hashing a
+    # MatExpr walks its whole tree, with M kept so that its id stays unique
+    forms: dict[int, tuple[MatExpr, LMat]] = {}
 
     def form(M: MatExpr) -> LMat:
-        if M not in forms:
-            forms[M] = [[as_laurent(e) for e in row] for row in M.entries]
-        return forms[M]
+        hit = forms.get(id(M))
+        if hit is None:
+            hit = forms[id(M)] = (M, [[as_laurent(e) for e in row] for row in M.entries])
+        return hit[1]
 
     worst, where, count, det_ok = 0.0, "", 0, True
     for loc, units, identity in items:

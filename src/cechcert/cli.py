@@ -27,23 +27,18 @@ OUT_ENV = "CECHCERT_OUT"
 
 # The types of the ScenarioConfig fields a command takes as flags; a flag not
 # given leaves the field at its ScenarioConfig default.  run_connectivity has
-# no flag: a pipeline command scans, selftest does not.
+# no flag: a pipeline command checks connectivity, selftest does not.
 _FLAG_TYPES = {
     "n": int,
     "epsilon": float,
     "r": float,
-    "step": float,
     "samples": int,
     "seed": int,
     "safety": float,
     "tol_cocycle": float,
-    "budget_nodes": int,
 }
-# selftest runs both pipelines at n = 2 without the connectivity scan, the
-# only reader of step and budget_nodes
-_SELFTEST_FIELDS = tuple(
-    dict.fromkeys(f for f in DIM2_FIELDS + DIMN_FIELDS if f not in ("n", "step", "budget_nodes"))
-)
+# selftest runs both pipelines at n = 2
+_SELFTEST_FIELDS = tuple(dict.fromkeys(f for f in DIM2_FIELDS + DIMN_FIELDS if f != "n"))
 
 
 def _scenario_flags(p: argparse.ArgumentParser, fields: tuple) -> None:

@@ -6,7 +6,7 @@ overlap has two components, and the exponential chart onto a log-modulus tube.
 The second is the tube G_eps around the unit torus in C^n, its product-arc
 sector cover, the clutching line bundle on it, the ball Omega, the
 outside-plus-ball set Omega', and Omega minus a shell around the tube's
-boundary, whose log-moduli image the connectivity check labels.
+boundary, whose two pieces the connectivity check tells apart.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "torus_cover",
     "torus_resolution",
     "lnt_bundle",
+    "omega_radius",
     "omega_region",
     "p_point",
     "up_ball",
@@ -323,8 +324,13 @@ def lnt_bundle(cover: Cover, nerve: ResolvedNerve, n: int) -> BundleData:
 # Omega, U_p, Omega' and the glued-cover resolution
 
 
+def omega_radius(n: int, eps: float) -> float:
+    """Radius of the ball Omega: twice the tube's bound sqrt(n) e^{sqrt(eps)}."""
+    return 2.0 * math.sqrt(n) * math.exp(math.sqrt(eps))
+
+
 def omega_region(n: int, eps: float) -> Region:
-    radius = 2.0 * math.sqrt(n) * math.exp(math.sqrt(eps))
+    radius = omega_radius(n, eps)
     return Region(
         "Omega",
         CLt(SNormSq(), SConst(radius * radius)),

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A scan would exceed its configured node budget."""
+    """A computation would pass a size limit of the program."""
 
 
 class SamplingError(RuntimeError):

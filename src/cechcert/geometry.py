@@ -1,4 +1,5 @@
-"""Regions of C^n, the log-modulus exhaustion, and sampling-based certificates.
+"""Regions of C^n, the log-modulus exhaustion in closed form, and lattice and
+segment scans that tests use as oracles.
 
 Points of C^n are stored as 2n real coordinates (x_1, y_1, ..., x_n, y_n).
 Regions are boolean trees of strict scalar inequalities plus a finite bounding
@@ -38,10 +39,8 @@ __all__ = [
     "CLt",
     "CAnd",
     "COr",
-    "CExpModuli",
     "evaluate",
     "Region",
-    "log_moduli_image",
     "GridLabeling",
     "ConvexityVerdict",
     "rho",
@@ -229,17 +228,6 @@ class COr:
         return {"op": "or", "items": [i.to_jsonable() for i in self.items]}
 
 
-@dataclass(frozen=True)
-class CExpModuli:
-    """`item` evaluated at (e^{x_1}, 0, ..., e^{x_n}, 0): a constraint that
-    depends only on the moduli |z_j|, read in log-moduli coordinates."""
-
-    item: object
-
-    def to_jsonable(self):
-        return {"op": "exp_moduli", "item": self.item.to_jsonable()}
-
-
 def evaluate(node, pts: np.ndarray) -> np.ndarray:
     """Values of an expression, or the mask of a constraint, on a batch of
     (m, 2n) coordinates.
@@ -289,13 +277,6 @@ def _value(e, pts: np.ndarray, memo: dict) -> np.ndarray:
             if out.all():
                 break
         return out
-    if t is CExpModuli:
-        moduli = np.zeros_like(pts)
-        moduli[:, 0::2] = np.exp(pts[:, 0::2])
-        # |z_j| = e^{x_j} and log|z_j| = x_j are known, not recomputed
-        coords = range(pts.shape[1] // 2)
-        inner = {(k, j): a[:, 2 * j] for k, a in (("abs", moduli), ("log", pts)) for j in coords}
-        return _value(e.item, moduli, inner)
     if t is SConst:
         return np.full(m, e.value)
     if t is SX:
@@ -395,14 +376,6 @@ class Region:
             "constraint": self.constraint.to_jsonable(),
             "bbox": self.bbox.tolist(),
         }
-
-
-def log_moduli_image(region: Region, lo: float, hi: float) -> Region:
-    """The image of a region that depends only on the moduli |z_j| under
-    z -> (log|z_1|, ..., log|z_n|), on the box [lo, hi]^n of the real slice
-    (every y_j has zero width).  Points with some z_j = 0 have no image."""
-    bbox = np.array([[lo, hi], [0.0, 0.0]] * (region.dim2n // 2))
-    return Region(f"log|{region.name}|", CExpModuli(region.constraint), bbox)
 
 
 def ball_region(center: Sequence[float], radius: float, name: str = "ball") -> Region:

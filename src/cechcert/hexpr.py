@@ -246,6 +246,7 @@ class MatExpr:
         }
 
 
+@functools.cache  # frozen, so shared; bundles._report caches normal forms by id
 def mat_identity(r: int) -> MatExpr:
     return MatExpr(
         tuple(tuple(Const(1 if a == b else 0) for b in range(r)) for a in range(r))

@@ -21,7 +21,7 @@ from cechcert.covers import (
     tube_cover_dim2,
     up_ball,
 )
-from cechcert.geometry import CAnd, COr, Region, ball_region, grid_components, log_moduli_image
+from cechcert.geometry import CAnd, COr, Region, ball_region, grid_components
 
 
 def _ref(e, xy):
@@ -60,9 +60,6 @@ def _ref(e, xy):
         return any(_ref(i, xy) for i in e["items"])
     if op == "not":
         return not _ref(e["item"], xy)
-    if op == "exp_moduli":
-        moduli = [math.exp(v) if i % 2 == 0 else 0.0 for i, v in enumerate(xy)]
-        return _ref(e["item"], moduli)
     raise AssertionError(f"unknown op {op}")
 
 
@@ -77,7 +74,6 @@ def _regions():
             Region("Omega\\K_delta", no_k, shell.bbox),
             shell,
             omega_prime_region(n, eps, up),
-            log_moduli_image(shell, -(math.sqrt(eps + delta) + 0.5), math.log(shell.bbox[0, 1])),
         ]
     for cover in (dim2_cover(4.0), tube_cover_dim2(1.0)):
         out += [cover.ambient] + [reg for _, reg in cover.sets]

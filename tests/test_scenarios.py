@@ -2,12 +2,14 @@
 
 import json
 import math
+import time
 
 import pytest
 
 from cechcert import cli, covers, scenarios
 from cechcert.cli import main
-from cechcert.errors import DomainError, SamplingError
+from cechcert.errors import DomainError, ResourceError, SamplingError
+from cechcert.geometry import ball_region
 from cechcert.nerve import IntCochain
 from cechcert.report import CertificateReport, emit_report
 from cechcert.scenarios import (
@@ -156,8 +158,7 @@ def test_dim2_passes_at_zero_tolerance():
 def test_report_config_echoes_the_fields_its_pipeline_reads(dim2_report, dimn_report):
     assert set(json.loads(dim2_report.to_json())["config"]) == {"r", "samples", "seed", "tol_cocycle"}
     assert set(json.loads(dimn_report.to_json())["config"]) == {
-        "n", "epsilon", "step", "samples", "seed", "safety",
-        "tol_cocycle", "budget_nodes", "run_connectivity",
+        "n", "epsilon", "samples", "seed", "safety", "tol_cocycle", "run_connectivity",
     }
 
 
@@ -240,12 +241,59 @@ def test_cli_dimn_small_hole_passes(tmp_path):
     assert main(["dimn", "--n", "2", "--epsilon", "1.9", "--samples", "300", "--out", str(out)]) == 0
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["connectivity"]["status"] == "pass"
-    assert checks["connectivity"]["metrics"]["log_moduli_image"]["component_count"] == 2
+    metrics = checks["connectivity"]["metrics"]
+    assert metrics["shell_outer_log_radius"] < metrics["omega_log_ball_radius"]
 
 
-def test_cli_dimn_coarse_step_is_refused(tmp_path, capsys):
-    assert main(["dimn", "--n", "2", "--step", "5", "--out", str(tmp_path / "x.json")]) == 2
-    assert "lattice step 5 is not below" in capsys.readouterr().err
+def test_cli_refuses_sector_nerves_past_the_limit(tmp_path, capsys):
+    # the refusal comes before any set, sample or simplex is built
+    for argv, n in (
+        (["dimn", "--n", "6"], 6),
+        (["dimn", "--n", "30"], 30),
+        (["cohomology-torus", "--n", "5"], 5),
+    ):
+        t0 = time.monotonic()
+        assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
+        assert time.monotonic() - t0 < 10.0
+        err = capsys.readouterr().err
+        assert f"error: n = {n}: the sector nerve has at least" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def test_nerve_limit_accepts_dimn_n5_and_torus_n4(monkeypatch):
+    # the first sampling of run_dimn and the first cover of the rank table
+    # run only past the size check
+    monkeypatch.setattr(scenarios, "sample_tube", _reached)
+    monkeypatch.setattr(covers, "torus_cover", _reached)
+    with pytest.raises(_Reached):
+        run_dimn(_fast_cfg(n=5))
+    with pytest.raises(_Reached):
+        torus_rank_table(4)
+    with pytest.raises(ResourceError, match="n = 6: the sector nerve has at least 679,120 simplices"):
+        run_dimn(_fast_cfg(n=6))
+    with pytest.raises(ResourceError, match="n = 5: the sector nerve has at least 4,514,872 simplices"):
+        torus_rank_table(5)
+
+
+def test_dimn_up_ball_leaving_the_definite_window_fails(monkeypatch):
+    # a ball about p reaching past |z_j| = e: some Hessian block is not definite
+    n, eps = 2, 1.0
+    p = covers.p_point(n, eps)
+    radius = 1.01 * (math.e - abs(p.z(0)))
+    monkeypatch.setattr(covers, "up_ball", lambda n, eps, safety: ball_region(p.xy, radius))
+    rep = run_dimn(_fast_cfg())
+    check = {c.name: c for c in rep.checks}["up-ball"]
+    assert check.status == "fail"
+    assert check.metrics["modulus_range"][1] > math.e
 
 
 @pytest.mark.parametrize(
@@ -262,6 +310,8 @@ def test_cli_dimn_coarse_step_is_refused(tmp_path, capsys):
         ["dim2", "--tol-chern", "1"],
         ["dim2", "--budget-nodes", "3"],
         ["dimn", "--r", "9"],
+        ["dimn", "--step", "0.1"],
+        ["dimn", "--budget-nodes", "1000"],
         ["dimn", "--tol-chern", "1"],
         ["selftest", "--tol-chern", "1"],
         ["selftest", "--step", "9"],
@@ -284,20 +334,22 @@ def test_cli_config_error_exit(tmp_path):
 def test_cli_rejects_zero_samples(tmp_path, capsys):
     assert main(["dimn", "--samples", "0", "--out", str(tmp_path / "x.json")]) == 2
     assert "samples must be positive" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="budget_nodes"):
-        ScenarioConfig(budget_nodes=0)
+    with pytest.raises(ValueError, match="r must be positive"):
+        ScenarioConfig(r=0.0)
 
 
 @pytest.mark.parametrize(
-    "argv, field",
+    "argv, message",
     [
-        (["dimn", "--epsilon", "nan"], "epsilon"),
-        (["dimn", "--epsilon", "inf"], "epsilon"),
-        (["dim2", "--r", "inf"], "r"),
-        (["cohomology-torus", "--epsilon", "nan"], "epsilon"),
-        (["cohomology-torus", "--epsilon", "inf"], "epsilon"),
-        (["hessian-scan", "--lo", "nan"], "lo"),
-        (["hessian-scan", "--hi", "inf"], "hi"),
+        (["dimn", "--epsilon", "nan"], "epsilon must be finite"),
+        (["dimn", "--epsilon", "inf"], "epsilon must be finite"),
+        (["dim2", "--r", "inf"], "r must be finite"),
+        (["cohomology-torus", "--epsilon", "nan"], "epsilon must be finite"),
+        (["cohomology-torus", "--epsilon", "inf"], "epsilon must be finite"),
+        (["hessian-scan", "--lo", "nan"], "lo must be finite"),
+        (["hessian-scan", "--hi", "inf"], "hi must be finite"),
+        (["hessian-scan", "--count", "0"], "count must be at least 1, got 0"),
+        (["hessian-scan", "--count", "-1"], "count must be at least 1, got -1"),
     ],
     ids=[
         "dimn-epsilon-nan",
@@ -307,13 +359,17 @@ def test_cli_rejects_zero_samples(tmp_path, capsys):
         "torus-epsilon-inf",
         "hessian-lo-nan",
         "hessian-hi-inf",
+        "hessian-count-0",
+        "hessian-count-negative",
     ],
 )
-def test_cli_rejects_non_finite_settings(argv, field, tmp_path, capsys):
+def test_cli_rejects_non_finite_settings(argv, message, tmp_path, capsys):
+    # and counts below one, which leave nothing to scan
     assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
-    assert f"error: {field} must be finite" in err
+    assert f"error: {message}" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_cli_computation_error_exit(tmp_path, monkeypatch, capsys):
