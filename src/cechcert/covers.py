@@ -4,9 +4,10 @@ Two families live here.  The first is the four-real-dimensional slab D_r with
 the totally real plane K = {y1 = y2 = 0} removed, its two-set cover whose
 overlap has two components, and the exponential chart onto a log-modulus tube.
 The second is the tube G_eps around the unit torus in C^n, its product-arc
-sector cover, the clutching line bundle on it, the ball Omega, the
-outside-plus-ball set Omega', and Omega minus a shell around the tube's
-boundary, whose two pieces the connectivity check tells apart.
+sector covers (sectored in z_1..z_n for the rank table, in z_1, z_2 for the
+clutching line bundle), the ball Omega, the outside-plus-ball set Omega', and
+Omega minus a shell around the tube's boundary, whose two pieces the
+connectivity check tells apart.
 """
 
 from __future__ import annotations
@@ -221,9 +222,9 @@ def tube_bundle_dim2(cover: Cover, nerve: ResolvedNerve) -> BundleData:
 # Product-arc sector covers of G_eps
 
 
-def sector_letters(n: int) -> list[tuple[str, ...]]:
-    """All 2^n sector labels, 'A' and 'B' per coordinate, A-first order."""
-    return list(itertools.product("AB", repeat=n))
+def sector_letters(d: int) -> list[tuple[str, ...]]:
+    """All 2^d sector labels, 'A' and 'B' per sectored coordinate, A-first order."""
+    return list(itertools.product("AB", repeat=d))
 
 
 def _sector_constraint(letters: tuple[str, ...], eps: float) -> CAnd:
@@ -238,40 +239,31 @@ def _sector_constraint(letters: tuple[str, ...], eps: float) -> CAnd:
     return CAnd(tuple(items))
 
 
-def torus_cover(n: int, eps: float) -> Cover:
-    """2^n sector sets covering G_eps: per coordinate, either the wide arc
-    around arg 0 (A) or the wide arc around arg pi (B), fattened radially."""
+def torus_cover(n: int, eps: float, d: Optional[int] = None) -> Cover:
+    """2^d sector sets covering G_eps in C^n: per coordinate z_1..z_d (default
+    d = n), either the wide arc around arg 0 (A) or the wide arc around arg pi
+    (B), fattened radially; at d = 2 the n = 2 sets' constraint trees."""
     g = g_eps_region(n, eps)
     sets = []
-    for letters in sector_letters(n):
+    for letters in sector_letters(n if d is None else d):
         name = "S_" + "".join(letters)
         sets.append((name, Region(name, _sector_constraint(letters, eps), g.bbox)))
     return Cover(g, sets)
 
 
-def _diff_coords(tup: tuple[int, ...], letters: list[tuple[str, ...]]) -> list[int]:
-    n = len(letters[0])
-    return [j for j in range(n) if len({letters[i][j] for i in tup}) == 2]
-
-
 def _torus_patch(
-    tup: tuple[int, ...], letters: list[tuple[str, ...]]
+    tup: tuple[int, ...], letters: list[tuple[str, ...]], n: int
 ) -> AnalyticPatch:
     """Components of a sector intersection: one per up/down choice at every
-    coordinate where both letters occur (the two short arcs of A meet B)."""
-    n = len(letters[0])
-    diff = _diff_coords(tup, letters)
+    sectored coordinate where both letters occur (the two short arcs of A
+    meet B).  Representatives put z_j = 1 past the sectored coordinates."""
+    d = len(letters[0])
+    diff = [j for j in range(d) if len({letters[i][j] for i in tup}) == 2]
+    args = [0.0 if c == "A" else math.pi for c in letters[tup[0]]] + [0.0] * (n - d)
     reps = []
-    for bits in itertools.product((0, 1), repeat=len(diff)):
-        args = []
-        bit_at = dict(zip(diff, bits))
-        for j in range(n):
-            if j in bit_at:
-                args.append(math.pi / 2 if bit_at[j] == 0 else -math.pi / 2)
-            elif letters[tup[0]][j] == "A":
-                args.append(0.0)
-            else:
-                args.append(math.pi)
+    for ups in itertools.product((math.pi / 2, -math.pi / 2), repeat=len(diff)):
+        for j, a in zip(diff, ups):
+            args[j] = a
         reps.append(CPoint.from_complex([complex(math.cos(a), math.sin(a)) for a in args]))
 
     def locate(p: CPoint, _diff=tuple(diff)) -> int:
@@ -283,24 +275,25 @@ def _torus_patch(
     return AnalyticPatch(reps, locate)
 
 
-def torus_resolution(n: int, eps: float, k_max: int) -> Resolution:
-    letters = sector_letters(n)
+def torus_resolution(n: int, eps: float, k_max: int, d: Optional[int] = None) -> Resolution:
+    """Analytic component data for `torus_cover(n, eps, d)` up to k_max + 1 sets."""
+    letters = sector_letters(n if d is None else d)
     patches = {}
     for size in range(1, min(k_max + 2, len(letters) + 1)):
         for tup in itertools.combinations(range(len(letters)), size):
-            patches[tup] = _torus_patch(tup, letters)
+            patches[tup] = _torus_patch(tup, letters, n)
     return Resolution(patches=patches)
 
 
-def lnt_bundle(cover: Cover, nerve: ResolvedNerve, n: int) -> BundleData:
-    """Clutching line bundle on the sector cover.
+def lnt_bundle(cover: Cover, nerve: ResolvedNerve) -> BundleData:
+    """Clutching line bundle on a sector cover (`torus_cover`).
 
-    Across the two coordinate-1 arcs the transition is 1 on the upper-arc
-    components and z_2^{+-1} on the lower-arc ones (+1 going A to B); all
-    other transitions are 1.  The triple products telescope, so the cocycle
-    identity is exact.
+    Across the two z_1 arcs the transition is 1 on the upper-arc components
+    and z_2^{+-1} on the lower-arc ones (+1 going A to B); all other
+    transitions are 1.  The triple products telescope, so the cocycle
+    identity is exact.  Sectored in z_1, z_2, it is pi^* of the n = 2 bundle.
     """
-    letters = sector_letters(n)
+    letters = sector_letters(len(cover.sets).bit_length() - 1)
     transitions = {}
     for edge in nerve.simplices_of_dim(1):
         i, j = edge
@@ -371,13 +364,13 @@ def mixed_rep(n: int, eps: float, safety: float) -> CPoint:
 
 
 def glued_resolution(
-    n: int, eps: float, safety: float, k_max: int
+    n: int, eps: float, safety: float, k_max: int, d: Optional[int] = None
 ) -> Resolution:
-    """Resolution for the union of the sector cover with the one-set cover of
-    Omega': the sector patches, Omega' as a single declared component, and the
-    single mixed overlap (all-A sector meets U_p inside the tube)."""
-    res = torus_resolution(n, eps, k_max)
-    omega_prime_idx = 2 ** n
+    """Resolution for the union of `torus_cover(n, eps, d)` with the one-set
+    cover of Omega': the sector patches, Omega' as a single declared component,
+    and the single mixed overlap (all-A sector meets U_p inside the tube)."""
+    res = torus_resolution(n, eps, k_max, d)
+    omega_prime_idx = 2 ** (n if d is None else d)
     res.patches[(omega_prime_idx,)] = AnalyticPatch([outer_rep(n, eps)], lambda p: 0)
     res.patches[(0, omega_prime_idx)] = AnalyticPatch([mixed_rep(n, eps, safety)], lambda p: 0)
     return res

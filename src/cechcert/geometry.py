@@ -187,18 +187,6 @@ class SPow:
         return {"op": "pow", "base": self.base.to_jsonable(), "k": self.k}
 
 
-def affine(const: float, *terms: tuple[float, object]):
-    """Convenience builder for const + sum(c_i * e_i)."""
-    parts: list = [] if const == 0.0 else [SConst(const)]
-    for c, e in terms:
-        parts.append(e if c == 1.0 else SProd((SConst(c), e)))
-    if not parts:
-        return SConst(0.0)
-    if len(parts) == 1:
-        return parts[0]
-    return SSum(tuple(parts))
-
-
 # ---------------------------------------------------------------------------
 # Constraints (boolean trees of strict inequalities)
 
@@ -385,7 +373,7 @@ def ball_region(center: Sequence[float], radius: float, name: str = "ball") -> R
     terms = []
     for i, c in enumerate(center):
         coord = SX(i // 2) if i % 2 == 0 else SY(i // 2)
-        terms.append(SPow(affine(-c, (1.0, coord)), 2))
+        terms.append(SPow(SSum((SConst(-c), coord)) if c else coord, 2))
     constraint = CLt(SSum(tuple(terms)), SConst(radius * radius))
     bbox = np.array([[c - radius, c + radius] for c in center])
     return Region(name, constraint, bbox)
@@ -523,7 +511,10 @@ def up_radius(n: int, eps: float, safety: float) -> float:
     if not (0.0 < safety < 1.0):
         raise ValueError("safety factor must lie in (0, 1)")
     m = math.exp(math.sqrt(eps / n))
-    return safety * min(math.e - m, m - 1.0)
+    radius = safety * min(math.e - m, m - 1.0)
+    if not radius > 0.0:
+        raise DomainError(f"epsilon = {eps} is too small at n = {n}: the U_p radius is {radius}")
+    return radius
 
 
 # ---------------------------------------------------------------------------
@@ -554,23 +545,6 @@ class GridLabeling:
     @property
     def n_in_region(self) -> int:
         return int(self.mask.sum())
-
-    def label_at(self, p: CPoint) -> int:
-        """Component id of the lattice node nearest to p (0 if out of region)."""
-        idx = np.rint((np.asarray(p.xy) - self.origin) / self.step).astype(int)
-        idx = np.clip(idx, 0, np.asarray(self.shape) - 1)
-        return int(self.labels[tuple(idx)])
-
-    def summary_jsonable(self):
-        return {
-            "step": self.step,
-            "origin": self.origin.tolist(),
-            "shape": list(self.shape),
-            "node_count": self.n_nodes,
-            "in_region_count": self.n_in_region,
-            "component_count": self.n_components,
-            "representatives": [list(r.xy) for r in self.representatives],
-        }
 
 
 def grid_components(region: Region, step: float, budget: int = 10_000_000) -> GridLabeling:

@@ -16,6 +16,13 @@ connectivity_check), the clutching bundle on the sector cover with a
 nonvanishing first Chern cocycle, and the gluing with the trivial bundle on
 the outside set, whose result still carries a nonvanishing class while the
 one-set cover of the ball carries none.
+
+At every n the clutching bundle lives on the four sets pi^{-1}(S_ab) & G_eps,
+pi(z) = (z_1, z_2), which iota(w) = (w_1, w_2, 1, ..., 1) pulls back, with the
+bundle, to the n = 2 sector cover (checked exactly by slice_checks).  That
+cover is good (Leray; Bott-Tu, Differential Forms in Algebraic Topology, 1982,
+section 8), so its Chern class is nonzero at every n by naturality; iota(G^2)
+misses U_p, so the same holds for the glued bundle.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .geometry import (
 )
 from .hexpr import Const, MatExpr, as_laurent
 from .nerve import Cover, build_nerve, check_cover, cohomology, is_coboundary
-from .bundles import BundleIso, trivial_bundle
+from .bundles import BundleData, BundleIso, trivial_bundle
 from .report import CertificateReport
 
 __all__ = [
@@ -61,6 +68,7 @@ __all__ = [
     "run_dim2",
     "run_dimn",
     "connectivity_check",
+    "slice_checks",
     "torus_rank_table",
     "hessian_scan_rows",
 ]
@@ -74,8 +82,11 @@ DIMN_FIELDS = ("n", "epsilon", "samples", "seed", "safety", "tol_cocycle", "run_
 SAFETY_CONNECT = 0.9  # U_p of the connectivity check; sets its delta
 FD_STEP = 1e-4  # finite-difference step of the Hessian cross-check at p
 DIMN_KMAX = 3  # top dimension of the sector nerve of the clutching bundle
-# sum over s <= k_max + 1 of C(2^n, s): dimn at n = 5 has 41,448 simplices and
-# cohomology-torus at n = 4 has 14,892; dimn at n = 6 would have 679,120
+# the finite-difference Hessian at p (step 4) costs O(n^3); a fresh
+# `dimn --n 64` takes about 2 s on a 2-vCPU Xeon
+MAX_DIMN_N = 64
+# sum over s <= k_max + 1 of C(2^n, s): cohomology-torus at n = 4 has 14,892
+# simplices (k_max 5) and at n = 5 would have 4,514,872
 MAX_NERVE_SIMPLICES = 100_000
 
 
@@ -277,7 +288,8 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
         raise DomainError("the tube pipeline needs n >= 2")
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    _refuse_large_nerve(n, DIMN_KMAX)
+    if n > MAX_DIMN_N:
+        raise ResourceError(f"n = {n}: the tube pipeline takes n up to {MAX_DIMN_N}")
     rng = np.random.default_rng(cfg.seed)
     m_samples = cfg.samples
 
@@ -363,7 +375,9 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     # block is definite there, so rho is strictly convex on the ball and
     # G & U_p, a sublevel set of it, is convex
     up = cv.up_ball(n, eps, cfg.safety)
-    lo, hi = _modulus_range(up)
+    mid, radius = up.bbox.mean(axis=1), float(up.bbox[0, 1] - up.bbox[0, 0]) / 2.0
+    center = mid[0::2] + 1j * mid[1::2]  # U_p's, read off its bbox [c - r, c + r]
+    lo, hi = float(np.abs(center).min() - radius), float(np.abs(center).max() + radius)
     rep.add(
         "up-ball",
         1.0 < lo and hi < math.e,
@@ -403,45 +417,46 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
             "check skipped by configuration; the complement connectivity is taken on faith here",
         )
 
-    # (8) the clutching bundle on the sector cover and its Chern class
-    k_max = DIMN_KMAX
-    cover = cv.torus_cover(n, eps)
-    res = cv.torus_resolution(n, eps, k_max)
-    nerve = build_nerve(cover, k_max, res)
-    lnt = cv.lnt_bundle(cover, nerve, n)
+    # (8) the clutching bundle on the four-set cover, its Chern class, and
+    # the slice that carries both back to n = 2
+    k_max, d = DIMN_KMAX, 2  # sectored in z_1, z_2 only
+    cover = cv.torus_cover(n, eps, d)
+    nerve = build_nerve(cover, k_max, cv.torus_resolution(n, eps, k_max, d))
+    lnt = cv.lnt_bundle(cover, nerve)
     coc = validate_cocycle(lnt, tol=cfg.tol_cocycle)
     ch_verdict = is_coboundary(nerve, chern_cocycle(lnt))
-    h2 = cohomology(nerve, 2, "Z")
-    expect_rank = math.comb(n, 2)
+    h2 = cohomology(nerve, 2, "Z")  # H^2 of the 2-torus: the slice nerve is n = 2's
+    slice_ok = slice_checks(lnt, eps)
     rep.add(
         "clutching-bundle",
-        coc.passed and not ch_verdict.yes and h2.free_rank == expect_rank and not h2.torsion,
+        coc.passed and not ch_verdict.yes and h2.free_rank == 1 and not h2.torsion
+        and all(slice_ok.values()),
         {
             "cocycle": coc.to_jsonable(),
             "chern_coboundary": ch_verdict.to_jsonable(),
             "h2_rank": h2.free_rank,
-            "h2_expected": expect_rank,
+            "h2_expected": 1,
             "h2_torsion": list(h2.torsion),
+            "slice": slice_ok,
         },
-        "valid cocycle with a Chern class that admits no primitive",
+        "valid cocycle with a Chern class that admits no primitive; cover and bundle "
+        "restrict exactly to the n = 2 slice",
     )
 
-    # (9) the overlap with the outside set is a single all-A piece; glue
-    overlap = g.intersect(up, name="G&U_p")
-    ov_pts = overlap.sample(min(m_samples, 2000), rng)
-    letters = cv.sector_letters(n)
-    sector_ok = bool(np.all(cover.region(0).mask(ov_pts)))
-    only_a = True
-    for idx in range(1, len(letters)):
-        if np.any(cover.region(idx).mask(ov_pts)):
-            only_a = False
-            break
+    # (9) the overlap with the outside set is a single all-A piece: every
+    # point of U_p has Re z_j > re_min > 0, so it is in arc A, and
+    # 3 Re z_j^2 > 3 re_min^2 >= im_max^2 > Im z_j^2, so it is in no B arc
+    # (x_j < |z_j|/2); glue
+    re_min = float(center.real.min() - radius)
+    im_max = float(np.abs(center.imag).max() + radius)
+    sector_ok = re_min > 0.0
+    only_a = sector_ok and 3.0 * re_min**2 >= im_max**2
     omega_prime = cv.omega_prime_region(n, eps, up)
     out_cover, out_res = cv.one_set_cover(omega_prime, cv.outer_rep(n, eps))
     out_nerve = build_nerve(out_cover, 1, out_res)
     triv = trivial_bundle(out_cover, out_nerve, 1)
     iso = BundleIso({(0, 0): {None: MatExpr(((Const(1),),))}})
-    glued_res = cv.glued_resolution(n, eps, cfg.safety, k_max)
+    glued_res = cv.glued_resolution(n, eps, cfg.safety, k_max, d)
     lcex, iso_rep, coc_rep = glue(lnt, triv, iso, glued_res, k_max=k_max, tol=cfg.tol_cocycle)
     rep.add(
         "overlap-containment-and-glue",
@@ -449,6 +464,8 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
         {
             "overlap_in_base_sector": sector_ok,
             "overlap_only_base_sector": only_a,
+            "up_min_real_part": re_min,
+            "up_max_abs_imag_part": im_max,
             "iso_validation": iso_rep.to_jsonable(),
             "glued_cocycle": coc_rep.to_jsonable(),
         },
@@ -462,19 +479,25 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     o_nerve = build_nerve(o_cover, 3, o_res)
     h1o = cohomology(o_nerve, 1, "Z")
     h2o = cohomology(o_nerve, 2, "Z")
-    restr = restrict_to_sets(lcex, list(range(2 ** n)))
+    restr = restrict_to_sets(lcex, list(range(len(cover.sets))))
     restr_same = restr.transitions == lnt.transitions
+    # iota(G^2_eps) has z_j = 1 for j > 2, at distance sqrt(n - 2) (m - 1) from
+    # p, more than the U_p radius; at n = 2 iota is the identity
+    gap = float(np.linalg.norm(center[2:] - 1.0))
     rep.add(
         "glued-class-obstruction",
         (not cex_verdict.yes)
         and h1o.free_rank == 0
         and h2o.free_rank == 0
-        and restr_same,
+        and restr_same
+        and (n == 2 or gap > radius),
         {
             "chern_coboundary": cex_verdict.to_jsonable(),
             "ball_h1_rank": h1o.free_rank,
             "ball_h2_rank": h2o.free_rank,
             "restriction_identical": restr_same,
+            "slice_distance_to_p": gap,
+            "up_radius": radius,
         },
         "the glued bundle's class has no primitive; the one-set ball cover carries none",
     )
@@ -494,13 +517,28 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     return rep
 
 
-def _modulus_range(ball: Region) -> tuple[float, float]:
-    """(lo, hi) with lo < |z_j| < hi for every j and every z of a ball_region:
-    its bbox is [c - r, c + r] per real coordinate, and |z_j - c_j| < r."""
-    center = ball.bbox.mean(axis=1)
-    r = (ball.bbox[0, 1] - ball.bbox[0, 0]) / 2.0
-    moduli = np.hypot(center[0::2], center[1::2])
-    return float(moduli.min() - r), float(moduli.max() + r)
+def slice_checks(lnt: BundleData, eps: float) -> dict:
+    """Exact checks that iota(w) = (w_1, w_2, 1, ..., 1) carries the clutching
+    bundle on the four-set cover of G_eps in C^n to the n = 2 one: each set's
+    constraint tree is the n = 2 sector's (rho sums over every coordinate, and
+    log 1 = 0), every transition's Laurent form uses z_1 and z_2 only, and the
+    nerves have the same simplices, with iota of each n = 2 representative
+    located to the component of the same index."""
+    nerve, pad = lnt.nerve, (1.0, 0.0) * (lnt.cover.ambient.dim2n // 2 - 2)
+    base = cv.torus_cover(2, eps)
+    base_nerve = build_nerve(base, nerve.k_max, cv.torus_resolution(2, eps, nerve.k_max))
+    sets = [r.constraint for _, r in lnt.cover.sets] == [r.constraint for _, r in base.sets]
+    entries = [e for t in lnt.transitions.values() for M in t.values() for e in sum(M.entries, ())]
+    located = set(base_nerve.simplices) == set(nerve.simplices) and all(
+        len(nerve.components(s)) == len(reps) and nerve.locate(s, w) == ci
+        for s, reps in base_nerve.simplices.items()
+        for ci, w in enumerate(CPoint(rep.xy + pad) for rep in reps)
+    )
+    return {
+        "sets_equal_n2": sets,
+        "transitions_in_z1_z2": all(j < 2 for e in entries for m in as_laurent(e) for j, _ in m),
+        "representatives_located": located,
+    }
 
 
 def connectivity_check(n: int, eps: float, safety: float) -> tuple[bool, dict]:
@@ -560,19 +598,6 @@ def connectivity_check(n: int, eps: float, safety: float) -> tuple[bool, dict]:
     }
 
 
-def _refuse_large_nerve(n: int, k_max: int) -> None:
-    """Refuse, naming n, a sector nerve of more than MAX_NERVE_SIMPLICES
-    simplices up to dimension k_max, before anything is built."""
-    # 2^17 sets alone pass the limit, so a larger n needs no larger binomials
-    sets = 2 ** min(n, MAX_NERVE_SIMPLICES.bit_length())
-    count = sum(math.comb(sets, size) for size in range(1, k_max + 2))
-    if count > MAX_NERVE_SIMPLICES:
-        raise ResourceError(
-            f"n = {n}: the sector nerve has at least {count:,} simplices up to "
-            f"dimension {k_max}, over the limit of {MAX_NERVE_SIMPLICES:,}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Auxiliary commands
 
@@ -585,7 +610,14 @@ def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] =
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
     k_max = n + 1 if k_max is None else k_max
-    _refuse_large_nerve(n, k_max)
+    # refuse, naming n, before anything is built (2^17 sets alone pass the limit)
+    sets = 2 ** min(n, MAX_NERVE_SIMPLICES.bit_length())
+    count = sum(math.comb(sets, size) for size in range(1, k_max + 2))
+    if count > MAX_NERVE_SIMPLICES:
+        raise ResourceError(
+            f"n = {n}: the sector nerve has at least {count:,} simplices up to "
+            f"dimension {k_max}, over the limit of {MAX_NERVE_SIMPLICES:,}"
+        )
     cover = cv.torus_cover(n, eps)
     res = cv.torus_resolution(n, eps, k_max)
     nerve = build_nerve(cover, k_max, res)

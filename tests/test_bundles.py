@@ -115,7 +115,7 @@ def _triple_pairs(nerve) -> int:
 
 def test_lnt_cocycle_many_points(torus2):
     cover, nerve = torus2
-    b = lnt_bundle(cover, nerve, 2)
+    b = lnt_bundle(cover, nerve)
     rep = validate_cocycle(b, tol=1e-9)
     assert rep.passed
     assert rep.points_checked == _triple_pairs(nerve) > 0
@@ -147,7 +147,7 @@ _CHANGES = pytest.mark.parametrize(
 def _broken_lnt(cover, nerve, change):
     """The n = 2 clutching bundle with `change` applied to its first z_2
     transition; returns the bundle, that edge and its component."""
-    b = lnt_bundle(cover, nerve, 2)
+    b = lnt_bundle(cover, nerve)
     for edge in sorted(b.transitions):  # the first edge with a z_2 component
         lower = [ci for ci, m in b.transitions[edge].items() if m.entries[0][0] == Coord(1)]
         if lower:
@@ -212,7 +212,7 @@ def test_inverse_coordinate_must_be_proved_nonzero():
 
 def test_lnt_chern_generates_h2(torus2):
     cover, nerve = torus2
-    b = lnt_bundle(cover, nerve, 2)
+    b = lnt_bundle(cover, nerve)
     cc = chern_cocycle(b)
     assert not cc.is_zero()
     verdict = is_coboundary(nerve, cc)
@@ -224,7 +224,7 @@ def test_lnt_chern_has_no_primitive_at_n4_in_bounded_time():
     # d^1 of the n = 4 sector nerve is 5760 x 640, so the solve must stay sparse
     cover = torus_cover(4, 2.0)
     nerve = build_nerve(cover, 3, torus_resolution(4, 2.0, 3))
-    chern = chern_cocycle(lnt_bundle(cover, nerve, 4))
+    chern = chern_cocycle(lnt_bundle(cover, nerve))
     start = time.perf_counter()
     verdict = is_coboundary(nerve, chern)
     assert time.perf_counter() - start < 30.0
@@ -271,12 +271,13 @@ def _rounded_log_sum(b: BundleData) -> dict:
 
 @pytest.fixture(scope="module", params=[2, 3])
 def clutching_and_glued(request):
-    """The clutching bundle on the sector cover and its gluing with the
-    trivial bundle on Omega', as run_dimn builds them, glued at tol 0."""
+    """The clutching bundle on the full 2^n-set sector cover and its gluing
+    with the trivial bundle on Omega', glued at tol 0 (at n = 2 the cover is
+    run_dimn's)."""
     n = request.param
     eps, safety = n / 2.0, 0.5
     cover = torus_cover(n, eps)
-    lnt = lnt_bundle(cover, build_nerve(cover, 3, torus_resolution(n, eps, 3)), n)
+    lnt = lnt_bundle(cover, build_nerve(cover, 3, torus_resolution(n, eps, 3)))
     out_cover, out_res = one_set_cover(
         omega_prime_region(n, eps, up_ball(n, eps, safety)), outer_rep(n, eps)
     )
@@ -409,12 +410,12 @@ def test_flat_class_examples(tube2):
 def test_flat_class_rejects_non_constant(torus2):
     cover, nerve = torus2
     with pytest.raises(ShapeError):
-        flat_class_test(lnt_bundle(cover, nerve, 2))
+        flat_class_test(lnt_bundle(cover, nerve))
 
 
 def test_restrict_to_sets_is_verbatim(torus2):
     cover, nerve = torus2
-    b = lnt_bundle(cover, nerve, 2)
+    b = lnt_bundle(cover, nerve)
     keep = [0, 1, 2, 3]
     rb = restrict_to_sets(b, keep)
     assert rb.transitions == b.transitions
@@ -577,7 +578,7 @@ def _self_glue_resolution(n: int, k_max: int) -> Resolution:
     for size in range(1, min(k_max + 2, 2 * N + 1)):
         for tup in itertools.combinations(range(2 * N), size):
             under = tuple(sorted({i % N for i in tup}))
-            patches[tup] = _torus_patch(under, letters)
+            patches[tup] = _torus_patch(under, letters, n)
     return Resolution(patches=patches)
 
 
@@ -586,7 +587,7 @@ def test_self_glue_along_own_transitions(torus2):
     matrices reproduces its characteristic cochain on the restriction."""
     cover, nerve = torus2
     n = 2
-    b = lnt_bundle(cover, nerve, n)
+    b = lnt_bundle(cover, nerve)
     copy_cover = Cover(cover.ambient, [("T" + nm, reg) for nm, reg in cover.sets])
     eps = 1.0
     copy_nerve = build_nerve(copy_cover, 3, torus_resolution(n, eps, 3))

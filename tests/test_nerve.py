@@ -209,7 +209,7 @@ def test_every_corrupted_witness_entry_is_caught(case, dim2_nerve, torus_nerve, 
     # negating an entry of an exact witness (or clearing one mod 2) moves
     # y . d by a nonzero multiple of one row of d, so the re-check must fail
     if case == "clutching-n2":
-        nerve, c = torus_nerve, chern_cocycle(lnt_bundle(torus_cover(2, 1.0), torus_nerve, 2))
+        nerve, c = torus_nerve, chern_cocycle(lnt_bundle(torus_cover(2, 1.0), torus_nerve))
     elif case == "dim2":
         nerve, c = dim2_nerve, dim2_generator_cochain()
     else:  # the half-scale push's sign cochain: -1 on component 1 only

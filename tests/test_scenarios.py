@@ -7,10 +7,20 @@ import time
 import pytest
 
 from cechcert import cli, covers, scenarios
+from cechcert.bundles import (
+    BundleData,
+    BundleIso,
+    chern_cocycle,
+    glue,
+    restrict_to_sets,
+    trivial_bundle,
+    validate_cocycle,
+)
 from cechcert.cli import main
 from cechcert.errors import DomainError, ResourceError, SamplingError
-from cechcert.geometry import ball_region
-from cechcert.nerve import IntCochain
+from cechcert.geometry import Region, ball_region
+from cechcert.hexpr import Const, Coord, MatExpr, Product
+from cechcert.nerve import IntCochain, build_nerve, cohomology, delta_rows, is_coboundary
 from cechcert.report import CertificateReport, emit_report
 from cechcert.scenarios import (
     ScenarioConfig,
@@ -246,17 +256,22 @@ def test_cli_dimn_small_hole_passes(tmp_path):
 
 
 def test_cli_refuses_sector_nerves_past_the_limit(tmp_path, capsys):
-    # the refusal comes before any set, sample or simplex is built
-    for argv, n in (
-        (["dimn", "--n", "6"], 6),
-        (["dimn", "--n", "30"], 30),
-        (["cohomology-torus", "--n", "5"], 5),
+    # the refusal comes before any set, sample or simplex is built: the rank
+    # table's 2^n-set nerve past its size limit, and dimn past its ceiling
+    ceiling = scenarios.MAX_DIMN_N
+    for argv, message in (
+        (["cohomology-torus", "--n", "5"], "n = 5: the sector nerve has at least"),
+        (
+            ["dimn", "--n", str(ceiling + 1)],
+            f"n = {ceiling + 1}: the tube pipeline takes n up to {ceiling}",
+        ),
+        (["dimn", "--n", "1000"], "n = 1000: the tube pipeline takes n up to"),
     ):
         t0 = time.monotonic()
         assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
-        assert time.monotonic() - t0 < 10.0
+        assert time.monotonic() - t0 < 2.0
         err = capsys.readouterr().err
-        assert f"error: n = {n}: the sector nerve has at least" in err
+        assert f"error: {message}" in err
         assert "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
 
@@ -271,15 +286,16 @@ def _reached(*args, **kwargs):
 
 def test_nerve_limit_accepts_dimn_n5_and_torus_n4(monkeypatch):
     # the first sampling of run_dimn and the first cover of the rank table
-    # run only past the size check
+    # run only past the size checks
     monkeypatch.setattr(scenarios, "sample_tube", _reached)
     monkeypatch.setattr(covers, "torus_cover", _reached)
-    with pytest.raises(_Reached):
-        run_dimn(_fast_cfg(n=5))
+    for n in (5, 6, scenarios.MAX_DIMN_N):
+        with pytest.raises(_Reached):
+            run_dimn(_fast_cfg(n=n))
     with pytest.raises(_Reached):
         torus_rank_table(4)
-    with pytest.raises(ResourceError, match="n = 6: the sector nerve has at least 679,120 simplices"):
-        run_dimn(_fast_cfg(n=6))
+    with pytest.raises(ResourceError, match=f"n = {scenarios.MAX_DIMN_N + 1}: the tube pipeline"):
+        run_dimn(_fast_cfg(n=scenarios.MAX_DIMN_N + 1))
     with pytest.raises(ResourceError, match="n = 5: the sector nerve has at least 4,514,872 simplices"):
         torus_rank_table(5)
 
@@ -294,6 +310,166 @@ def test_dimn_up_ball_leaving_the_definite_window_fails(monkeypatch):
     check = {c.name: c for c in rep.checks}["up-ball"]
     assert check.status == "fail"
     assert check.metrics["modulus_range"][1] > math.e
+
+
+def test_dimn_passes_at_tiny_epsilon():
+    # p = exp(sqrt(eps/n)) is 1 + 7e-11 here, so U_p still has a radius
+    assert run_dimn(_fast_cfg(epsilon=1e-20)).overall_pass
+
+
+def test_dimn_runs_the_four_set_cover_past_the_old_nerve_limit(monkeypatch):
+    # no region is rejection-sampled, and the glued cover is the four sector
+    # sets plus Omega' at every n
+    def no_sampling(self, count, rng):
+        raise AssertionError(f"dimn sampled region {self.name!r}")
+
+    monkeypatch.setattr(Region, "sample", no_sampling)
+    rep = run_dimn(_fast_cfg(n=8))
+    assert rep.overall_pass
+    metrics = {c.name: c.metrics for c in rep.checks}
+    clutch = metrics["clutching-bundle"]
+    assert clutch["h2_expected"] == clutch["h2_rank"] == 1
+    assert clutch["cocycle"]["points_checked"] == 16
+    assert all(clutch["slice"].values())
+    assert rep.artifacts["lcex"]["cover"]["ambient"] == "G_4|Omega_prime"
+    assert len(rep.artifacts["lcex"]["cover"]["sets"]) == 5
+
+
+def _check(rep, name):
+    return {c.name: c for c in rep.checks}[name]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_slice_cover_agrees_with_the_full_sector_cover(n):
+    """Oracle: steps 8-10 on the full 2^n-set sector cover give the statuses
+    the four-set slice cover gives, and the iota-image of the slice witness
+    (the n = 2 witness: the slice nerve is n = 2's) is a 2-cycle of the full
+    nerve that pairs to +-1 with its Chern cocycle."""
+    eps, safety, k_max = n / 2.0, 0.5, scenarios.DIMN_KMAX
+    rep = run_dimn(_fast_cfg(n=n))
+    status = {c.name: c.status for c in rep.checks}
+    cover = covers.torus_cover(n, eps)
+    nerve = build_nerve(cover, k_max, covers.torus_resolution(n, eps, k_max))
+    lnt = covers.lnt_bundle(cover, nerve)
+    chern = chern_cocycle(lnt)
+    h2 = cohomology(nerve, 2)
+    clutching = (
+        validate_cocycle(lnt, tol=0.0).passed
+        and not is_coboundary(nerve, chern).yes
+        and h2.free_rank == math.comb(n, 2)
+        and not h2.torsion
+    )
+    up = covers.up_ball(n, eps, safety)
+    out_cover, out_res = covers.one_set_cover(
+        covers.omega_prime_region(n, eps, up), covers.outer_rep(n, eps)
+    )
+    triv = trivial_bundle(out_cover, build_nerve(out_cover, 1, out_res))
+    iso = BundleIso({(0, 0): {None: MatExpr(((Const(1),),))}})
+    lcex, iso_rep, coc_rep = glue(
+        lnt, triv, iso, covers.glued_resolution(n, eps, safety, k_max), k_max=k_max, tol=0.0
+    )
+    glued_class = (
+        not is_coboundary(lcex.nerve, chern_cocycle(lcex)).yes
+        and restrict_to_sets(lcex, list(range(2**n))).transitions == lnt.transitions
+    )
+    full = {
+        "clutching-bundle": clutching,
+        "overlap-containment-and-glue": iso_rep.passed and coc_rep.passed,
+        "glued-class-obstruction": glued_class,
+    }
+    assert all(full.values())
+    assert {name: status[name] for name in full} == {name: "pass" for name in full}
+
+    # iota maps set S_ab of the slice cover into S_abA...A of the full cover
+    full_index = {
+        i: covers.sector_letters(n).index(letters + ("A",) * (n - 2))
+        for i, letters in enumerate(covers.sector_letters(2))
+    }
+    slice_nerve = build_nerve(
+        covers.torus_cover(n, eps, 2), k_max, covers.torus_resolution(n, eps, k_max, 2)
+    )
+    witness = _check(rep, "clutching-bundle").metrics["chern_coboundary"]["witness"]
+    image = {}
+    for e in witness["values"]:
+        s = tuple(full_index[i] for i in e["simplex"])
+        assert list(s) == sorted(s)
+        rep_point = slice_nerve.components(tuple(e["simplex"]))[e["component"]]
+        image[(s, nerve.locate(s, rep_point))] = e["value"]
+    basis = {key: r for r, key in enumerate(nerve.basis(2))}
+    rows = delta_rows(nerve, 1)
+    boundary = {}
+    for key, v in image.items():
+        for col, entry in rows[basis[key]].items():
+            boundary[col] = boundary.get(col, 0) + v * entry
+    assert not any(boundary.values())
+    assert abs(sum(v * chern.get(*key) for key, v in image.items())) == 1
+
+
+def test_dimn_slice_check_fails_on_a_transition_in_z3(monkeypatch):
+    # scaling the frame of set 0 by z_3 keeps a cocycle and its Chern class,
+    # but the bundle is no longer pulled back from n = 2
+    real = covers.lnt_bundle
+
+    def gauged(cover, nerve):
+        b = real(cover, nerve)
+        table = dict(b.transitions)
+        for j in range(1, len(cover.sets)):
+            table[(0, j)] = {
+                ci: MatExpr(((Product((b.edge_matrix(0, j, ci).entries[0][0], Coord(2))),),))
+                for ci in range(len(nerve.components((0, j))))
+            }
+        return BundleData(cover, nerve, 1, table)
+
+    monkeypatch.setattr(covers, "lnt_bundle", gauged)
+    check = _check(run_dimn(_fast_cfg(n=3)), "clutching-bundle")
+    assert check.status == "fail"
+    assert check.metrics["cocycle"]["passed"]
+    assert not check.metrics["chern_coboundary"]["coboundary"]
+    assert check.metrics["slice"] == {
+        "sets_equal_n2": True,
+        "transitions_in_z1_z2": False,
+        "representatives_located": True,
+    }
+
+
+def test_dimn_slice_check_fails_on_a_set_with_an_arc_on_z3(monkeypatch):
+    # S_AA cut down to the arc A of z_3: the slice representatives stay in
+    # it, but its constraint tree is no longer the n = 2 sector's
+    real = covers.torus_cover
+
+    def with_z3_arc(n, eps, d=None):
+        cover = real(n, eps, d)
+        if n == 3:
+            name, reg = cover.sets[0]
+            cover.sets[0] = (name, Region(name, covers._sector_constraint(("A",) * 3, eps), reg.bbox))
+        return cover
+
+    monkeypatch.setattr(covers, "torus_cover", with_z3_arc)
+    check = _check(run_dimn(_fast_cfg(n=3)), "clutching-bundle")
+    assert check.status == "fail"
+    assert check.metrics["slice"] == {
+        "sets_equal_n2": False,
+        "transitions_in_z1_z2": True,
+        "representatives_located": True,
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dimn_up_ball_reaching_a_b_arc_fails_the_overlap_check(n, monkeypatch):
+    # 3 (m - r)^2 < r^2: the ball about p reaches points with x_j < |z_j|/2;
+    # at n = 3 it also reaches the slice z_3 = 1, at distance m - 1 from p
+    eps = n / 2.0
+    p = covers.p_point(n, eps)
+    radius = 0.7 * abs(p.z(0))
+    monkeypatch.setattr(covers, "up_ball", lambda n, eps, safety: ball_region(p.xy, radius))
+    rep = run_dimn(_fast_cfg(n=n))
+    check = _check(rep, "overlap-containment-and-glue")
+    assert check.status == "fail"
+    assert check.metrics["overlap_in_base_sector"]
+    assert not check.metrics["overlap_only_base_sector"]
+    glued = _check(rep, "glued-class-obstruction")
+    assert glued.metrics["slice_distance_to_p"] == pytest.approx(math.sqrt(n - 2) * (abs(p.z(0)) - 1))
+    assert glued.status == ("pass" if n == 2 else "fail")
 
 
 @pytest.mark.parametrize(
@@ -343,6 +519,7 @@ def test_cli_rejects_zero_samples(tmp_path, capsys):
     [
         (["dimn", "--epsilon", "nan"], "epsilon must be finite"),
         (["dimn", "--epsilon", "inf"], "epsilon must be finite"),
+        (["dimn", "--epsilon", "1e-300"], "epsilon = 1e-300 is too small at n = 2"),
         (["dim2", "--r", "inf"], "r must be finite"),
         (["cohomology-torus", "--epsilon", "nan"], "epsilon must be finite"),
         (["cohomology-torus", "--epsilon", "inf"], "epsilon must be finite"),
@@ -354,6 +531,7 @@ def test_cli_rejects_zero_samples(tmp_path, capsys):
     ids=[
         "dimn-epsilon-nan",
         "dimn-epsilon-inf",
+        "dimn-epsilon-1e-300",
         "dim2-r-inf",
         "torus-epsilon-nan",
         "torus-epsilon-inf",
@@ -364,7 +542,8 @@ def test_cli_rejects_zero_samples(tmp_path, capsys):
     ],
 )
 def test_cli_rejects_non_finite_settings(argv, message, tmp_path, capsys):
-    # and counts below one, which leave nothing to scan
+    # and counts below one, which leave nothing to scan, and an epsilon so
+    # small that p rounds onto the torus, which leaves U_p no radius
     assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err
