@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError, ResourceError, SamplingError
 
@@ -571,6 +570,8 @@ def grid_components(region: Region, step: float, budget: int = 10_000_000) -> Gr
         for i0 in range(shape[0]):
             buf[:, 0] = axes[0][i0]
             mask[i0] = region.mask(buf).reshape(shape[1:])
+    from scipy import ndimage  # not at module load: it adds ~0.3 s to every command's start
+
     labels, n_comp = ndimage.label(mask)
     # first in-region node of each component in C scan order, read off the
     # axis-0 slabs in turn until every component has been met

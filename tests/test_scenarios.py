@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import cechcert
 from cechcert import cli, covers, scenarios
 from cechcert.bundles import (
     BundleData,
@@ -454,6 +458,30 @@ def test_dimn_slice_check_fails_on_a_set_with_an_arc_on_z3(monkeypatch):
     }
 
 
+def test_dimn_glued_restriction_differing_from_the_clutching_bundle_fails(monkeypatch):
+    # the glued bundle restricted to the sector sets must carry the clutching
+    # bundle's transitions verbatim; doubling one of them fails step 10 alone
+    real = scenarios.restrict_to_sets
+
+    def altered(b, keep):
+        r = real(b, keep)
+        table = dict(r.transitions)
+        edge = min(table)
+        table[edge] = {
+            ci: MatExpr(((Product((m.entries[0][0], Const(2))),),)) for ci, m in table[edge].items()
+        }
+        return BundleData(r.cover, r.nerve, r.rank, table)
+
+    monkeypatch.setattr(scenarios, "restrict_to_sets", altered)
+    rep = run_dimn(_fast_cfg())
+    check = _check(rep, "glued-class-obstruction")
+    assert check.status == "fail"
+    assert check.metrics["restriction_identical"] is False
+    assert not check.metrics["chern_coboundary"]["coboundary"]
+    assert [c.name for c in rep.checks if c.status == "fail"] == ["glued-class-obstruction"]
+    assert rep.to_jsonable()["overall"] == "fail"
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_dimn_up_ball_reaching_a_b_arc_fails_the_overlap_check(n, monkeypatch):
     # 3 (m - r)^2 < r^2: the ball about p reaches points with x_j < |z_j|/2;
@@ -652,3 +680,36 @@ def test_cli_env_out_dir(tmp_path, monkeypatch):
     code = main(["dim2", "--samples", "200"])
     assert code == 0
     assert (tmp_path / "dim2_report.json").exists()
+
+
+_SCIPY_PROBE = """
+import json, sys
+import cechcert.cli
+from cechcert.scenarios import ScenarioConfig
+ScenarioConfig(seed=1)
+out = sys.argv[1]
+for argv in (
+    ["selftest"],
+    ["dim2", "--out", out + "/dim2.json"],
+    ["dimn", "--n", "2", "--out", out + "/dimn2.json"],
+    ["cohomology-torus", "--n", "2", "--out", out + "/torus2.json"],
+    ["hessian-scan", "--out", out + "/hessian.csv"],
+):
+    if cechcert.cli.main(argv) != 0:
+        sys.exit(f"{argv} failed")
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh interpreter: this one has scipy loaded through the test modules
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cechcert.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
