@@ -51,10 +51,7 @@ __all__ = [
     "hessian_fd_residual",
     "grid_components",
     "segment_convexity",
-    "contraction_residual",
     "up_radius",
-    "sample_boundary",
-    "sample_tube",
 ]
 
 
@@ -451,51 +448,36 @@ def real_hessian(z: CPoint) -> np.ndarray:
     return H
 
 
-def _rho_xy(xy: np.ndarray) -> float:
-    total = 0.0
-    for j in range(len(xy) // 2):
-        r = math.hypot(xy[2 * j], xy[2 * j + 1])
-        if r == 0.0:
-            raise DomainError("coordinate vanishes")
-        total += math.log(r) ** 2
-    return total
-
-
 def hessian_fd_residual(z: CPoint, h: float) -> float:
-    """Max entry difference between the closed-form Hessian and central differences."""
+    """Max entry difference between the closed-form Hessian and central differences.
+
+    rho is a sum of per-coordinate terms, so its off-block second partials
+    vanish identically; each 2x2 block is differenced on its own coordinate's
+    term (log|z_j|)^2 alone, O(n) in all.
+    """
     if h <= 0.0:
         raise DomainError("finite-difference step must be positive")
     for j in range(z.n):
         if abs(z.z(j)) <= 2.0 * h:
             raise DomainError("point too close to a coordinate axis for the given step")
-    xy = np.asarray(z.xy, dtype=float)
-    m = len(xy)
-    fd = np.zeros((m, m))
-    f0 = _rho_xy(xy)
-    for a in range(m):
-        ea = np.zeros(m)
-        ea[a] = h
-        fd[a, a] = (_rho_xy(xy + ea) + _rho_xy(xy - ea) - 2.0 * f0) / (h * h)
-        for b in range(a + 1, m):
-            eb = np.zeros(m)
-            eb[b] = h
-            v = (
-                _rho_xy(xy + ea + eb)
-                - _rho_xy(xy + ea - eb)
-                - _rho_xy(xy - ea + eb)
-                + _rho_xy(xy - ea - eb)
-            ) / (4.0 * h * h)
-            fd[a, b] = fd[b, a] = v
-    return float(np.max(np.abs(fd - real_hessian(z))))
+    worst = 0.0
+    for j in range(z.n):
+        x, y = z.xy[2 * j], z.xy[2 * j + 1]
 
+        def f(a: float, b: float) -> float:
+            return math.log(math.hypot(x + a * h, y + b * h)) ** 2
 
-def contraction_residual(z: CPoint, t: float) -> float:
-    """Residual of the radial-contraction identity rho(H(z,t)) = (1-t)^2 rho(z)."""
-    _check_off_axes(z)
-    zs = z.to_complex()
-    img = np.abs(zs) ** (-t) * zs
-    r_img = float(sum(math.log(abs(w)) ** 2 for w in img))
-    return abs(r_img - (1.0 - t) ** 2 * rho(z))
+        f0 = f(0, 0)
+        mixed = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4.0 * h * h)
+        fd = np.array(
+            [
+                [(f(1, 0) + f(-1, 0) - 2.0 * f0) / (h * h), mixed],
+                [mixed, (f(0, 1) + f(0, -1) - 2.0 * f0) / (h * h)],
+            ]
+        )
+        closed = 2.0 / abs(z.z(j)) ** 4 * hessian_block(z.z(j))
+        worst = max(worst, float(np.max(np.abs(fd - closed))))
+    return worst
 
 
 def up_radius(n: int, eps: float, safety: float) -> float:
@@ -632,28 +614,3 @@ def segment_convexity(region: Region, trials: int, seed: int) -> ConvexityVerdic
             trials, (CPoint(tuple(p1[i])), CPoint(tuple(p2[i])), float(t[i]))
         )
     return ConvexityVerdict(trials)
-
-
-# ---------------------------------------------------------------------------
-# Tube samplers (exact parametrizations, used by the certificates)
-
-
-def sample_boundary(n: int, eps: float, count: int, rng: np.random.Generator) -> list[CPoint]:
-    """Points exactly on the level set rho = eps (up to float rounding)."""
-    u = rng.normal(size=(count, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    logs = math.sqrt(eps) * u
-    args = rng.uniform(-math.pi, math.pi, size=(count, n))
-    zs = np.exp(logs + 1j * args)
-    return [CPoint.from_complex(row) for row in zs]
-
-
-def sample_tube(n: int, eps: float, count: int, rng: np.random.Generator) -> list[CPoint]:
-    """Points inside the tube rho < eps, uniform in the log-modulus ball."""
-    u = rng.normal(size=(count, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    radii = math.sqrt(eps) * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / n)
-    logs = radii * u
-    args = rng.uniform(-math.pi, math.pi, size=(count, n))
-    zs = np.exp(logs + 1j * args)
-    return [CPoint.from_complex(row) for row in zs]

@@ -27,14 +27,11 @@ from cechcert.covers import (
 )
 from cechcert.geometry import (
     CPoint,
-    contraction_residual,
     hessian_block_det,
     hessian_block_trace,
     hessian_fd_residual,
     levi_form,
     real_hessian,
-    sample_boundary,
-    sample_tube,
     segment_convexity,
 )
 from cechcert.hexpr import Const
@@ -49,6 +46,7 @@ from cechcert.scenarios import (
 )
 
 from test_bundles import _ball_glue_instance
+from tube_samplers import contraction_residual, sample_boundary, sample_tube
 
 
 def _verdict(num: int, name: str, ok: bool) -> None:

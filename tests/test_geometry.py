@@ -1,15 +1,17 @@
-"""Closed forms, sampling certificates, and grid connectivity primitives."""
+"""Closed forms, the sampled tube oracle, and grid connectivity primitives."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+import sympy as sp
 
+from cechcert import geometry
 from cechcert.errors import DomainError, ResourceError
 from cechcert.geometry import (
     CPoint,
     ball_region,
-    contraction_residual,
     grid_components,
     hessian_block,
     hessian_block_det,
@@ -18,12 +20,12 @@ from cechcert.geometry import (
     levi_form,
     real_hessian,
     rho,
-    sample_boundary,
-    sample_tube,
     segment_convexity,
     up_radius,
 )
 from cechcert.covers import g_eps_region, omega_region, p_point, up_ball
+
+from tube_samplers import contraction_residual, sample_boundary, sample_tube
 
 
 def test_rho_examples():
@@ -100,6 +102,75 @@ def test_hessian_fd_agreement():
             args = rng.uniform(-math.pi, math.pi, size=n)
             z = CPoint.from_complex(mods * np.exp(1j * args))
             assert hessian_fd_residual(z, 1e-4) < 1e-5
+
+
+def _full_fd_hessian(z, h):
+    # every second partial of rho by central differences, off-block entries
+    # included: the O(n^3) difference the per-block residual replaces
+    def f(v):
+        return sum(math.log(math.hypot(v[2 * j], v[2 * j + 1])) ** 2 for j in range(len(v) // 2))
+
+    xy, m = np.asarray(z.xy), len(z.xy)
+    e = np.eye(m) * h
+    return np.array(
+        [
+            [(f(xy + e[a] + e[b]) - f(xy + e[a] - e[b]) - f(xy - e[a] + e[b]) + f(xy - e[a] - e[b])) / (4 * h * h)
+             for b in range(m)]
+            for a in range(m)
+        ]
+    )
+
+
+def test_hessian_fd_residual_agrees_with_the_full_difference_hessian():
+    # rho's off-block second partials vanish, so differencing the 2x2 blocks
+    # alone leaves out nothing the full 2n x 2n difference would see
+    rng = np.random.default_rng(8)
+    for n in (2, 3):
+        mods = rng.uniform(0.5, 3.0, size=n)
+        z = CPoint.from_complex(mods * np.exp(1j * rng.uniform(-math.pi, math.pi, size=n)))
+        full = _full_fd_hessian(z, 1e-4)
+        blocks = np.kron(np.eye(n), np.ones((2, 2))) > 0
+        assert np.max(np.abs(full[~blocks])) < 1e-5
+        assert np.max(np.abs(full - real_hessian(z))) < 1e-5
+        assert hessian_fd_residual(z, 1e-4) < 1e-5
+
+
+def test_hessian_fd_residual_sees_a_wrong_block(monkeypatch):
+    p = p_point(3, 1.5)
+    assert hessian_fd_residual(p, 1e-4) < 1e-5
+    monkeypatch.setattr(geometry, "hessian_block", lambda zj: 1.001 * hessian_block(zj))
+    assert hessian_fd_residual(p, 1e-4) > 1e-5
+
+
+def test_hessian_fd_residual_is_linear_in_n():
+    p = p_point(64, 32.0)
+    t0 = time.perf_counter()
+    assert hessian_fd_residual(p, 1e-4) < 1e-5
+    assert time.perf_counter() - t0 < 0.5  # the full 128 x 128 difference took over 1 s
+
+
+def test_sympy_confirms_the_levi_diagonal_and_the_hessian_blocks():
+    # rho's term for one coordinate, (log|z|)^2, in z = x + iy
+    x, y = sp.symbols("x y", real=True)
+    r2, lg = x**2 + y**2, sp.log(x**2 + y**2) / 2
+    term = lg**2
+    H = sp.hessian(term, (x, y))
+    # the Levi coefficient d^2/dz dzbar is a quarter of the Laplacian
+    assert sp.simplify((H[0, 0] + H[1, 1]) / 4 - 1 / (2 * r2)) == 0
+    block = sp.Matrix(
+        [[(y * y - x * x) * lg + x * x, x * y * (1 - 2 * lg)], [x * y * (1 - 2 * lg), (x * x - y * y) * lg + y * y]]
+    )
+    assert sp.simplify(H - 2 / r2**2 * block) == sp.zeros(2, 2)
+    assert sp.simplify(block.det() - r2**2 * (lg - lg**2)) == 0
+    assert sp.simplify(block.trace() - r2) == 0
+    for zj in (1.5 + 0.5j, -0.3 + 2.2j, 2.0 - 1.0j, 0.7 - 0.1j, math.e):
+        at = {x: zj.real, y: zj.imag}
+        want = np.array(H.subs(at).evalf(30).tolist(), dtype=float)
+        assert np.allclose(2.0 / abs(zj) ** 4 * hessian_block(zj), want, rtol=1e-12, atol=1e-15)
+        assert hessian_block_det(zj) == pytest.approx(float(block.det().subs(at).evalf(30)), rel=1e-12, abs=1e-15)
+        assert hessian_block_trace(zj) == pytest.approx(float(r2.subs(at)), rel=1e-15)
+        levi = float(((H[0, 0] + H[1, 1]) / 4).subs(at).evalf(30))
+        assert levi_form(CPoint.from_complex([zj]), [1.0]) == pytest.approx(levi, rel=1e-12)
 
 
 def test_hessian_fd_rejects_bad_step():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import cechcert
@@ -22,8 +23,8 @@ from cechcert.bundles import (
 )
 from cechcert.cli import main
 from cechcert.errors import DomainError, ResourceError, SamplingError
-from cechcert.geometry import Region, ball_region
-from cechcert.hexpr import Const, Coord, MatExpr, Product
+from cechcert.geometry import Region, ball_region, hessian_block_det, levi_form
+from cechcert.hexpr import Const, Coord, IntPower, MatExpr, Product, Sum
 from cechcert.nerve import IntCochain, build_nerve, cohomology, delta_rows, is_coboundary
 from cechcert.report import CertificateReport, emit_report
 from cechcert.scenarios import (
@@ -33,6 +34,8 @@ from cechcert.scenarios import (
     run_dimn,
     torus_rank_table,
 )
+
+from tube_samplers import contraction_residual, sample_boundary, sample_tube
 
 
 def _fast_cfg(**kw) -> ScenarioConfig:
@@ -172,7 +175,7 @@ def test_dim2_passes_at_zero_tolerance():
 def test_report_config_echoes_the_fields_its_pipeline_reads(dim2_report, dimn_report):
     assert set(json.loads(dim2_report.to_json())["config"]) == {"r", "samples", "seed", "tol_cocycle"}
     assert set(json.loads(dimn_report.to_json())["config"]) == {
-        "n", "epsilon", "samples", "seed", "safety", "tol_cocycle", "run_connectivity",
+        "n", "epsilon", "seed", "safety", "tol_cocycle", "run_connectivity",
     }
 
 
@@ -243,7 +246,7 @@ def test_cli_dim2(tmp_path):
 
 def test_cli_dimn_failure_exit(tmp_path):
     out = tmp_path / "dimn.json"
-    code = main(["dimn", "--epsilon", "2.5", "--samples", "200", "--out", str(out)])
+    code = main(["dimn", "--epsilon", "2.5", "--out", str(out)])
     assert code == 1
     assert json.loads(out.read_text())["overall"] == "fail"
 
@@ -252,7 +255,7 @@ def test_cli_dimn_small_hole_passes(tmp_path):
     # near eps = n the hole at p is small; the witnesses on the diagonal ray
     # through p still find both components of the log-moduli image
     out = tmp_path / "dimn.json"
-    assert main(["dimn", "--n", "2", "--epsilon", "1.9", "--samples", "300", "--out", str(out)]) == 0
+    assert main(["dimn", "--n", "2", "--epsilon", "1.9", "--out", str(out)]) == 0
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["connectivity"]["status"] == "pass"
     metrics = checks["connectivity"]["metrics"]
@@ -289,9 +292,10 @@ def _reached(*args, **kwargs):
 
 
 def test_nerve_limit_accepts_dimn_n5_and_torus_n4(monkeypatch):
-    # the first sampling of run_dimn and the first cover of the rank table
-    # run only past the size checks
-    monkeypatch.setattr(scenarios, "sample_tube", _reached)
+    # the first call of run_dimn into another module (Omega's radius, in the
+    # boundedness check) and the first cover of the rank table run only past
+    # the size checks
+    monkeypatch.setattr(covers, "omega_radius", _reached)
     monkeypatch.setattr(covers, "torus_cover", _reached)
     for n in (5, 6, scenarios.MAX_DIMN_N):
         with pytest.raises(_Reached):
@@ -482,6 +486,75 @@ def test_dimn_glued_restriction_differing_from_the_clutching_bundle_fails(monkey
     assert rep.to_jsonable()["overall"] == "fail"
 
 
+def _shrunken_omega_radius(n, eps):
+    # radius^2 = 0.9 n e^{2 sqrt(eps)}: below the tube's supremum of |z|^2
+    return math.sqrt(0.9 * n) * math.exp(math.sqrt(eps))
+
+
+def _wrong_contraction_exponent(base, k):
+    # (1 - t)^3 on the scaled side of the contraction identity
+    one_minus_t = Sum((Const(1), Product((Const(-1), Coord(2)))))
+    return IntPower(base, 3 if base == one_minus_t else k)
+
+
+@pytest.mark.parametrize(
+    "name, target, attr, mutant",
+    [
+        pytest.param(name, *rest, id=name)
+        for name, *rest in (
+            ("tube-bounded", covers, "omega_radius", _shrunken_omega_radius),
+            ("levi-lower-bound", scenarios, "levi_form", lambda z, w: 0.5 * levi_form(z, w)),
+            ("contraction-identity", scenarios, "IntPower", _wrong_contraction_exponent),
+            ("negative-control-eps-n", scenarios, "hessian_block_det", lambda z: hessian_block_det(z) + 1e-6),
+        )
+    ],
+)
+def test_dimn_exact_tube_check_can_fail(name, target, attr, mutant, monkeypatch):
+    # at eps = n the pipeline stops after the tube checks, so a mutant that
+    # would upset a later step (Omega's radius) reaches only its own check
+    cfg = _fast_cfg(n=2, epsilon=2.0)
+    assert _check(run_dimn(cfg), name).status == "pass"
+    monkeypatch.setattr(target, attr, mutant)
+    assert _check(run_dimn(cfg), name).status == "fail"
+
+
+def test_dimn_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_dimn asked for a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for n in (2, 3):
+        assert run_dimn(ScenarioConfig(n=n)).overall_pass
+
+
+def test_dimn_checks_and_artifacts_are_identical_across_seeds():
+    def body(seed):
+        payload = json.loads(run_dimn(ScenarioConfig(n=2, seed=seed)).to_json())
+        assert payload["config"]["seed"] == seed
+        return json.dumps([payload["checks"], payload["artifacts"]], sort_keys=True)
+
+    assert body(0) == body(1) == body(7)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dimn_tube_checks_agree_with_the_sampled_oracle(n):
+    # the random samplers the closed-form checks replaced never find a point
+    # past the bounds those checks certify
+    eps = n / 2.0
+    checks = {c.name: c.metrics for c in run_dimn(_fast_cfg(n=n)).checks}
+    rng = np.random.default_rng(n)
+    sup = checks["tube-bounded"]["sup_norm_sq"]
+    assert all(sum(abs(z.z(j)) ** 2 for j in range(n)) < sup for z in sample_tube(n, eps, 2000, rng))
+    lower = checks["levi-lower-bound"]["lower_coeff"]
+    for z in sample_boundary(n, eps, 2000, rng):
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert levi_form(z, w) >= lower * float(np.sum(np.abs(w) ** 2)) - 1e-12
+    for z in sample_tube(n, eps, 500, rng):
+        assert contraction_residual(z, float(rng.uniform(0.0, 1.0))) <= 1e-12
+    for z in sample_boundary(n, float(n), 2000, rng):
+        assert min(hessian_block_det(z.z(j)) for j in range(n)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_dimn_up_ball_reaching_a_b_arc_fails_the_overlap_check(n, monkeypatch):
     # 3 (m - r)^2 < r^2: the ball about p reaches points with x_j < |z_j|/2;
@@ -514,6 +587,7 @@ def test_dimn_up_ball_reaching_a_b_arc_fails_the_overlap_check(n, monkeypatch):
         ["dim2", "--tol-chern", "1"],
         ["dim2", "--budget-nodes", "3"],
         ["dimn", "--r", "9"],
+        ["dimn", "--samples", "300"],
         ["dimn", "--step", "0.1"],
         ["dimn", "--budget-nodes", "1000"],
         ["dimn", "--tol-chern", "1"],
@@ -536,7 +610,7 @@ def test_cli_config_error_exit(tmp_path):
 
 
 def test_cli_rejects_zero_samples(tmp_path, capsys):
-    assert main(["dimn", "--samples", "0", "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["dim2", "--samples", "0", "--out", str(tmp_path / "x.json")]) == 2
     assert "samples must be positive" in capsys.readouterr().err
     with pytest.raises(ValueError, match="r must be positive"):
         ScenarioConfig(r=0.0)
