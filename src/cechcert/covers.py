@@ -252,11 +252,17 @@ def torus_cover(n: int, eps: float, d: Optional[int] = None) -> Cover:
 
 
 def _torus_patch(
-    tup: tuple[int, ...], letters: list[tuple[str, ...]], n: int
+    tup: tuple[int, ...],
+    letters: list[tuple[str, ...]],
+    n: int,
+    points: Optional[dict[tuple[float, ...], CPoint]] = None,
 ) -> AnalyticPatch:
     """Components of a sector intersection: one per up/down choice at every
     sectored coordinate where both letters occur (the two short arcs of A
-    meet B).  Representatives put z_j = 1 past the sectored coordinates."""
+    meet B).  Representatives put z_j = 1 past the sectored coordinates.
+    `points` caches them by their arguments, so patches built with one dict
+    share each distinct point."""
+    points = {} if points is None else points
     d = len(letters[0])
     diff = [j for j in range(d) if len({letters[i][j] for i in tup}) == 2]
     args = [0.0 if c == "A" else math.pi for c in letters[tup[0]]] + [0.0] * (n - d)
@@ -264,7 +270,10 @@ def _torus_patch(
     for ups in itertools.product((math.pi / 2, -math.pi / 2), repeat=len(diff)):
         for j, a in zip(diff, ups):
             args[j] = a
-        reps.append(CPoint.from_complex([complex(math.cos(a), math.sin(a)) for a in args]))
+        key = tuple(args)
+        if key not in points:
+            points[key] = CPoint.from_complex([complex(math.cos(a), math.sin(a)) for a in args])
+        reps.append(points[key])
 
     def locate(p: CPoint, _diff=tuple(diff)) -> int:
         out = 0
@@ -276,12 +285,13 @@ def _torus_patch(
 
 
 def torus_resolution(n: int, eps: float, k_max: int, d: Optional[int] = None) -> Resolution:
-    """Analytic component data for `torus_cover(n, eps, d)` up to k_max + 1 sets."""
+    """Analytic component data for `torus_cover(n, eps, d)` up to k_max + 1
+    sets; the patches share their 4^d distinct representatives."""
     letters = sector_letters(n if d is None else d)
-    patches = {}
+    patches, points = {}, {}
     for size in range(1, min(k_max + 2, len(letters) + 1)):
         for tup in itertools.combinations(range(len(letters)), size):
-            patches[tup] = _torus_patch(tup, letters, n)
+            patches[tup] = _torus_patch(tup, letters, n, points)
     return Resolution(patches=patches)
 
 

@@ -16,8 +16,6 @@ and expressions are safe to share.
 from __future__ import annotations
 
 import functools
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -165,12 +163,17 @@ def laurent_add(p: Laurent, q: Laurent, sign: int = 1) -> Laurent:
 
 
 def laurent_mul(p: Laurent, q: Laurent) -> Laurent:
+    """p * q: the term products summed into one dict, zero coefficients
+    dropped once at the end."""
     out: Laurent = {}
-    for (a, c), (b, d) in itertools.product(p.items(), q.items()):
-        exps = Counter(dict(a))
-        exps.update(dict(b))  # adds exponents, keeping negative sums
-        out = laurent_add(out, {tuple(sorted((j, k) for j, k in exps.items() if k)): c * d})
-    return out
+    for a, c in p.items():
+        for b, d in q.items():
+            exps = dict(a)
+            for j, k in b:
+                exps[j] = exps.get(j, 0) + k
+            m = tuple(sorted((j, k) for j, k in exps.items() if k))
+            out[m] = out.get(m, 0) + c * d
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def as_laurent(e: HExpr) -> Laurent:

@@ -475,8 +475,7 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     omega = cv.omega_region(n, eps)
     o_cover, o_res = cv.one_set_cover(omega, CPoint.from_complex([0.0] * n))
     o_nerve = build_nerve(o_cover, 3, o_res)
-    h1o = cohomology(o_nerve, 1, "Z")
-    h2o = cohomology(o_nerve, 2, "Z")
+    h1o, h2o = cohomology(o_nerve, range(1, 3), "Z")
     restr = restrict_to_sets(lcex, list(range(len(cover.sets))))
     restr_same = restr.transitions == lnt.transitions
     # iota(G^2_eps) has z_j = 1 for j > 2, at distance sqrt(n - 2) (m - 1) from
@@ -601,7 +600,8 @@ def connectivity_check(n: int, eps: float, safety: float) -> tuple[bool, dict]:
 
 
 def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] = None):
-    """Cohomology ranks of the sector cover of the tube, degree by degree."""
+    """Cohomology ranks of the sector cover of the tube, H^0 to H^{k_max - 1},
+    from one pass over the differentials."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     eps = n / 2.0 if eps is None else eps
@@ -620,8 +620,7 @@ def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] =
     res = cv.torus_resolution(n, eps, k_max)
     nerve = build_nerve(cover, k_max, res)
     rows = []
-    for k in range(k_max):
-        h = cohomology(nerve, k, "Z")
+    for k, h in enumerate(cohomology(nerve, range(k_max), "Z")):
         rows.append(
             {
                 "k": k,

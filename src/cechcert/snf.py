@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SNFResult", "smith_divisors", "smith_normal_form", "solve_integer"]
+__all__ = ["SNFResult", "pivot_divisors", "smith_divisors", "smith_normal_form", "solve_integer"]
 
 
 @dataclass
@@ -191,8 +191,14 @@ def smith_divisors(M) -> tuple[int, ...]:
     are copied, not changed.  `smith_normal_form` gets the remainder even when
     it is empty, so a trace of it always shows the dense work that remains.
     """
-    pivots, _, _, R = _eliminate(_rows(M))
-    return (1,) * len(pivots) + smith_normal_form(R).divisors
+    return pivot_divisors(_rows(M))[0]
+
+
+def pivot_divisors(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], set[int]]:
+    """`smith_divisors` of sparse rows, which are eliminated in place, and the
+    set of rows that took a +-1 pivot.  Entries must be nonzero."""
+    pivots, _, _, R = _eliminate(rows)
+    return (1,) * len(pivots) + smith_normal_form(R).divisors, set(pivots)
 
 
 def solve_integer(M, c, modulus: int | None = None):

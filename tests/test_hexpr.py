@@ -1,10 +1,14 @@
 """Holomorphic expression trees, their normal forms, and chart maps."""
 
 import cmath
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechcert.errors import DomainError, ShapeError
 from cechcert.geometry import CPoint
@@ -16,6 +20,8 @@ from cechcert.hexpr import (
     Product,
     Sum,
     as_monomial,
+    laurent_add,
+    laurent_mul,
     subst,
 )
 from cechcert.covers import exp_chart
@@ -76,3 +82,45 @@ def test_exp_chart_roundtrip():
     assert abs(w.z(0) - cmath.exp(1j * p.z(0))) < 1e-14
     back = CPoint.from_complex(-1j * np.log(w.to_complex()))
     assert np.allclose(back.xy, p.xy)
+
+
+def _pairwise_mul(p, q):
+    """Reference product: each pair of terms added on its own with laurent_add."""
+    out = {}
+    for (a, c), (b, d) in itertools.product(p.items(), q.items()):
+        exps = Counter(dict(a))
+        exps.update(dict(b))
+        out = laurent_add(out, {tuple(sorted((j, k) for j, k in exps.items() if k)): c * d})
+    return out
+
+
+_monomials = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(-2, 2)), max_size=3, unique_by=lambda t: t[0]
+).map(lambda m: tuple(sorted((j, k) for j, k in m if k)))
+_laurents = st.dictionaries(
+    _monomials, st.integers(-3, 3).filter(bool).map(complex), max_size=5
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laurents, _laurents, _laurents)
+def test_laurent_mul_matches_the_pairwise_reference(p, q, r):
+    assert laurent_mul(p, q) == _pairwise_mul(p, q)
+    assert laurent_mul(p, {}) == laurent_mul({}, q) == {}
+    # q - r shares monomials with q, so terms of p (q - r) cancel; with r = q
+    # the whole product is zero
+    for s in (laurent_add(q, r, -1), laurent_add(q, q, -1)):
+        assert laurent_mul(p, s) == _pairwise_mul(p, s)
+        rest = laurent_mul(p, laurent_add(q, s, -1))
+        assert laurent_mul(p, s) == laurent_add(laurent_mul(p, q), rest, -1)
+
+
+def test_laurent_mul_drops_cancelled_terms():
+    x, y = {((0, 1),): 1 + 0j}, {((1, 1),): 1 + 0j}
+    # (x + y)(x - y) = x^2 - y^2: the two xy terms cancel
+    prod = laurent_mul(laurent_add(x, y), laurent_add(x, y, -1))
+    assert prod == {((0, 2),): 1 + 0j, ((1, 2),): -1 + 0j} == _pairwise_mul(
+        laurent_add(x, y), laurent_add(x, y, -1)
+    )
+    # x * x^-1 = 1 keeps the constant, with its empty monomial
+    assert laurent_mul(x, {((0, -1),): 2 + 0j}) == {(): 2 + 0j}

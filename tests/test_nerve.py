@@ -1,16 +1,26 @@
 """Resolved nerves, the integer differential, and exact cohomology."""
 
+import contextlib
 import itertools
+import math
 import os
 import subprocess
 import sys
+from datetime import timedelta
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 import cechcert
 
 from cechcert import nerve as nerve_mod
+from cechcert import snf as snf_mod
 from cechcert.errors import NotACocycleError, ResolutionError, VerificationError
 from cechcert.geometry import (
     CAnd,
@@ -38,16 +48,20 @@ from cechcert.nerve import (
 )
 from cechcert.bundles import chern_cocycle
 from cechcert.covers import (
+    _torus_patch,
     dim2_cover,
     dim2_generator_cochain,
     dim2_resolution,
     lnt_bundle,
     one_set_cover,
+    sector_letters,
     torus_cover,
     torus_resolution,
     tube_cover_dim2,
     tube_resolution_dim2,
 )
+from cechcert.scenarios import torus_rank_table
+from cechcert.snf import pivot_divisors as snf_pivot_divisors, smith_divisors
 
 
 @pytest.fixture(scope="module")
@@ -463,3 +477,158 @@ def test_batched_membership_matches_contains(cover, k_max, res):
     simplices, faces = _reference_nerve(cover, k_max, res)
     assert nerve.simplices == simplices
     assert nerve.faces == faces
+
+
+# ---------------------------------------------------------------------------
+# The one-pass table: clearing, its guard, and shared representatives
+
+
+@contextlib.contextmanager
+def _recorded_divisors():
+    """Keep the divisors of each elimination `cohomology` makes, in order."""
+    seen = []
+
+    def recording(rows):
+        out = snf_pivot_divisors(rows)
+        seen.append(out[0])
+        return out
+
+    with patch.object(nerve_mod, "pivot_divisors", recording):
+        yield seen
+
+
+@pytest.mark.parametrize(
+    "cover, k_max, res",
+    [
+        (dim2_cover(4.0), 2, dim2_resolution()),
+        (torus_cover(2, 1.0), 3, torus_resolution(2, 1.0, 3)),
+        (torus_cover(3, 1.5), 4, torus_resolution(3, 1.5, 4)),
+    ],
+    ids=["dim2", "torus-n2", "torus-n3"],
+)
+def test_cleared_table_divisors_match_the_full_differentials(cover, k_max, res):
+    nerve = build_nerve(cover, k_max, res)
+    with _recorded_divisors() as seen:
+        table = cohomology(nerve, range(k_max))
+    # d^{-1}, d^0, ..., d^{k_max - 1}, each eliminated once, in rising degree
+    assert seen == [smith_divisors(delta_rows(nerve, k)) for k in range(-1, k_max)]
+    assert table == [cohomology(nerve, k) for k in range(k_max)]
+    z2 = cohomology(nerve, range(1, k_max), ring="Z2")
+    assert z2 == [cohomology(nerve, k, ring="Z2") for k in range(1, k_max)]
+
+
+def _unimodular(size: int, ops: list[tuple[int, int, int]]):
+    """U and U^-1 from row operations row_i += c row_j on the identity."""
+    U, Uinv = np.eye(size, dtype=np.int64), np.eye(size, dtype=np.int64)
+    for i, j, c in ops:
+        if size > 1 and i % size != j % size:
+            i, j = i % size, j % size
+            U[i] += c * U[j]
+            Uinv[:, j] -= c * Uinv[:, i]
+    return U, Uinv
+
+
+@st.composite
+def _cochain_complexes(draw):
+    """d^0, d^1, d^2 with d^{k+1} d^k = 0: a normal form, in which d^k maps
+    the coordinates after im d^{k-1} diagonally (torsion factors included)
+    onto the first coordinates of C^{k+1}, conjugated by small unimodular
+    changes of basis."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=4, max_size=4))
+    ops = st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-1, 1]))
+    bases = [_unimodular(m, draw(st.lists(ops, max_size=4))) for m in dims]
+    mats, prev_rank = [], 0
+    for k in range(3):
+        rank = draw(st.integers(0, min(dims[k] - prev_rank, dims[k + 1])))
+        D = np.zeros((dims[k + 1], dims[k]), dtype=np.int64)
+        for i in range(rank):
+            D[i, prev_rank + i] = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+        mats.append(bases[k + 1][0] @ D @ bases[k][1])
+        prev_rank = rank
+    return dims, mats
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=5))
+@given(_cochain_complexes())
+def test_cleared_table_matches_sympy_on_random_complexes(complex_):
+    dims, mats = complex_
+    for k in range(2):
+        assert not (mats[k + 1] @ mats[k]).any()
+    nerve = SimpleNamespace(k_max=3, basis=lambda k: range(dims[k]))
+
+    def rows(_nerve, k):
+        if k < 0:
+            return [{} for _ in range(dims[0])]
+        return [{j: int(v) for j, v in enumerate(row) if v} for row in mats[k]]
+
+    full = [()] + [
+        tuple(int(d) for d in invariant_factors(Matrix(M.tolist()), domain=ZZ) if d)
+        for M in mats
+    ]
+    with patch.object(nerve_mod, "delta_rows", rows), _recorded_divisors() as seen:
+        table = cohomology(nerve, range(3))
+        z2 = cohomology(nerve, range(3), ring="Z2")
+    assert seen == full + full
+    for k, h in enumerate(table):
+        assert h.free_rank == dims[k] - len(full[k + 1]) - len(full[k])
+        assert h.torsion == tuple(d for d in full[k] if d > 1)
+        odd = sum(1 for d in full[k] + full[k + 1] if d % 2)
+        assert z2[k].free_rank == dims[k] - odd
+
+
+@pytest.mark.parametrize("broken_k", [0, 2], ids=["d0", "top"])
+def test_rank_table_guards_every_degree(broken_k, monkeypatch):
+    # torus_rank_table(2) has k_max 3: its top differential is d^2
+    real = delta_rows
+
+    def broken(nerve, k):
+        rows = real(nerve, k)
+        if k == broken_k:
+            rows[0][0] = rows[0].get(0, 0) + 1
+        return rows
+
+    monkeypatch.setattr(nerve_mod, "delta_rows", broken)
+    with pytest.raises(VerificationError, match="not zero"):
+        torus_rank_table(2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_table_builds_and_eliminates_each_differential_once(n, monkeypatch):
+    counts = {"eliminate": 0, "delta_rows": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(snf_mod, "_eliminate", counted("eliminate", snf_mod._eliminate))
+    monkeypatch.setattr(nerve_mod, "delta_rows", counted("delta_rows", delta_rows))
+    rows = torus_rank_table(n)
+    top = n  # k_max = n + 1, so the table runs H^0 .. H^n
+    assert [r["rank"] for r in rows][: n + 1] == [math.comb(n, k) for k in range(n + 1)]
+    assert counts == {"eliminate": top + 2, "delta_rows": top + 2}
+
+
+def test_cohomology_rejects_bad_degree_ranges(torus_nerve):
+    for bad in (range(0), range(0, 3, 2)):
+        with pytest.raises(ValueError, match="range of degrees"):
+            cohomology(torus_nerve, bad)
+    with pytest.raises(ValueError, match="too small"):
+        cohomology(torus_nerve, range(4))
+
+
+def test_torus_resolution_shares_its_representatives():
+    res = torus_resolution(3, 1.5, 4)
+    assert len({id(rep) for p in res.patches.values() for rep in p.reps}) == 4**3
+    sliced = torus_resolution(8, 4.0, 3, 2)
+    assert len({id(rep) for p in sliced.patches.values() for rep in p.reps}) <= 16
+    # one patch at a time, as before the sharing: every point its own object
+    letters = sector_letters(3)
+    unshared = Resolution({s: _torus_patch(s, letters, 3) for s in res.patches})
+    cover = torus_cover(3, 1.5)
+    shared_nerve = build_nerve(cover, 4, res)
+    unshared_nerve = build_nerve(cover, 4, unshared)
+    assert shared_nerve.simplices == unshared_nerve.simplices
+    assert shared_nerve.faces == unshared_nerve.faces
