@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -75,7 +76,10 @@ def _table_ok(rows) -> bool:
     return all(row["rank"] == row["expected"] and not row["torsion"] for row in rows)
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call (not at import, so
+    that importing the CLI stays cheap) and reused by every later `main`."""
     parser = argparse.ArgumentParser(
         prog="cechcert",
         description="Certificates for line bundles over explicit covers: "
@@ -106,7 +110,11 @@ def main(argv=None) -> int:
 
     ps = sub.add_parser("selftest", help="fast end-to-end smoke run")
     _scenario_flags(ps, _SELFTEST_FIELDS)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.cmd == "dim2":

@@ -12,9 +12,11 @@ connectivity check tells apart.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -161,7 +163,12 @@ def g_eps_region(n: int, eps: float, name: Optional[str] = None) -> Region:
     """{sum_j (log|z_j|)^2 < eps} in C^n."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    m = math.exp(math.sqrt(eps))
+    try:
+        m = math.exp(math.sqrt(eps))
+    except OverflowError:
+        raise ValueError(
+            f"epsilon = {eps:g}: the tube's bound e^sqrt(epsilon) on |z_j| overflows a float"
+        ) from None
     bbox = np.array([[-m, m]] * (2 * n))
     return Region(name or f"G_{eps:g}", CLt(SRho(), SConst(eps)), bbox)
 
@@ -251,12 +258,45 @@ def torus_cover(n: int, eps: float, d: Optional[int] = None) -> Cover:
     return Cover(g, sets)
 
 
+@dataclass
+class SectorPatch(AnalyticPatch):
+    """Components of a sector intersection, one per sign word over `diff`,
+    the sectored coordinates where both letters occur: bit 0 when Im z_j > 0,
+    most significant first.  A sector facet's coordinates lie in `diff`, so
+    the face map onto it projects the words and locates nothing."""
+
+    diff: tuple[int, ...] = ()
+
+    def face_map(self, facet: AnalyticPatch) -> Sequence[int]:
+        if isinstance(facet, SectorPatch):
+            table = _sign_projection(self.diff, facet.diff)
+            if table is not None:
+                return table
+        return super().face_map(facet)
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_projection(ds: tuple[int, ...], df: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """The sign word on df of each sign word on ds, in word order; None when
+    df is not inside ds."""
+    if not set(df) <= set(ds):
+        return None
+    shifts = [len(ds) - 1 - ds.index(j) for j in df]
+    out = []
+    for word in range(2 ** len(ds)):
+        c = 0
+        for sh in shifts:
+            c = 2 * c + (word >> sh & 1)
+        out.append(c)
+    return tuple(out)
+
+
 def _torus_patch(
     tup: tuple[int, ...],
     letters: list[tuple[str, ...]],
     n: int,
     points: Optional[dict[tuple[float, ...], CPoint]] = None,
-) -> AnalyticPatch:
+) -> SectorPatch:
     """Components of a sector intersection: one per up/down choice at every
     sectored coordinate where both letters occur (the two short arcs of A
     meet B).  Representatives put z_j = 1 past the sectored coordinates.
@@ -264,7 +304,7 @@ def _torus_patch(
     share each distinct point."""
     points = {} if points is None else points
     d = len(letters[0])
-    diff = [j for j in range(d) if len({letters[i][j] for i in tup}) == 2]
+    diff = tuple(j for j in range(d) if len({letters[i][j] for i in tup}) == 2)
     args = [0.0 if c == "A" else math.pi for c in letters[tup[0]]] + [0.0] * (n - d)
     reps = []
     for ups in itertools.product((math.pi / 2, -math.pi / 2), repeat=len(diff)):
@@ -275,23 +315,34 @@ def _torus_patch(
             points[key] = CPoint.from_complex([complex(math.cos(a), math.sin(a)) for a in args])
         reps.append(points[key])
 
-    def locate(p: CPoint, _diff=tuple(diff)) -> int:
+    def locate(p: CPoint) -> int:
         out = 0
-        for j in _diff:
+        for j in diff:
             out = 2 * out + (0 if p.xy[2 * j + 1] > 0 else 1)
         return out
 
-    return AnalyticPatch(reps, locate)
+    return SectorPatch(reps, locate, diff)
 
 
 def torus_resolution(n: int, eps: float, k_max: int, d: Optional[int] = None) -> Resolution:
     """Analytic component data for `torus_cover(n, eps, d)` up to k_max + 1
-    sets; the patches share their 4^d distinct representatives."""
+    sets.  A patch depends only on which letters each coordinate carries
+    (A, B or both), so the 3^d distinct patches are shared, and they share
+    their 4^d distinct representatives."""
     letters = sector_letters(n if d is None else d)
-    patches, points = {}, {}
+    patches, points, shared = {}, {}, {}
     for size in range(1, min(k_max + 2, len(letters) + 1)):
         for tup in itertools.combinations(range(len(letters)), size):
-            patches[tup] = _torus_patch(tup, letters, n, points)
+            # set i carries B at coordinate j exactly when bit d - 1 - j of i
+            # is 1: `hi` marks where some set carries B, `lo` where all do
+            hi = lo = tup[0]
+            for i in tup[1:]:
+                hi |= i
+                lo &= i
+            patch = shared.get((hi, lo))
+            if patch is None:
+                patch = shared[(hi, lo)] = _torus_patch(tup, letters, n, points)
+            patches[tup] = patch
     return Resolution(patches=patches)
 
 

@@ -4,7 +4,10 @@ A nerve simplex is a sorted tuple of cover-set indices whose intersection is
 nonempty; every simplex carries the list of connected components of that
 intersection, each with one representative point.  Cochains assign one value
 per (simplex, component), which is what makes disconnected overlaps (the
-situation the whole construction turns on) expressible.
+situation the whole construction turns on) expressible.  The face maps are
+integer tables: for each (simplex, component) of degree k, the position in the
+degree-(k-1) basis of its component on each facet, which is all the
+differential reads.
 
 Sign convention: simplices are stored as sorted index tuples and the
 differential is the alternating sum over dropped indices,
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -82,10 +85,15 @@ class Cover:
 @dataclass
 class AnalyticPatch:
     """Analytic component data for one intersection: representatives in
-    component order plus a labeling function used for face maps."""
+    component order plus a labeling function that names a point's component."""
 
     reps: list[CPoint]
     locate: Callable[[CPoint], int]
+
+    def face_map(self, facet: "AnalyticPatch") -> Sequence[int]:
+        """The component of `facet`'s intersection that holds each of these
+        components, in component order: the facet locates each representative."""
+        return [facet.locate(rep) for rep in self.reps]
 
 
 @dataclass
@@ -97,22 +105,27 @@ class Resolution:
 
 
 class ResolvedNerve:
-    """The nerve of a cover with every intersection resolved into components."""
+    """The nerve of a cover with every intersection resolved into components.
+
+    `face_tables[k]`, for each built degree k >= 1, holds one tuple per element
+    of `basis(k)`: its entry m is the position in `basis(k - 1)` of the face
+    component on the m-th facet (the simplex without its m-th index)."""
 
     def __init__(
         self,
         cover: Cover,
         k_max: int,
         simplices: dict[Simplex, list[CPoint]],
-        faces: dict[tuple[Simplex, int, int], int],
+        face_tables: dict[int, list[tuple[int, ...]]],
         locators: dict[Simplex, Callable[[CPoint], int]],
     ) -> None:
         self.cover = cover
         self.k_max = k_max
         self.simplices = simplices
-        self.faces = faces
+        self.face_tables = face_tables
         self.locators = locators
         self._basis: dict[int, list[tuple[Simplex, int]]] = {}
+        self._offset: dict[Simplex, int] = {}
 
     def simplices_of_dim(self, k: int) -> list[Simplex]:
         return sorted(s for s in self.simplices if len(s) == k + 1)
@@ -125,34 +138,48 @@ class ResolvedNerve:
         if k not in self._basis:
             out = []
             for s in self.simplices_of_dim(k):
-                for ci in range(len(self.simplices[s])):
-                    out.append((s, ci))
+                self._offset[s] = len(out)
+                out.extend((s, ci) for ci in range(len(self.simplices[s])))
             self._basis[k] = out
         return self._basis[k]
 
+    def offset(self, simplex: Simplex) -> int:
+        """The position of (simplex, 0) in the basis of its degree."""
+        if simplex not in self._offset:
+            self.basis(len(simplex) - 1)
+        return self._offset[simplex]
+
     def face_component(self, simplex: Simplex, comp: int, m: int) -> int:
-        return self.faces[(simplex, comp, m)]
+        col = self.face_tables[len(simplex) - 1][self.offset(simplex) + comp][m]
+        return col - self.offset(simplex[:m] + simplex[m + 1 :])
 
     def locate(self, simplex: Simplex, z: CPoint) -> int:
         return self.locators[simplex](z)
 
     def subnerve(self, keep: list[int]) -> "ResolvedNerve":
-        """Exact restriction to a subset of cover sets, reindexed."""
+        """Exact restriction to a subset of cover sets (in increasing order),
+        reindexed."""
+        if any(a >= b for a, b in zip(keep, keep[1:])):
+            raise ValueError(f"subnerve needs increasing set indices, got {keep}")
         old_to_new = {old: new for new, old in enumerate(keep)}
         sub_cover = Cover(self.cover.ambient, [self.cover.sets[i] for i in keep])
         simplices: dict[Simplex, list[CPoint]] = {}
-        faces: dict[tuple[Simplex, int, int], int] = {}
         locators: dict[Simplex, Callable[[CPoint], int]] = {}
         for s, comps in self.simplices.items():
             if all(i in old_to_new for i in s):
                 ns = tuple(old_to_new[i] for i in s)
                 simplices[ns] = list(comps)
                 locators[ns] = self.locators[s]
-                if len(s) > 1:
-                    for ci in range(len(comps)):
-                        for m in range(len(s)):
-                            faces[(ns, ci, m)] = self.faces[(s, ci, m)]
-        return ResolvedNerve(sub_cover, self.k_max, simplices, faces, locators)
+        sub = ResolvedNerve(sub_cover, self.k_max, simplices, {}, locators)
+
+        def old_column(ns: Simplex, ci: int) -> int:
+            return self.offset(tuple(keep[i] for i in ns)) + ci
+
+        for k, rows in self.face_tables.items():
+            # a kept simplex keeps its facets, so each of its faces has a new column
+            col = {old_column(*key): j for j, key in enumerate(sub.basis(k - 1))}
+            sub.face_tables[k] = [tuple(col[c] for c in rows[old_column(*key)]) for key in sub.basis(k)]
+        return sub
 
     def to_jsonable(self):
         return {
@@ -172,61 +199,88 @@ class ResolvedNerve:
 def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNerve:
     """Enumerate intersections up to k_max + 1 sets and resolve their components.
 
-    A simplex exists iff its patch is present.  Face maps are computed by
-    locating each component representative inside every facet.
+    A simplex exists iff its patch is present.  Simplices are enumerated in
+    canonical order, so each degree's basis and face table grow together: a
+    simplex's faces on a facet are its patch's `face_map` onto the facet's
+    patch, checked to name components of that facet.
 
     Analytic representatives are tested against each cover set in one batch
     before enumeration: an intersection's constraint is the conjunction of its
     members' constraints, so a representative lies in the intersection of s
-    exactly when it lies in every set of s.
+    exactly when it lies in every set of s.  Each patch's labeler must name
+    its own representatives by their positions.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     n_sets = len(cover.sets)
     simplices: dict[Simplex, list[CPoint]] = {}
     locators: dict[Simplex, Callable[[CPoint], int]] = {}
-    faces: dict[tuple[Simplex, int, int], int] = {}
+    bases: dict[int, list[tuple[Simplex, int]]] = {}
+    face_tables: dict[int, list[tuple[int, ...]]] = {}
+    offset: dict[Simplex, int] = {}
     members = _set_members(cover, resolution)
+    everywhere = frozenset(range(n_sets))
+    # patches may be shared between simplices, so what depends on patches
+    # alone is computed and checked once: a patch's labeler check and the sets
+    # holding all its representatives, and a face map per pair of patches
+    holding: dict[int, frozenset[int]] = {}
+    face_maps: dict[tuple[int, int], Sequence[int]] = {}
     for size in range(1, min(k_max + 2, n_sets + 1)):
+        basis: list[tuple[Simplex, int]] = []
+        table: list[tuple[int, ...]] = []
         for s in itertools.combinations(range(n_sets), size):
-            if size > 1 and any(
-                s[:m] + s[m + 1 :] not in simplices for m in range(size)
-            ):
+            facets = [s[:m] + s[m + 1 :] for m in range(size)] if size > 1 else []
+            if not all(map(simplices.__contains__, facets)):
                 continue  # a facet is empty, so the intersection is too
             patch = resolution.patches.get(s)
             if patch is None:
                 continue
-            for ci, rep in enumerate(patch.reps):
-                if not members[rep].issuperset(s):
-                    raise ResolutionError(
-                        f"analytic representative {ci} of {s} is outside the intersection"
-                    )
-                if patch.locate(rep) != ci:
-                    raise ResolutionError(
-                        f"analytic labeler of {s} mislabels its own representative {ci}"
-                    )
+            common = holding.get(id(patch))
+            if common is None:
+                for ci, rep in enumerate(patch.reps):
+                    if patch.locate(rep) != ci:
+                        raise ResolutionError(
+                            f"analytic labeler of {s} mislabels its own representative {ci}"
+                        )
+                common = holding[id(patch)] = everywhere.intersection(
+                    *(members[rep] for rep in patch.reps)
+                )
+            if not common.issuperset(s):
+                ci = next(ci for ci, rep in enumerate(patch.reps) if not members[rep].issuperset(s))
+                raise ResolutionError(
+                    f"analytic representative {ci} of {s} is outside the intersection"
+                )
+            cols = []
+            for f in facets:
+                facet_patch = resolution.patches[f]
+                fmap = face_maps.get((id(patch), id(facet_patch)))
+                if fmap is None:
+                    fmap = face_maps[id(patch), id(facet_patch)] = patch.face_map(facet_patch)
+                    if len(fmap) != len(patch.reps) or (
+                        fmap and not 0 <= min(fmap) <= max(fmap) < len(facet_patch.reps)
+                    ):
+                        raise ResolutionError(f"face map of {s} onto {f} misses its components")
+                cols.append(map(offset[f].__add__, fmap))
+            table.extend(zip(*cols))
+            offset[s] = len(basis)
+            basis.extend((s, ci) for ci in range(len(patch.reps)))
             simplices[s] = list(patch.reps)
             locators[s] = patch.locate
-            if size > 1:
-                for ci, rep in enumerate(simplices[s]):
-                    for m in range(size):
-                        facet = s[:m] + s[m + 1 :]
-                        faces[(s, ci, m)] = locators[facet](rep)
-    return ResolvedNerve(cover, k_max, simplices, faces, locators)
+        bases[size - 1] = basis
+        if size > 1:
+            face_tables[size - 1] = table
+    nerve = ResolvedNerve(cover, k_max, simplices, face_tables, locators)
+    nerve._basis.update(bases)
+    nerve._offset.update(offset)
+    return nerve
 
 
 def _set_members(cover: Cover, resolution: Resolution) -> dict[CPoint, frozenset[int]]:
     """The cover sets containing each representative of the patches whose
     indices are sets of this cover, from one `Region.mask` batch per set."""
     n_sets = len(cover.sets)
-    reps = list(
-        dict.fromkeys(
-            rep
-            for s, patch in resolution.patches.items()
-            if all(0 <= i < n_sets for i in s)
-            for rep in patch.reps
-        )
-    )
+    patches = {id(p): p for s, p in resolution.patches.items() if 0 <= min(s) and max(s) < n_sets}
+    reps = list(dict.fromkeys(rep for patch in patches.values() for rep in patch.reps))
     if not reps:
         return {}
     pts = np.array([rep.xy for rep in reps], dtype=float)
@@ -302,15 +356,9 @@ def delta_rows(nerve: ResolvedNerve, k: int) -> list[dict[int, int]]:
     (k+1)-cochain, columns indexing k-cochains, both in canonical basis order."""
     if k < 0:
         return [{} for _ in nerve.basis(0)]  # d^{-1} maps from the zero group
-    col_index = {key: i for i, key in enumerate(nerve.basis(k))}
+    signs = [(-1) ** m for m in range(k + 2)]
     # the facets of a simplex differ, so its faces land in distinct columns
-    return [
-        {
-            col_index[(s[:m] + s[m + 1 :], nerve.face_component(s, ci, m))]: (-1) ** m
-            for m in range(len(s))
-        }
-        for s, ci in nerve.basis(k + 1)
-    ]
+    return [dict(zip(cols, signs)) for cols in nerve.face_tables.get(k + 1, ())]
 
 
 def delta_matrix(nerve: ResolvedNerve, k: int) -> np.ndarray:

@@ -30,6 +30,7 @@ misses U_p, so the same holds for the glued bundle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,7 +130,20 @@ class ScenarioConfig:
 # Slab pipeline
 
 
+def _no_shifted_pair(r: float) -> str:
+    return (
+        f"no 2 pi-shifted pair of overlap points lies in D_r for r = {r}; "
+        "the periodicity check needs r > pi"
+    )
+
+
 def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
+    if not cfg.r > math.pi:
+        raise DomainError(_no_shifted_pair(cfg.r))
+    if not math.isfinite(cfg.r * cfg.r):
+        raise DomainError(
+            f"r = {cfg.r:g}: r^2 overflows a float, and the slab D_r's bounds |x_j|^2 < r^2 need it"
+        )
     rep = CertificateReport("dim2", cfg.to_jsonable(DIM2_FIELDS))
     rng = np.random.default_rng(cfg.seed)
 
@@ -212,10 +226,7 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
                 if ci_p != ci_s:
                     period_ok = False
     if checked == 0:
-        raise SamplingError(
-            f"no 2 pi-shifted pair of overlap points lies in D_r for r = {cfg.r}; "
-            "the periodicity check needs r > pi"
-        )
+        raise SamplingError(_no_shifted_pair(cfg.r))
     rep.add(
         "periodicity",
         period_ok,
@@ -290,6 +301,13 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
         raise DomainError("epsilon must be positive")
     if n > MAX_DIMN_N:
         raise ResourceError(f"n = {n}: the tube pipeline takes n up to {MAX_DIMN_N}")
+    # the checks evaluate up to |z_j|^4 at points of the ball Omega, whose
+    # radius is R = 2 sqrt(n) e^sqrt(eps)
+    if 4.0 * (math.log(2.0 * math.sqrt(n)) + math.sqrt(eps)) >= math.log(sys.float_info.max):
+        raise DomainError(
+            f"epsilon = {eps:g}: R^4 overflows a float, where R = 2 sqrt(n) e^sqrt(epsilon) "
+            "is the radius of the ball Omega"
+        )
 
     # (1) boundedness: on G_eps each |log|z_j|| < sqrt(eps), so |z|^2 stays
     # below n e^{2 sqrt(eps)}, inside the ball Omega

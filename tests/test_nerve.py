@@ -1,6 +1,7 @@
 """Resolved nerves, the integer differential, and exact cohomology."""
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import os
@@ -52,13 +53,16 @@ from cechcert.covers import (
     dim2_cover,
     dim2_generator_cochain,
     dim2_resolution,
+    glued_resolution,
     lnt_bundle,
+    omega_prime_region,
     one_set_cover,
     sector_letters,
     torus_cover,
     torus_resolution,
     tube_cover_dim2,
     tube_resolution_dim2,
+    up_ball,
 )
 from cechcert.scenarios import torus_rank_table
 from cechcert.snf import pivot_divisors as snf_pivot_divisors, smith_divisors
@@ -306,11 +310,17 @@ def test_torus_nerve_faces_commute(torus_nerve):
     quad, facet = (0, 1, 2, 3), (1, 2, 3)
     n_comps = len(torus_nerve.components(facet))
     assert n_comps > 1
-    faces = dict(torus_nerve.faces)
-    faces[(quad, 0, 0)] = (faces[(quad, 0, 0)] + 1) % n_comps  # another component of the facet
+    # move the face of (quad, 0) on its facet 0 to another component of it
+    moved_to = (torus_nerve.face_component(quad, 0, 0) + 1) % n_comps
+    tables = {k: list(rows) for k, rows in torus_nerve.face_tables.items()}
+    row = list(tables[3][torus_nerve.offset(quad)])
+    assert row[0] == torus_nerve.offset(facet) + torus_nerve.face_component(quad, 0, 0)
+    row[0] = torus_nerve.offset(facet) + moved_to
+    tables[3][torus_nerve.offset(quad)] = tuple(row)
     moved = ResolvedNerve(
-        torus_nerve.cover, torus_nerve.k_max, torus_nerve.simplices, faces, torus_nerve.locators
+        torus_nerve.cover, torus_nerve.k_max, torus_nerve.simplices, tables, torus_nerve.locators
     )
+    assert moved.face_component(quad, 0, 0) == moved_to
     with pytest.raises(VerificationError, match="d\\^2 d\\^1 is not zero"):
         cohomology(moved, 2)
 
@@ -433,7 +443,7 @@ def test_labeler_mislabeling_its_representative_is_named():
 
 def _reference_nerve(cover, k_max, resolution):
     """Analytic nerve with membership tested one representative at a time
-    by `Region.contains` on the intersection."""
+    by `Region.contains` on the intersection, and every face located."""
     n_sets = len(cover.sets)
     simplices, faces = {}, {}
     for size in range(1, min(k_max + 2, n_sets + 1)):
@@ -454,15 +464,35 @@ def _reference_nerve(cover, k_max, resolution):
     return simplices, faces
 
 
+def _faces(nerve):
+    """Every (simplex, component, facet) face of a nerve, through `face_component`."""
+    return {
+        (s, ci, m): nerve.face_component(s, ci, m)
+        for s, comps in nerve.simplices.items()
+        if len(s) > 1
+        for ci in range(len(comps))
+        for m in range(len(s))
+    }
+
+
+def _glued_cover(n, eps, safety):
+    """The sector cover with Omega' as one more set, as `glue` unites them."""
+    sectors = torus_cover(n, eps)
+    omega_prime = omega_prime_region(n, eps, up_ball(n, eps, safety))
+    return Cover(sectors.ambient, sectors.sets + [("Omega_prime", omega_prime)])
+
+
 @pytest.mark.parametrize(
     "cover, k_max, res",
     [
         (torus_cover(2, 1.0), 3, torus_resolution(2, 1.0, 3)),
         (torus_cover(3, 1.5), 4, torus_resolution(3, 1.5, 4)),
+        (torus_cover(8, 4.0, 2), 3, torus_resolution(8, 4.0, 3, 2)),
+        (_glued_cover(2, 1.0, 0.5), 3, glued_resolution(2, 1.0, 0.5, 3)),
         (tube_cover_dim2(1.0), 2, tube_resolution_dim2()),
         (dim2_cover(4.0), 2, dim2_resolution()),
     ],
-    ids=["torus-n2", "torus-n3", "tube-dim2", "dim2"],
+    ids=["torus-n2", "torus-n3", "slice-n8", "glued", "tube-dim2", "dim2"],
 )
 def test_batched_membership_matches_contains(cover, k_max, res):
     members = nerve_mod._set_members(cover, res)
@@ -476,7 +506,74 @@ def test_batched_membership_matches_contains(cover, k_max, res):
     nerve = build_nerve(cover, k_max, res)
     simplices, faces = _reference_nerve(cover, k_max, res)
     assert nerve.simplices == simplices
-    assert nerve.faces == faces
+    assert _faces(nerve) == faces
+    # one table row per basis element, one column per facet
+    for k, rows in nerve.face_tables.items():
+        assert [len(row) for row in rows] == [k + 1] * len(nerve.basis(k))
+
+
+def test_subnerve_faces_match_the_located_faces():
+    # drop the sets with letter B at z_1 (2 and 3) from the n = 2 glued cover
+    cover, res = _glued_cover(2, 1.0, 0.5), glued_resolution(2, 1.0, 0.5, 3)
+    keep = [0, 1, 4]
+    sub = build_nerve(cover, 3, res).subnerve(keep)
+    renamed = Resolution(
+        {tuple(keep.index(i) for i in s): p for s, p in res.patches.items() if set(s) <= set(keep)}
+    )
+    simplices, faces = _reference_nerve(Cover(cover.ambient, [cover.sets[i] for i in keep]), 3, renamed)
+    assert sub.simplices == simplices
+    assert _faces(sub) == faces
+    assert cohomology(sub, range(3)) == cohomology(build_nerve(sub.cover, 3, renamed), range(3))
+
+
+def test_subnerve_needs_increasing_indices(dim2_nerve):
+    with pytest.raises(ValueError, match="increasing"):
+        dim2_nerve.subnerve([1, 0])
+
+
+def _counting(res):
+    """A copy of `res` whose patches count their `locate` calls; a patch
+    shared between simplices stays shared."""
+    calls = [0]
+
+    def wrap(locate):
+        def counted(p):
+            calls[0] += 1
+            return locate(p)
+
+        return counted
+
+    copies = {}
+    for patch in res.patches.values():
+        if id(patch) not in copies:
+            copies[id(patch)] = dataclasses.replace(patch, locate=wrap(patch.locate))
+    return Resolution({s: copies[id(p)] for s, p in res.patches.items()}), calls
+
+
+def test_sector_faces_are_projected_not_located():
+    cover, res = torus_cover(3, 1.5), torus_resolution(3, 1.5, 4)
+    # every simplex its own patch: one labeler check per representative
+    unshared = Resolution({s: dataclasses.replace(p) for s, p in res.patches.items()})
+    counted, calls = _counting(unshared)
+    nerve = build_nerve(cover, 4, counted)
+    n_reps = sum(len(comps) for comps in nerve.simplices.values())
+    assert n_reps == 1448 and calls[0] == n_reps
+    # shared patches: one check per distinct patch, 2^|diff| representatives
+    # each over the 3^3 ways of choosing A, B or both per coordinate
+    counted, calls = _counting(res)
+    assert _faces(build_nerve(cover, 4, counted)) == _faces(nerve)
+    assert len({id(p) for p in res.patches.values()}) == 27 and calls[0] == 4**3
+
+
+def test_face_map_outside_the_facet_is_refused():
+    good = _arc_patches([CPoint((0.0, 1.5)), CPoint((0.0, -1.5))])
+    arc_a = good.patches[(0,)].reps[0]
+    # arc A labels its own representative 0 and every other point 1: the
+    # overlap's representatives would land on a component A does not have
+    bad = Resolution(dict(good.patches))
+    bad.patches[(0,)] = AnalyticPatch([arc_a], lambda p: 0 if p == arc_a else 1)
+    with pytest.raises(ResolutionError, match=r"face map of \(0, 1\) onto \(0,\) misses"):
+        build_nerve(_arc_cover(), 1, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -631,4 +728,4 @@ def test_torus_resolution_shares_its_representatives():
     shared_nerve = build_nerve(cover, 4, res)
     unshared_nerve = build_nerve(cover, 4, unshared)
     assert shared_nerve.simplices == unshared_nerve.simplices
-    assert shared_nerve.faces == unshared_nerve.faces
+    assert _faces(shared_nerve) == _faces(unshared_nerve)

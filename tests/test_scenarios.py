@@ -629,6 +629,12 @@ def test_cli_rejects_zero_samples(tmp_path, capsys):
         (["hessian-scan", "--hi", "inf"], "hi must be finite"),
         (["hessian-scan", "--count", "0"], "count must be at least 1, got 0"),
         (["hessian-scan", "--count", "-1"], "count must be at least 1, got -1"),
+        (["cohomology-torus", "--epsilon", "1e308"], "epsilon = 1e+308: the tube's bound"),
+        (["dimn", "--epsilon", "1e308"], "epsilon = 1e+308: R^4 overflows a float"),
+        # Omega's radius itself rounds to infinity here, with e^sqrt(eps) finite
+        (["dimn", "--n", "64", "--epsilon", "5e5"], "epsilon = 500000: R^4 overflows a float"),
+        (["dim2", "--r", "1e308"], "r = 1e+308: r^2 overflows a float"),
+        (["dim2", "--r", "1e-300"], "no 2 pi-shifted pair of overlap points lies in D_r for r = 1e-300"),
     ],
     ids=[
         "dimn-epsilon-nan",
@@ -641,16 +647,61 @@ def test_cli_rejects_zero_samples(tmp_path, capsys):
         "hessian-hi-inf",
         "hessian-count-0",
         "hessian-count-negative",
+        "torus-epsilon-1e308",
+        "dimn-epsilon-1e308",
+        "dimn-n64-epsilon-5e5",
+        "dim2-r-1e308",
+        "dim2-r-1e-300",
     ],
 )
 def test_cli_rejects_non_finite_settings(argv, message, tmp_path, capsys):
-    # and counts below one, which leave nothing to scan, and an epsilon so
-    # small that p rounds onto the torus, which leaves U_p no radius
+    # and counts below one, which leave nothing to scan, an epsilon so small
+    # that p rounds onto the torus, which leaves U_p no radius, an epsilon or
+    # r so large that a float the pipeline needs overflows, and an r <= pi
+    # (refused before r^2 can underflow to 0)
     assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_cli_computes_settings_inside_the_float_range(tmp_path, capsys):
+    # e^sqrt(eps) is finite, so the table is computed; the dimn checks fail
+    # at eps >= n (exit 1) but nothing overflows; r^2 is finite
+    out = str(tmp_path / "x.json")
+    assert main(["cohomology-torus", "--n", "2", "--epsilon", "5e5", "--out", out]) == 0
+    assert main(["dimn", "--n", "2", "--epsilon", "3e4", "--out", out]) == 1
+    assert main(["dim2", "--r", "1.3e154", "--samples", "200", "--out", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_dim2_refuses_r_up_to_pi_before_building(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("run_dim2 built a nerve for r <= pi")
+
+    monkeypatch.setattr(scenarios, "build_nerve", unexpected)
+    for r in (1e-300, 3.0, math.pi):
+        with pytest.raises(DomainError, match=f"r = {r}; the periodicity check needs r > pi"):
+            run_dim2(ScenarioConfig(r=r))
+
+
+def test_cli_parser_is_built_once_and_keeps_no_flags(tmp_path):
+    # a second main in one process must report as a fresh process does
+    assert cli._parser() is cli._parser()
+    assert main(["dimn", "--epsilon", "1.9", "--out", str(tmp_path / "near.json")]) == 0
+    assert main(["dimn", "--out", str(tmp_path / "plain.json")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cechcert.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cechcert.cli", "dimn", "--out", str(tmp_path / "fresh.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+    assert (tmp_path / "near.json").read_bytes() != (tmp_path / "plain.json").read_bytes()
 
 
 def test_cli_computation_error_exit(tmp_path, monkeypatch, capsys):
