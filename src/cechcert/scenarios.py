@@ -46,7 +46,7 @@ from .bundles import (
     restrict_to_sets,
     validate_cocycle,
 )
-from .errors import DomainError, ResolutionError, ResourceError, SamplingError
+from .errors import DomainError, ResolutionError, ResourceError
 from .geometry import (
     CPoint,
     Region,
@@ -59,7 +59,7 @@ from .geometry import (
     up_radius,
 )
 from .hexpr import Const, Coord, IntPower, MatExpr, Product, Sum, as_laurent, laurent_add
-from .nerve import Cover, build_nerve, check_cover, cohomology, is_coboundary
+from .nerve import Cover, ResolvedNerve, build_nerve, check_cover, cohomology, is_coboundary
 from .bundles import BundleData, BundleIso, trivial_bundle
 from .report import CertificateReport
 
@@ -130,16 +130,53 @@ class ScenarioConfig:
 # Slab pipeline
 
 
-def _no_shifted_pair(r: float) -> str:
-    return (
-        f"no 2 pi-shifted pair of overlap points lies in D_r for r = {r}; "
-        "the periodicity check needs r > pi"
-    )
+# the shifts of (x1, x2) by 2 pi that the periodicity check applies to each
+# overlap point, as rows added to (x1, y1, x2, y2)
+PERIOD_SHIFTS = 2 * math.pi * np.array([(1.0, 0, 0, 0), (0, 0, 1.0, 0), (-1.0, 0, 1.0, 0)])
+PERIOD_SAMPLES = 50  # sampled overlap points per component
+
+
+def _exact_pair(y1: float) -> np.ndarray:
+    """The pair (-pi, y1, 0, 0) -> (pi, y1, 0, 0) under the first shift
+    (-pi + 2 pi rounds to pi exactly): in D_r exactly when fl(pi^2) < fl(r^2),
+    so it exists for every r > pi the slab's constraint tree admits."""
+    p = np.array([-math.pi, y1, 0.0, 0.0])
+    return np.stack([p, p + PERIOD_SHIFTS[0]])
+
+
+def periodicity_pairs(
+    nerve: ResolvedNerve, region: Region, rng: np.random.Generator
+) -> tuple[bool, int]:
+    """Whether every 2 pi-shifted pair of overlap points that stays in
+    `region` keeps its overlap component, and how many such pairs there are.
+
+    Per component: its representative and PERIOD_SAMPLES points sampled from
+    `region`, each under the three PERIOD_SHIFTS, and the exact pair at y1 of
+    the representative.  One mask per component decides which shifted points
+    stay in the region.  The dim2 overlap's constraint uses only coordinates,
+    squares, sums, products by -1 and strict comparisons, all exact
+    elementwise, so its mask agrees row by row with Region.contains.
+    """
+    invariant, pairs = True, 0
+    for rep_pt in nerve.components((0, 1)):
+        pts = np.vstack([rep_pt.row(), region.sample(PERIOD_SAMPLES, rng)])
+        exact = _exact_pair(rep_pt.xy[1])
+        origin = np.vstack([np.repeat(pts, len(PERIOD_SHIFTS), axis=0), exact[:1]])
+        shifted = np.vstack([(pts[:, None, :] + PERIOD_SHIFTS).reshape(-1, 4), exact[1:]])
+        for i in np.flatnonzero(region.mask(shifted)):
+            pairs += 1
+            p, q = CPoint(tuple(origin[i].tolist())), CPoint(tuple(shifted[i].tolist()))
+            if nerve.locate((0, 1), p) != nerve.locate((0, 1), q):
+                invariant = False
+    return invariant, pairs
 
 
 def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
-    if not cfg.r > math.pi:
-        raise DomainError(_no_shifted_pair(cfg.r))
+    if not cv.dr_region(cfg.r).mask(_exact_pair(0.5)).all():
+        raise DomainError(
+            f"no 2 pi-shifted pair of overlap points lies in D_r for r = {cfg.r}; "
+            "the periodicity check needs r > pi"
+        )
     if not math.isfinite(cfg.r * cfg.r):
         raise DomainError(
             f"r = {cfg.r:g}: r^2 overflows a float, and the slab D_r's bounds |x_j|^2 < r^2 need it"
@@ -203,33 +240,10 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
     # shifted pair has equal values when it stays on one component
     forms = [as_laurent(bundle.edge_matrix(0, 1, ci).entries[0][0]) for ci in range(n_overlap)]
     period_ok = all(set(f) <= {()} for f in forms)
-    checked = 0
-    for ci in range(n_overlap):
-        pts = [nerve.components((0, 1))[ci]]
-        region = cover.intersection((0, 1))
-        pts.extend(CPoint(tuple(q)) for q in region.sample(50, rng))
-        for p in pts:
-            for k1, k2 in ((1, 0), (0, 1), (-1, 1)):
-                shifted = CPoint(
-                    (
-                        p.xy[0] + 2 * math.pi * k1,
-                        p.xy[1],
-                        p.xy[2] + 2 * math.pi * k2,
-                        p.xy[3],
-                    )
-                )
-                if not region.contains(shifted):
-                    continue
-                checked += 1
-                ci_p = nerve.locate((0, 1), p)
-                ci_s = nerve.locate((0, 1), shifted)
-                if ci_p != ci_s:
-                    period_ok = False
-    if checked == 0:
-        raise SamplingError(_no_shifted_pair(cfg.r))
+    pairs_ok, checked = periodicity_pairs(nerve, cover.intersection((0, 1)), rng)
     rep.add(
         "periodicity",
-        period_ok,
+        period_ok and pairs_ok,
         {"pairs_checked": checked},
         "transition values are invariant under 2 pi shifts of x1, x2",
     )
@@ -401,11 +415,12 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
         "Hessian definite on the ball; no convexity violation in the tube piece",
     )
     # the segment between two points of the torus, where rho = 0, through
-    # z_1 = 0, where rho = +inf (Region.contains, unlike rho, is total there)
+    # z_1 = 0, where rho = +inf (Region.mask, unlike rho, is total there)
     g = cv.g_eps_region(n, eps)
     ends = [CPoint.from_complex([1.0] * n), CPoint.from_complex([-1.0] + [1.0] * (n - 1))]
     mid = CPoint(tuple((a + b) / 2.0 for a, b in zip(*(e.xy for e in ends))))
-    ends_in, mid_in = all(g.contains(e) for e in ends), g.contains(mid)
+    inside = g.mask(np.array([e.xy for e in (*ends, mid)]))
+    ends_in, mid_in = bool(inside[:2].all()), bool(inside[2])
     rep.add(
         "tube-not-convex",
         ends_in and not mid_in,
@@ -587,16 +602,13 @@ def connectivity_check(n: int, eps: float, safety: float) -> tuple[bool, dict]:
     r_d = math.log(cv.omega_radius(n, eps) / math.sqrt(n))
     shell = cv.omega_minus_shell(n, eps, delta)
     up = cv.up_ball(n, eps, safety)
-    witnesses = []
-    for level in (eps - 0.99 * widest, eps + 0.99 * widest):
-        w = CPoint((math.exp(math.sqrt(level / n)), 0.0) * n)
-        witnesses.append(
-            {
-                "point": list(w.xy),
-                "rho": rho(w),
-                "in_up_and_omega_minus_shell": up.contains(w) and shell.contains(w),
-            }
-        )
+    levels = (eps - 0.99 * widest, eps + 0.99 * widest)
+    pts = [CPoint((math.exp(math.sqrt(level / n)), 0.0) * n) for level in levels]
+    rows = np.array([w.xy for w in pts])
+    witnesses = [
+        {"point": list(w.xy), "rho": rho(w), "in_up_and_omega_minus_shell": bool(ok)}
+        for w, ok in zip(pts, up.mask(rows) & shell.mask(rows))
+    ]
     inner, outer = witnesses
     ok = (
         r_out < r_d

@@ -12,16 +12,19 @@ import warnings
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechcert.covers import (
     dim2_cover,
+    dr_region,
     omega_minus_shell,
     omega_prime_region,
     omega_region,
     tube_cover_dim2,
     up_ball,
 )
-from cechcert.geometry import CAnd, COr, Region, ball_region, grid_components
+from cechcert.geometry import CAnd, COr, CPoint, Region, ball_region, grid_components
 
 
 def _ref(e, xy):
@@ -105,6 +108,32 @@ def test_mask_matches_scalar_reference(region):
     assert got.dtype == bool
     assert np.array_equal(got, want)
     assert got.any() and not got.all()
+
+
+@st.composite
+def _slab_batches(draw):
+    """An r and a batch of points of C^2 that includes points on the slab's
+    faces |x_j| = r, on the overlap's faces y2 = +-y1 and their 2 pi shifts."""
+    r = draw(st.one_of(st.floats(0.5, 20.0), st.sampled_from([math.pi, math.nextafter(math.pi, 4)])))
+    real = st.floats(-25.0, 25.0, allow_nan=False)
+    x = st.one_of(real, st.sampled_from([r, -r, r - 2 * math.pi, -math.pi]))
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        y1 = draw(st.floats(-1.5, 1.5))
+        y2 = draw(st.one_of(st.floats(-1.5, 1.5), st.sampled_from([y1, -y1])))
+        rows.append((draw(x), y1, draw(x), y2))
+    return r, np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_slab_batches())
+def test_slab_mask_matches_contains_row_by_row(batch):
+    # the slab pipeline's periodicity check decides all its shifted points
+    # with one mask and reports the same pairs as one contains call per point
+    r, pts = batch
+    for region in (dr_region(r), dim2_cover(r).intersection((0, 1))):
+        want = [region.contains(CPoint(tuple(row))) for row in pts.tolist()]
+        assert region.mask(pts).tolist() == want
 
 
 def _nx_components(mask: np.ndarray) -> list[set]:

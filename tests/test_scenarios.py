@@ -25,7 +25,14 @@ from cechcert.cli import main
 from cechcert.errors import DomainError, ResourceError, SamplingError
 from cechcert.geometry import Region, ball_region, hessian_block_det, levi_form
 from cechcert.hexpr import Const, Coord, IntPower, MatExpr, Product, Sum
-from cechcert.nerve import IntCochain, build_nerve, cohomology, delta_rows, is_coboundary
+from cechcert.nerve import (
+    AnalyticPatch,
+    IntCochain,
+    build_nerve,
+    cohomology,
+    delta_rows,
+    is_coboundary,
+)
 from cechcert.report import CertificateReport, emit_report
 from cechcert.scenarios import (
     ScenarioConfig,
@@ -35,6 +42,7 @@ from cechcert.scenarios import (
     torus_rank_table,
 )
 
+from slab_periodicity import sampled_periodicity
 from tube_samplers import contraction_residual, sample_boundary, sample_tube
 
 
@@ -124,6 +132,65 @@ def test_dim2_debug_scale_fails(monkeypatch):
     assert not rep.overall_pass
     status = {c.name: c.status for c in rep.checks}
     assert status["flat-obstruction"] == "fail"
+
+
+def _dim2_resolution_reading_x(j: int, dim2_resolution=covers.dim2_resolution):
+    """dim2's resolution with an overlap locator that swaps the two labels
+    where x_j > 0; the representatives, at x = 0, keep theirs.  The default
+    binds the real dim2_resolution, so a monkeypatched one can call this."""
+    res = dim2_resolution()
+    patch = res.patches[(0, 1)]
+    res.patches[(0, 1)] = AnalyticPatch(patch.reps, lambda p: patch.locate(p) ^ (p.xy[2 * j] > 0))
+    return res
+
+
+@pytest.mark.parametrize("reads_x2", [False, True], ids=["dim2", "locator-reads-x2"])
+@pytest.mark.parametrize("r", [3.15, 4.0, 7.0])
+def test_batched_periodicity_matches_the_per_point_loop(r, reads_x2):
+    # a locator that reads x2 breaks the sampled pairs shifted in x2 but not
+    # the exact pair, which stays at x2 = 0
+    res = _dim2_resolution_reading_x(1) if reads_x2 else covers.dim2_resolution()
+    cover = covers.dim2_cover(r)
+    nerve = build_nerve(cover, 2, res)
+    region = cover.intersection((0, 1))
+    verdicts = set()
+    for seed in range(6):
+        ok, pairs = scenarios.periodicity_pairs(nerve, region, np.random.default_rng(seed))
+        want_ok, sampled = sampled_periodicity(nerve, region, np.random.default_rng(seed))
+        assert (ok, pairs) == (want_ok, sampled + 2)  # one exact pair per component
+        verdicts.add(ok)
+    assert (False in verdicts) == reads_x2
+
+
+def test_dim2_periodicity_fails_when_the_overlap_locator_reads_x(monkeypatch, tmp_path):
+    monkeypatch.setattr(covers, "dim2_resolution", lambda: _dim2_resolution_reading_x(0))
+    out = tmp_path / "dim2.json"
+    assert main(["dim2", "--samples", "300", "--out", str(out)]) == 1
+    status = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert status["periodicity"] == "fail"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_dim2_report_differs_from_the_per_point_loop_only_in_pairs_checked(seed, monkeypatch):
+    batched = json.loads(run_dim2(ScenarioConfig(seed=seed)).to_json())
+    monkeypatch.setattr(scenarios, "periodicity_pairs", sampled_periodicity)
+    looped = json.loads(run_dim2(ScenarioConfig(seed=seed)).to_json())
+    pairs = [
+        next(c for c in rep["checks"] if c["name"] == "periodicity")["metrics"].pop("pairs_checked")
+        for rep in (batched, looped)
+    ]
+    assert pairs[0] == pairs[1] + 2 and pairs[1] > 0
+    assert batched == looped
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_dim2_just_above_pi_has_its_exact_pairs(seed, tmp_path):
+    # no sampled pair lands in the strip x1 in (-r, r - 2 pi) for seeds 0 and 3
+    for r in ("3.15", repr(math.nextafter(math.pi, 4))):
+        out = tmp_path / "dim2.json"
+        assert main(["dim2", "--r", r, "--seed", str(seed), "--samples", "300", "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["periodicity"]["metrics"]["pairs_checked"] >= 2
 
 
 def test_dimn_passes(dimn_report):
@@ -681,7 +748,7 @@ def test_dim2_refuses_r_up_to_pi_before_building(monkeypatch):
         raise AssertionError("run_dim2 built a nerve for r <= pi")
 
     monkeypatch.setattr(scenarios, "build_nerve", unexpected)
-    for r in (1e-300, 3.0, math.pi):
+    for r in (1e-300, 3.0, math.nextafter(math.pi, 0), math.pi):
         with pytest.raises(DomainError, match=f"r = {r}; the periodicity check needs r > pi"):
             run_dim2(ScenarioConfig(r=r))
 
