@@ -27,7 +27,7 @@ from .errors import (
     NotACocycleError,
     ShapeError,
 )
-from .geometry import CAnd, CLt, COr, CPoint, Region, SConst, SPow, SRho, SSum, SX, SY
+from .geometry import CAnd, CLt, COr, CPoint, Region, SConst, SPow, SRho, SSum, SX, SY, conjuncts
 from .hexpr import (
     ChartMap,
     Const,
@@ -445,17 +445,17 @@ def pullback(
     The caller supplies the preimage cover (set i of it must map into set i of
     the bundle's cover); expressions are composed with the chart's forward
     components, and per-component matrices are transported by locating the
-    image of each preimage component representative.  Sampled points of every
-    preimage set must lie in the declared injectivity chart.
+    image of each preimage component representative.  Every preimage set
+    lies in the declared injectivity chart: each conjunct of the chart's
+    domain is one of the set's.  Sampled points of it map into its target.
     """
     if len(pre_cover.sets) != len(b.cover.sets):
         raise GlueError("preimage cover must have one set per original set")
     rng = np.random.default_rng(seed)
     for name, reg in pre_cover.sets:
-        pts = reg.sample(samples_per_set, rng)
-        if not np.all(chart.domain.mask(pts)):
+        if not set(conjuncts(chart.domain.constraint)) <= set(conjuncts(reg.constraint)):
             raise ChartError(f"preimage set {name!r} leaves the injectivity chart")
-        img = chart.forward_xy(pts)
+        img = chart.forward_xy(reg.sample(samples_per_set, rng))
         idx = pre_cover.index(name)
         if not np.all(b.cover.region(idx).mask(img)):
             raise ChartError(f"image of preimage set {name!r} leaves its target set")

@@ -40,7 +40,7 @@ from .geometry import (
     up_radius,
 )
 from .hexpr import ChartMap, Const, Coord, Exp, IntPower, MatExpr, Product
-from .nerve import AnalyticPatch, Cover, Resolution
+from .nerve import Y_NONZERO, AnalyticPatch, Cover, Resolution
 from .bundles import BundleData
 from .nerve import IntCochain, ResolvedNerve
 
@@ -104,11 +104,7 @@ def dim2_cover(r: float) -> Cover:
     {y1 < -|y2|} and {y1 > |y2|}.
     """
     dr = dr_region(r)
-    ambient = Region(
-        "D_r\\K",
-        CAnd((dr.constraint, CLt(SConst(0.0), SSum((_sq(SY(0)), _sq(SY(1))))))),
-        dr.bbox,
-    )
+    ambient = Region("D_r\\K", CAnd((dr.constraint, Y_NONZERO)), dr.bbox)
     u1 = Region(
         "U1",
         CAnd((dr.constraint, COr((CLt(SY(1), SY(0)), CLt(SY(1), _neg(SY(0))))))),

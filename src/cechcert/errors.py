@@ -30,7 +30,7 @@ class NotACocycleError(ValueError):
 
 
 class ChartError(ValueError):
-    """A sampled point violates the injectivity chart of a map."""
+    """A preimage set leaves a chart's domain, or a sampled point its target set."""
 
 
 class GlueError(ValueError):

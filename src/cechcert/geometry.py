@@ -38,6 +38,7 @@ __all__ = [
     "CLt",
     "CAnd",
     "COr",
+    "conjuncts",
     "evaluate",
     "Region",
     "GridLabeling",
@@ -210,6 +211,14 @@ class COr:
 
     def to_jsonable(self):
         return {"op": "or", "items": [i.to_jsonable() for i in self.items]}
+
+
+def conjuncts(node) -> tuple:
+    """The conjuncts of a constraint: the items of its nested And nodes, in
+    order, or the constraint itself when it is no And."""
+    if type(node) is not CAnd:
+        return (node,)
+    return tuple(c for item in node.items for c in conjuncts(item))
 
 
 def evaluate(node, pts: np.ndarray) -> np.ndarray:

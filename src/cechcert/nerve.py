@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NotACocycleError, ResolutionError, VerificationError
-from .geometry import CPoint, Region
+from .geometry import CLt, COr, CPoint, Region, SConst, SPow, SProd, SSum, SY, conjuncts
 from .snf import pivot_divisors, smith_normal_form, solve_integer
 
 __all__ = [
@@ -488,20 +488,54 @@ def is_coboundary(nerve: ResolvedNerve, c: IntCochain) -> CoboundaryVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Cover sanity checks
+# Cover checks
 
 
-def check_cover(cover: Cover, rng: np.random.Generator, samples: int = 500) -> None:
-    """Sampled invariants: every set lies in the ambient, and sampled ambient
-    points are covered by some set."""
+# y != 0 for y = (y1, y2): the conjunct that removes the totally real plane
+Y_NONZERO = CLt(SConst(0.0), SSum((SPow(SY(0), 2), SPow(SY(1), 2))))
+# +-y1 and +-y2 as trees, with their coefficients on (y1, y2)
+_SIGNED_Y = {
+    SY(0): (1, 0),
+    SY(1): (0, 1),
+    SProd((SConst(-1.0), SY(0))): (-1, 0),
+    SProd((SConst(-1.0), SY(1))): (0, -1),
+}
+
+
+def _half_plane(item) -> Optional[tuple[int, int]]:
+    """The normal a != 0 of a strict comparison l < r of +-y1 and +-y2, the
+    open half-plane a.y < 0 with a = l - r; None for any other node."""
+    ends = (_SIGNED_Y.get(item.lhs), _SIGNED_Y.get(item.rhs)) if type(item) is CLt else (None,)
+    if None in ends or ends[0] == ends[1]:
+        return None
+    (l1, l2), (r1, r2) = ends
+    return (l1 - r1, l2 - r2)
+
+
+def check_cover(cover: Cover) -> None:
+    """Prove that the sets of a slab cover lie in its ambient and cover it,
+    or raise ResolutionError.  The ambient's conjuncts must be some C and
+    y != 0, and each set's C and one Or of open half-planes a.y < 0 in
+    y = (y1, y2), which miss y = 0 (over the reals: y1^2 + y2^2 underflows
+    below |y| ~ 1e-162).  The uncovered ambient points have y != 0 in the
+    closed cone K where every a.y >= 0, and a cone K != {0} in the plane has
+    an extreme ray on a line a.y = 0, so the sets cover the ambient when no
+    direction +-(-a2, a1) lies in K: integer dot products."""
+    ambient = conjuncts(cover.ambient.constraint)
+    base = [c for c in ambient if c != Y_NONZERO]
+    if len(base) == len(ambient):
+        raise ResolutionError("the ambient region does not remove y = 0")
+    normals: list[tuple[int, int]] = []
     for name, reg in cover.sets:
-        pts = reg.sample(samples, rng)
-        inside = cover.ambient.mask(pts)
-        if not np.all(inside):
-            raise ResolutionError(f"set {name!r} leaves the ambient region")
-    pts = cover.ambient.sample(samples, rng)
-    covered = np.zeros(pts.shape[0], dtype=bool)
-    for _, reg in cover.sets:
-        covered |= reg.mask(pts)
-    if not np.all(covered):
-        raise ResolutionError("sampled ambient points escape the cover")
+        own = conjuncts(reg.constraint)
+        extra = [c for c in own if c not in base]
+        union = extra[0] if len(extra) == 1 and type(extra[0]) is COr else COr((None,))
+        normals += [_half_plane(item) for item in union.items]
+        if None in normals or any(c not in own for c in base):
+            raise ResolutionError(f"set {name!r} is not the ambient's bounds and one union of half-planes")
+    if not normals:
+        raise ResolutionError("the sets hold no half-plane, so they cover nothing")
+    for a1, a2 in normals:
+        for d1, d2 in ((-a2, a1), (a2, -a1)):
+            if all(b1 * d1 + b2 * d2 >= 0 for b1, b2 in normals):
+                raise ResolutionError(f"ambient points with y along ({d1}, {d2}) escape the cover")

@@ -242,8 +242,8 @@ def test_criterion_10_main_counterexample(dimn_reports):
 
 
 def test_criterion_11_determinism():
-    a = run_dim2(ScenarioConfig(samples=500, run_connectivity=False)).to_json()
-    b = run_dim2(ScenarioConfig(samples=500, run_connectivity=False)).to_json()
-    c = run_dimn(ScenarioConfig(samples=500, run_connectivity=False)).to_json()
-    d = run_dimn(ScenarioConfig(samples=500, run_connectivity=False)).to_json()
+    a = run_dim2(ScenarioConfig(run_connectivity=False)).to_json()
+    b = run_dim2(ScenarioConfig(run_connectivity=False)).to_json()
+    c = run_dimn(ScenarioConfig(run_connectivity=False)).to_json()
+    d = run_dimn(ScenarioConfig(run_connectivity=False)).to_json()
     _verdict(11, "byte-identical reports", a == b and c == d)

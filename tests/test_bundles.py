@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from cechcert.errors import DomainError, GlueError, NotACocycleError, ShapeError
+from cechcert.errors import ChartError, DomainError, GlueError, NotACocycleError, ShapeError
 from cechcert.geometry import CPoint, ball_region
 from cechcert.hexpr import (
     Const,
@@ -439,6 +439,28 @@ def test_pullback_tube_bundle_through_exp_chart(tube2):
     vals = sorted(consts, key=lambda c: c.real)
     assert vals[0] == -1 and vals[1] == 1
     assert not flat_class_test(pb).trivializable
+
+
+def test_pullback_refuses_a_preimage_set_outside_the_chart(tube2):
+    # U1 of D_4 is not cut down to |x_j| < pi, where the chart is injective;
+    # decided on the constraint trees, with no sample
+    cover, nerve = tube2
+    chart = exp_chart()
+    (n1, u1), (n2, u2) = dim2_cover(4.0).sets
+    pre_cover = Cover(chart.domain, [(n1, u1), (n2, u2.intersect(chart.domain, name=n2))])
+    with pytest.raises(ChartError, match="preimage set 'U1' leaves the injectivity chart"):
+        pullback(tube_bundle_dim2(cover, nerve), chart, pre_cover, dim2_resolution(), k_max=2)
+
+
+def test_pullback_refuses_a_preimage_set_whose_image_leaves_its_target(tube2):
+    # listed first, U2 must map into phiU1, and its points with y2 > |y1| do not
+    cover, nerve = tube2
+    chart = exp_chart()
+    pre = dim2_cover(math.pi)
+    sets = [(n_, r.intersect(chart.domain, name=n_)) for n_, r in reversed(pre.sets)]
+    pre_cover = Cover(pre.ambient.intersect(chart.domain, name="preimage"), sets)
+    with pytest.raises(ChartError, match="image of preimage set 'U2' leaves its target set"):
+        pullback(tube_bundle_dim2(cover, nerve), chart, pre_cover, dim2_resolution(), k_max=2)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from cechcert.errors import NotACocycleError, ResolutionError, VerificationError
 from cechcert.geometry import (
     CAnd,
     CLt,
+    COr,
     CPoint,
     Region,
     SAbsZ,
@@ -50,6 +51,7 @@ from cechcert.nerve import (
 from cechcert.bundles import chern_cocycle
 from cechcert.covers import (
     _torus_patch,
+    dr_region,
     dim2_cover,
     dim2_generator_cochain,
     dim2_resolution,
@@ -66,6 +68,8 @@ from cechcert.covers import (
 )
 from cechcert.scenarios import torus_rank_table
 from cechcert.snf import pivot_divisors as snf_pivot_divisors, smith_divisors
+
+from cover_samplers import sampled_check_cover
 
 
 @pytest.fixture(scope="module")
@@ -93,14 +97,55 @@ def test_cover_name_uniqueness():
 
 
 def test_check_cover_dim2():
-    check_cover(dim2_cover(4.0), np.random.default_rng(0))
+    # the exact argument passes, and the sampler it replaced finds no escape
+    for r in (3.15, 4.0, 7.0):
+        cover = dim2_cover(r)
+        check_cover(cover)
+        for seed in range(6):
+            sampled_check_cover(cover, np.random.default_rng(seed))
 
 
 def test_check_cover_detects_escape():
     ann = _annulus()
     big = ball_region((0.0, 0.0), 3.0, name="big")
     with pytest.raises(ResolutionError):
-        check_cover(Cover(ann, [("big", big)]), np.random.default_rng(0))
+        check_cover(Cover(ann, [("big", big)]))
+    with pytest.raises(ResolutionError):
+        sampled_check_cover(Cover(ann, [("big", big)]), np.random.default_rng(0))
+
+
+def _broken_dim2_covers() -> dict:
+    cover = dim2_cover(4.0)
+    (n1, u1), (n2, u2) = cover.sets
+    dr, union1 = u1.constraint.items
+    union2 = u2.constraint.items[1]
+
+    def u1_with(union):
+        return (n1, Region(n1, CAnd((dr, union)), u1.bbox))
+
+    return {
+        # leaves the ray y1 = y2 < 0 uncovered, a set no sample hits
+        "U1 without a half-plane": [u1_with(COr(union1.items[:1])), (n2, u2)],
+        "U2 without the D_r conjunct": [(n1, u1), (n2, Region(n2, union2, u2.bbox))],
+        "only U1": [(n1, u1)],
+        "U1 with a half-space in x": [u1_with(COr(union1.items + (CLt(SX(0), SConst(0.0)),))), (n2, u2)],
+        "a union of no half-plane": [u1_with(COr(())), (n2, Region(n2, CAnd((dr, COr(()))), u2.bbox))],
+    }
+
+
+@pytest.mark.parametrize("case", list(_broken_dim2_covers()))
+def test_check_cover_refuses_a_broken_dim2_cover(case):
+    cover = Cover(dim2_cover(4.0).ambient, _broken_dim2_covers()[case])
+    with pytest.raises(ResolutionError):
+        check_cover(cover)
+    if case == "U1 without a half-plane":
+        sampled_check_cover(cover, np.random.default_rng(0))
+
+
+def test_check_cover_refuses_an_ambient_that_keeps_the_plane():
+    cover = dim2_cover(4.0)
+    with pytest.raises(ResolutionError, match="does not remove y = 0"):
+        check_cover(Cover(dr_region(4.0), cover.sets))
 
 
 def test_dim2_overlap_has_two_components(dim2_nerve):

@@ -23,7 +23,18 @@ from cechcert.bundles import (
 )
 from cechcert.cli import main
 from cechcert.errors import DomainError, ResourceError, SamplingError
-from cechcert.geometry import Region, ball_region, hessian_block_det, levi_form
+from cechcert.geometry import (
+    CAnd,
+    CLt,
+    Region,
+    SConst,
+    SSum,
+    SX,
+    SY,
+    ball_region,
+    hessian_block_det,
+    levi_form,
+)
 from cechcert.hexpr import Const, Coord, IntPower, MatExpr, Product, Sum
 from cechcert.nerve import (
     AnalyticPatch,
@@ -47,7 +58,7 @@ from tube_samplers import contraction_residual, sample_boundary, sample_tube
 
 
 def _fast_cfg(**kw) -> ScenarioConfig:
-    base = dict(samples=300, run_connectivity=False)
+    base = dict(run_connectivity=False)
     base.update(kw)
     return ScenarioConfig(**base)
 
@@ -144,28 +155,41 @@ def _dim2_resolution_reading_x(j: int, dim2_resolution=covers.dim2_resolution):
     return res
 
 
-@pytest.mark.parametrize("reads_x2", [False, True], ids=["dim2", "locator-reads-x2"])
+@pytest.mark.parametrize("reads", [None, 1, 0], ids=["dim2", "locator-reads-x2", "locator-reads-x1"])
 @pytest.mark.parametrize("r", [3.15, 4.0, 7.0])
-def test_batched_periodicity_matches_the_per_point_loop(r, reads_x2):
-    # a locator that reads x2 breaks the sampled pairs shifted in x2 but not
-    # the exact pair, which stays at x2 = 0
-    res = _dim2_resolution_reading_x(1) if reads_x2 else covers.dim2_resolution()
+def test_batched_periodicity_matches_the_per_point_loop(r, reads):
+    # the exact check passes dim2's locator, and then the per-point loop
+    # finds no failing pair for any seed; it fails a locator that reads x1 or
+    # x2 at every r, where the loop, with few sampled pairs near r = pi,
+    # fails it for some seeds only
+    res = covers.dim2_resolution() if reads is None else _dim2_resolution_reading_x(reads)
     cover = covers.dim2_cover(r)
     nerve = build_nerve(cover, 2, res)
     region = cover.intersection((0, 1))
-    verdicts = set()
-    for seed in range(6):
-        ok, pairs = scenarios.periodicity_pairs(nerve, region, np.random.default_rng(seed))
-        want_ok, sampled = sampled_periodicity(nerve, region, np.random.default_rng(seed))
-        assert (ok, pairs) == (want_ok, sampled + 2)  # one exact pair per component
-        verdicts.add(ok)
-    assert (False in verdicts) == reads_x2
+    assert scenarios.periodicity_pairs(nerve, region) == (reads is None, 6)
+    looped = {sampled_periodicity(nerve, region, np.random.default_rng(seed))[0] for seed in range(6)}
+    assert (False in looped) == (reads is not None)
+
+
+def test_periodicity_fails_an_overlap_that_couples_x_and_y():
+    # x1 < 10 + y1 reads x and y at once, so the overlap is no box in x times
+    # a set in y, even where the shifted pairs locate alike
+    cover = covers.dim2_cover(4.0)
+    nerve = build_nerve(cover, 2, covers.dim2_resolution())
+    overlap = cover.intersection((0, 1))
+
+    def with_conjunct(c):
+        return Region("overlap", CAnd((overlap.constraint, c)), overlap.bbox)
+
+    assert scenarios.periodicity_pairs(nerve, with_conjunct(CLt(SX(0), SSum((SConst(10.0), SY(0)))))) == (False, 6)
+    # a bound in y alone keeps the box
+    assert scenarios.periodicity_pairs(nerve, with_conjunct(CLt(SY(1), SConst(0.25)))) == (True, 6)
 
 
 def test_dim2_periodicity_fails_when_the_overlap_locator_reads_x(monkeypatch, tmp_path):
     monkeypatch.setattr(covers, "dim2_resolution", lambda: _dim2_resolution_reading_x(0))
     out = tmp_path / "dim2.json"
-    assert main(["dim2", "--samples", "300", "--out", str(out)]) == 1
+    assert main(["dim2", "--out", str(out)]) == 1
     status = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
     assert status["periodicity"] == "fail"
 
@@ -173,24 +197,42 @@ def test_dim2_periodicity_fails_when_the_overlap_locator_reads_x(monkeypatch, tm
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_dim2_report_differs_from_the_per_point_loop_only_in_pairs_checked(seed, monkeypatch):
     batched = json.loads(run_dim2(ScenarioConfig(seed=seed)).to_json())
-    monkeypatch.setattr(scenarios, "periodicity_pairs", sampled_periodicity)
+    monkeypatch.setattr(
+        scenarios,
+        "periodicity_pairs",
+        lambda nerve, region: sampled_periodicity(nerve, region, np.random.default_rng(seed)),
+    )
     looped = json.loads(run_dim2(ScenarioConfig(seed=seed)).to_json())
     pairs = [
         next(c for c in rep["checks"] if c["name"] == "periodicity")["metrics"].pop("pairs_checked")
         for rep in (batched, looped)
     ]
-    assert pairs[0] == pairs[1] + 2 and pairs[1] > 0
+    assert pairs[0] == 6 and pairs[1] > 0
     assert batched == looped
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_dim2_just_above_pi_has_its_exact_pairs(seed, tmp_path):
-    # no sampled pair lands in the strip x1 in (-r, r - 2 pi) for seeds 0 and 3
+    # a sampled pair would have to land in the strip x1 in (-r, r - 2 pi);
+    # the exact pairs about the representatives lie in D_r for every r > pi
     for r in ("3.15", repr(math.nextafter(math.pi, 4))):
         out = tmp_path / "dim2.json"
-        assert main(["dim2", "--r", r, "--seed", str(seed), "--samples", "300", "--out", str(out)]) == 0
+        assert main(["dim2", "--r", r, "--seed", str(seed), "--out", str(out)]) == 0
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-        assert checks["periodicity"]["metrics"]["pairs_checked"] >= 2
+        assert checks["periodicity"]["metrics"]["pairs_checked"] == 6
+
+
+def test_dim2_checks_and_artifacts_are_identical_across_seeds():
+    # the seed feeds only pullback's sampled image check, which adds nothing
+    # to the report
+    def body(r, seed):
+        payload = json.loads(run_dim2(ScenarioConfig(r=r, seed=seed)).to_json())
+        assert payload["config"] == {"r": r, "seed": seed} and payload["overall"] == "pass"
+        return payload["checks"], payload["artifacts"]
+
+    for r in (4.0, 3.15, math.nextafter(math.pi, 4)):
+        seeds = (0, 1, 7) if r == 4.0 else (0, 1, 2, 3)
+        assert all(body(r, seed) == body(r, seeds[0]) for seed in seeds[1:])
 
 
 def test_dimn_passes(dimn_report):
@@ -234,15 +276,17 @@ def test_dimn_rejects_bad_config():
         run_dimn(_fast_cfg(n=1))
 
 
-def test_dim2_passes_at_zero_tolerance():
-    # the tube bundle's identities hold exactly, so tol_cocycle = 0 is no failure
-    assert run_dim2(_fast_cfg(tol_cocycle=0.0)).overall_pass
+def test_dim2_passes_at_zero_tolerance(dim2_report):
+    # the tube bundle's identities hold exactly: a defect of 0 passes at any
+    # tolerance, so the pipelines take none
+    coc = next(c for c in dim2_report.checks if c.name == "tube-transport").metrics["cocycle"]
+    assert coc["max_residual"] == 0.0 and coc["passed"]
 
 
 def test_report_config_echoes_the_fields_its_pipeline_reads(dim2_report, dimn_report):
-    assert set(json.loads(dim2_report.to_json())["config"]) == {"r", "samples", "seed", "tol_cocycle"}
+    assert set(json.loads(dim2_report.to_json())["config"]) == {"r", "seed"}
     assert set(json.loads(dimn_report.to_json())["config"]) == {
-        "n", "epsilon", "seed", "safety", "tol_cocycle", "run_connectivity",
+        "n", "epsilon", "seed", "safety", "run_connectivity",
     }
 
 
@@ -306,7 +350,7 @@ def test_hessian_scan_rows():
 
 def test_cli_dim2(tmp_path):
     out = tmp_path / "dim2.json"
-    code = main(["dim2", "--samples", "300", "--out", str(out)])
+    code = main(["dim2", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["overall"] == "pass"
 
@@ -655,6 +699,11 @@ def test_dimn_up_ball_reaching_a_b_arc_fails_the_overlap_check(n, monkeypatch):
         ["dim2", "--budget-nodes", "3"],
         ["dimn", "--r", "9"],
         ["dimn", "--samples", "300"],
+        ["dimn", "--tol-cocycle", "0"],
+        ["dim2", "--samples", "300"],
+        ["dim2", "--tol-cocycle", "0"],
+        ["selftest", "--samples", "300"],
+        ["selftest", "--tol-cocycle", "0"],
         ["dimn", "--step", "0.1"],
         ["dimn", "--budget-nodes", "1000"],
         ["dimn", "--tol-chern", "1"],
@@ -673,14 +722,13 @@ def test_cli_rejects_flags_a_command_ignores(argv, capsys):
 
 def test_cli_config_error_exit(tmp_path):
     assert main(["dimn", "--epsilon", "-1", "--out", str(tmp_path / "x.json")]) == 2
-    assert main(["dim2", "--samples", "100", "--out", str(tmp_path / "no" / "x.json")]) == 2
+    assert main(["dim2", "--out", str(tmp_path / "no" / "x.json")]) == 2
 
 
-def test_cli_rejects_zero_samples(tmp_path, capsys):
-    assert main(["dim2", "--samples", "0", "--out", str(tmp_path / "x.json")]) == 2
-    assert "samples must be positive" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="r must be positive"):
-        ScenarioConfig(r=0.0)
+def test_config_rejects_nonpositive_r():
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="r must be positive"):
+            ScenarioConfig(r=r)
 
 
 @pytest.mark.parametrize(
@@ -739,7 +787,7 @@ def test_cli_computes_settings_inside_the_float_range(tmp_path, capsys):
     out = str(tmp_path / "x.json")
     assert main(["cohomology-torus", "--n", "2", "--epsilon", "5e5", "--out", out]) == 0
     assert main(["dimn", "--n", "2", "--epsilon", "3e4", "--out", out]) == 1
-    assert main(["dim2", "--r", "1.3e154", "--samples", "200", "--out", out]) == 0
+    assert main(["dim2", "--r", "1.3e154", "--out", out]) == 0
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -801,7 +849,7 @@ def test_cli_dim2_without_shifted_pairs_is_refused(tmp_path, capsys):
 
 def test_dim2_check_cover_bug_propagates(monkeypatch):
     # only a ResolutionError reads as a failed cover check; a bug must surface
-    def broken(cover, rng, samples):
+    def broken(cover):
         raise TypeError("bug in check_cover")
 
     monkeypatch.setattr(scenarios, "check_cover", broken)
@@ -869,7 +917,7 @@ def test_cli_hessian_scan(tmp_path):
 
 def test_cli_env_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CECHCERT_OUT", str(tmp_path))
-    code = main(["dim2", "--samples", "200"])
+    code = main(["dim2"])
     assert code == 0
     assert (tmp_path / "dim2_report.json").exists()
 
