@@ -391,36 +391,28 @@ def cohomology(
 
     Clearing (Chen-Kerber; Bauer-Kerber-Reininghaus) makes each pass cheaper,
     exactly over Z: the columns of d^k that were pivot rows R of d^{k-1} are
-    dropped before d^k is eliminated.  Unit-pivot elimination leaves
-    d^{k-1}[R, C] unimodular (C its pivot columns), so for every r in R some
-    e_r + y with y zero on R lies in im d^{k-1}.  Once d^k d^{k-1} = 0 is
-    checked, column r of d^k is then -d^k y, an integer combination of the
-    kept columns: the column lattice of d^k, hence every Smith divisor, is
-    unchanged."""
+    dropped before d^k is eliminated.  `pivot_divisors` leaves d^{k-1}[R, C]
+    unimodular (C its pivot columns), on whichever side it eliminated, so for
+    every r in R some e_r + y with y zero on R lies in im d^{k-1}.  Once
+    d^k d^{k-1} = 0 holds, column r of d^k is then -d^k y, an integer
+    combination of the kept columns: the column lattice of d^k, hence every
+    Smith divisor, is unchanged.  `_check_dd_zero` proves d^k d^{k-1} = 0
+    for each degree without forming the product: the simplicial identities
+    of the face tables, face i of face j = face j-1 of face i for i < j,
+    pair the terms of each row of the product with opposite signs."""
     degrees = k if isinstance(k, range) else range(k, k + 1)
     if degrees.step != 1 or not degrees:
         raise ValueError(f"expected a degree or a nonempty range of degrees, got {k!r}")
     if degrees[-1] + 1 > nerve.k_max:
         raise ValueError(f"k_max={nerve.k_max} too small to compute H^{degrees[-1]}")
-    B = delta_rows(nerve, degrees[0] - 1)
-    divB, cleared = pivot_divisors([{c: v for c, v in row.items() if v} for row in B])
+    divB, cleared = pivot_divisors(delta_rows(nerve, degrees[0] - 1))
     out = []
     for deg in degrees:
-        A = delta_rows(nerve, deg)
         # the rank formula below counts ker(d^k) / im(d^{k-1}), and clearing
-        # keeps the divisors of d^k, only if d^k d^{k-1} = 0; the product is
-        # summed exactly over Python ints, row by row
-        for a in A:
-            ab: dict[int, int] = {}
-            for j, v in a.items():
-                for c, w in B[j].items():
-                    ab[c] = ab.get(c, 0) + v * w
-            if any(ab.values()):
-                raise VerificationError(
-                    f"d^{deg} d^{deg - 1} is not zero: the differential is broken"
-                )
+        # keeps the divisors of d^k, only if d^k d^{k-1} = 0
+        _check_dd_zero(nerve, deg)
         divA, cleared = pivot_divisors(
-            [{c: v for c, v in row.items() if v and c not in cleared} for row in A]
+            [{c: v for c, v in row.items() if c not in cleared} for row in delta_rows(nerve, deg)]
         )
         dim_k = len(nerve.basis(deg))
         if ring == "Z2":
@@ -429,8 +421,41 @@ def cohomology(
         else:
             free = dim_k - len(divA) - len(divB)
             out.append(CohomologyResult(free, tuple(d for d in divB if d > 1)))
-        B, divB = A, divA
+        divB = divA
     return out if isinstance(k, range) else out[0]
+
+
+def _face_array(nerve: ResolvedNerve, k: int) -> np.ndarray:
+    """`nerve.face_tables[k]` as an array, one row per basis element of degree k."""
+    table = nerve.face_tables[k]
+    flat = np.fromiter(itertools.chain.from_iterable(table), np.intp, len(table) * (k + 1))
+    return flat.reshape(-1, k + 1)
+
+
+def _check_dd_zero(nerve: ResolvedNerve, k: int) -> None:
+    """Prove d^k d^{k-1} = 0 from the face tables, or raise VerificationError.
+
+    With F the face table of degree k + 1 and G that of degree k, dropping
+    the j-th and then the i-th index of a simplex (i < j) gives the same face
+    as dropping the i-th and then the (j-1)-th, so a true nerve has
+    G[F[r][j]][i] == G[F[r][i]][j - 1] for every row r.  Row r of
+    d^k d^{k-1} is the sum over m and i of (-1)^(m+i) e_{G[F[r][m]][i]}; the
+    identity gives the terms (m, i) = (j, i) and (i, j - 1) one column and
+    opposite signs, and these pairs use every term once, so the row is 0.
+    `delta_rows` holds that sum when no row repeats a face: checked for G,
+    and for F it follows from the identities (a row of F repeating a face,
+    with 3 or more faces, makes some row of G repeat one)."""
+    if k < 1 or not nerve.face_tables.get(k + 1):
+        return  # d^{-1} = 0, or d^k has no rows
+    F, G = _face_array(nerve, k + 1), _face_array(nerve, k)
+    for j in range(1, k + 2):
+        for i in range(j):
+            if (G[F[:, j], i] != G[F[:, i], j - 1]).any():
+                raise VerificationError(f"d^{k} d^{k - 1} is not zero: the differential is broken")
+    for j in range(1, k + 1):
+        for i in range(j):
+            if (G[:, i] == G[:, j]).any():
+                raise VerificationError(f"a row of d^{k - 1} repeats a face: the differential is broken")
 
 
 @dataclass

@@ -546,10 +546,13 @@ def slice_checks(lnt: BundleData, eps: float) -> dict:
     constraint tree is the n = 2 sector's (rho sums over every coordinate, and
     log 1 = 0), every transition's Laurent form uses z_1 and z_2 only, and the
     nerves have the same simplices, with iota of each n = 2 representative
-    located to the component of the same index."""
+    located to the component of the same index.  At n = 2 iota is the
+    identity, and the n = 2 cover and nerve are the clutching bundle's own."""
     nerve, pad = lnt.nerve, (1.0, 0.0) * (lnt.cover.ambient.dim2n // 2 - 2)
-    base = cv.torus_cover(2, eps)
-    base_nerve = build_nerve(base, nerve.k_max, cv.torus_resolution(2, eps, nerve.k_max))
+    base, base_nerve = lnt.cover, nerve
+    if pad:
+        base = cv.torus_cover(2, eps)
+        base_nerve = build_nerve(base, nerve.k_max, cv.torus_resolution(2, eps, nerve.k_max))
     sets = [r.constraint for _, r in lnt.cover.sets] == [r.constraint for _, r in base.sets]
     entries = [e for t in lnt.transitions.values() for M in t.values() for e in sum(M.entries, ())]
     located = set(base_nerve.simplices) == set(nerve.simplices) and all(

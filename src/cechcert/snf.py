@@ -4,7 +4,9 @@ One sparse elimination serves both: exact row operations clear the +-1 pivots
 of M, leaving a remainder of rows with no unit entry, usually empty.  In a
 solve every row also carries its provenance, the combination of input rows it
 now is, so its right-hand side is provenance . c.  `smith_divisors` returns a
-1 per pivot and the divisors of the remainder.  `solve_integer`
+1 per pivot and the divisors of the remainder, from the transpose when M has
+more rows than nonzero columns; a solve keeps the rows, as its provenance and
+its witness are combinations of rows.  `solve_integer`
 back-substitutes through the pivots, or answers "no" with a witness (y, q):
 row weights y with y M = 0 and y c != 0 modulo q (q = 0: exactly).  That is
 the integer Farkas lemma (Kronecker; Schrijver, Theory of Linear and Integer
@@ -195,10 +197,35 @@ def smith_divisors(M) -> tuple[int, ...]:
 
 
 def pivot_divisors(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], set[int]]:
-    """`smith_divisors` of sparse rows, which are eliminated in place, and the
-    set of rows that took a +-1 pivot.  Entries must be nonzero."""
-    pivots, _, _, R = _eliminate(rows)
+    """`smith_divisors` of sparse rows, which may be eliminated in place, and a
+    set R of rows that took a +-1 pivot, with M[R, C] unimodular for their
+    pivot columns C.  Entries must be nonzero.
+
+    The elimination runs along the short side: when the rows outnumber the
+    columns they touch, it eliminates the transpose, one {row: entry} line
+    per column, and R is that elimination's set of pivot columns.  Invariant
+    factors do not change under transposition, and neither does the
+    unimodularity: on either side a line chosen as a pivot has gained only
+    multiples of earlier pivot lines, and holds 0 at their pivot positions.
+    So a unit-triangular change of the pivot lines, in pivot order, makes the
+    pivot block triangular with +-1 on its diagonal, and det M[R, C] = +-1."""
+    pivots, R = _unit_pivots(rows)
     return (1,) * len(pivots) + smith_normal_form(R).divisors, set(pivots)
+
+
+def _unit_pivots(rows: list[dict[int, int]]) -> tuple[dict[int, int], np.ndarray]:
+    """The +-1 pivots of `pivot_divisors`, as {row: column}, and the dense
+    remainder, from one `_eliminate` along the short side."""
+    if len(rows) <= len(set().union(*rows)):
+        pivots, _, _, R = _eliminate(rows)
+        return {i: j for i, (j, _, _) in pivots.items()}, R
+    lines: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            lines[c][i] = v
+    pivots, _, _, R = _eliminate(list(lines.values()))
+    cols = list(lines)
+    return {i: cols[x] for x, (i, _, _) in pivots.items()}, R
 
 
 def solve_integer(M, c, modulus: int | None = None):

@@ -21,6 +21,7 @@ from sympy.matrices.normalforms import invariant_factors
 import cechcert
 
 from cechcert import nerve as nerve_mod
+from cechcert import scenarios as scenarios_mod
 from cechcert import snf as snf_mod
 from cechcert.errors import NotACocycleError, ResolutionError, VerificationError
 from cechcert.geometry import (
@@ -70,6 +71,7 @@ from cechcert.scenarios import torus_rank_table
 from cechcert.snf import pivot_divisors as snf_pivot_divisors, smith_divisors
 
 from cover_samplers import sampled_check_cover
+from dd_product import product_guard
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +348,36 @@ def torus_nerve():
     return build_nerve(torus_cover(n, eps), 3, torus_resolution(n, eps, 3))
 
 
+def _mutated(nerve, k, r, change):
+    """A copy of `nerve` whose face table of degree k has row r replaced by
+    `change` of it (a list, which it may edit in place)."""
+    tables = {d: list(rows) for d, rows in nerve.face_tables.items()}
+    tables[k][r] = tuple(change(list(tables[k][r])))
+    return ResolvedNerve(nerve.cover, nerve.k_max, nerve.simplices, tables, nerve.locators)
+
+
+def _swapped(a, b):
+    """A face-table row change that swaps the faces on facets a and b."""
+
+    def change(row):
+        row[a], row[b] = row[b], row[a]
+        return row
+
+    return change
+
+
+def _moved(nerve, k, m):
+    """A face-table row change of degree k that sends the face on facet m to
+    the next component of that facet."""
+
+    def change(row):
+        facet, ci = nerve.basis(k - 1)[row[m]]
+        row[m] += (ci + 1) % len(nerve.components(facet)) - ci
+        return row
+
+    return change
+
+
 def test_torus_nerve_faces_commute(torus_nerve):
     # the two face paths from a simplex to a codimension-2 face carry opposite
     # signs, so d^k d^{k-1} = 0, which `cohomology` checks exactly, holds
@@ -357,14 +389,7 @@ def test_torus_nerve_faces_commute(torus_nerve):
     assert n_comps > 1
     # move the face of (quad, 0) on its facet 0 to another component of it
     moved_to = (torus_nerve.face_component(quad, 0, 0) + 1) % n_comps
-    tables = {k: list(rows) for k, rows in torus_nerve.face_tables.items()}
-    row = list(tables[3][torus_nerve.offset(quad)])
-    assert row[0] == torus_nerve.offset(facet) + torus_nerve.face_component(quad, 0, 0)
-    row[0] = torus_nerve.offset(facet) + moved_to
-    tables[3][torus_nerve.offset(quad)] = tuple(row)
-    moved = ResolvedNerve(
-        torus_nerve.cover, torus_nerve.k_max, torus_nerve.simplices, tables, torus_nerve.locators
-    )
+    moved = _mutated(torus_nerve, 3, torus_nerve.offset(quad), _moved(torus_nerve, 3, 0))
     assert moved.face_component(quad, 0, 0) == moved_to
     with pytest.raises(VerificationError, match="d\\^2 d\\^1 is not zero"):
         cohomology(moved, 2)
@@ -378,20 +403,14 @@ def test_torus_ranks(torus_nerve):
     assert h2.free_rank == 1 and h2.torsion == ()
 
 
-def test_cohomology_rejects_broken_differential(torus_nerve, monkeypatch):
-    real = delta_rows
-
-    def broken(nerve, k):
-        rows = real(nerve, k)
-        if k == 1:
-            rows[0][0] = rows[0].get(0, 0) + 1
-        return rows
-
-    monkeypatch.setattr(nerve_mod, "delta_rows", broken)
-    with pytest.raises(VerificationError, match="not zero"):
-        cohomology(torus_nerve, 1)
-    with pytest.raises(VerificationError, match="not zero"):
-        cohomology(torus_nerve, 2, ring="Z2")
+def test_cohomology_rejects_broken_differential(torus_nerve):
+    # the first row of d^1 with the faces on its first two facets swapped
+    broken = _mutated(torus_nerve, 2, 0, _swapped(0, 1))
+    with pytest.raises(VerificationError, match="d\\^1 d\\^0 is not zero"):
+        cohomology(broken, 1)
+    # the same row is a column of d^2
+    with pytest.raises(VerificationError, match="d\\^2 d\\^1 is not zero"):
+        cohomology(broken, 2, ring="Z2")
 
 
 def test_torus_z2_ranks(torus_nerve):
@@ -707,7 +726,10 @@ def test_cleared_table_matches_sympy_on_random_complexes(complex_):
         tuple(int(d) for d in invariant_factors(Matrix(M.tolist()), domain=ZZ) if d)
         for M in mats
     ]
-    with patch.object(nerve_mod, "delta_rows", rows), _recorded_divisors() as seen:
+    # the fake nerve has no face tables: its guard is the product of its rows
+    with patch.object(nerve_mod, "delta_rows", rows), patch.object(
+        nerve_mod, "_check_dd_zero", lambda nv, k: product_guard(nv, k, rows)
+    ), _recorded_divisors() as seen:
         table = cohomology(nerve, range(3))
         z2 = cohomology(nerve, range(3), ring="Z2")
     assert seen == full + full
@@ -720,18 +742,107 @@ def test_cleared_table_matches_sympy_on_random_complexes(complex_):
 
 @pytest.mark.parametrize("broken_k", [0, 2], ids=["d0", "top"])
 def test_rank_table_guards_every_degree(broken_k, monkeypatch):
-    # torus_rank_table(2) has k_max 3: its top differential is d^2
-    real = delta_rows
+    # torus_rank_table(2) has k_max 3: its top differential is d^2, whose rows
+    # are the face table of degree 3; the first row of d^broken_k gets the
+    # faces on its first two facets swapped
+    real = scenarios_mod.build_nerve
 
-    def broken(nerve, k):
-        rows = real(nerve, k)
-        if k == broken_k:
-            rows[0][0] = rows[0].get(0, 0) + 1
-        return rows
+    def broken(*args):
+        return _mutated(real(*args), broken_k + 1, 0, _swapped(0, 1))
 
-    monkeypatch.setattr(nerve_mod, "delta_rows", broken)
+    monkeypatch.setattr(scenarios_mod, "build_nerve", broken)
     with pytest.raises(VerificationError, match="not zero"):
         torus_rank_table(2)
+
+
+def _guards_agree(nerve) -> bool:
+    """The verdict of the face-identity guard over every degree of the rank
+    table, asserted equal to the product's."""
+    verdicts = []
+    for guard in (nerve_mod._check_dd_zero, product_guard):
+        try:
+            for k in range(nerve.k_max):
+                guard(nerve, k)
+            verdicts.append(True)
+        except VerificationError:
+            verdicts.append(False)
+    assert verdicts[0] == verdicts[1]
+    return verdicts[0]
+
+
+def _one_set_ball_nerve(k_max):
+    cover, res = one_set_cover(ball_region((0.0,) * 4, 1.0), CPoint((0.0,) * 4))
+    return build_nerve(cover, k_max, res)
+
+
+# every nerve a pipeline runs cohomology on, and the sets of their subnerves
+_PIPELINE_NERVES = {
+    "dim2": (lambda: build_nerve(dim2_cover(4.0), 2, dim2_resolution()), [[0], [1]]),
+    "torus-n2": (lambda: build_nerve(torus_cover(2, 1.0), 3, torus_resolution(2, 1.0, 3)), [[0, 1, 3]]),
+    "torus-n3": (
+        lambda: build_nerve(torus_cover(3, 1.5), 4, torus_resolution(3, 1.5, 4)),
+        [[0, 1, 2, 4, 7], [1, 2, 5, 6]],
+    ),
+    "four-set-n3": (
+        lambda: build_nerve(torus_cover(3, 1.5, 2), 3, torus_resolution(3, 1.5, 3, 2)),
+        [[0, 1, 3]],
+    ),
+    "glued-n2": (
+        lambda: build_nerve(_glued_cover(2, 1.0, 0.5), 3, glued_resolution(2, 1.0, 0.5, 3)),
+        [[0, 1, 2, 3], [0, 1, 4]],
+    ),
+    "one-set": (lambda: _one_set_ball_nerve(3), []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIPELINE_NERVES))
+def test_dd_guard_agrees_with_the_product(name):
+    build, subsets = _PIPELINE_NERVES[name]
+    base = build()
+    for nerve in [base] + [base.subnerve(keep) for keep in subsets]:
+        assert _guards_agree(nerve)
+        # rows with faces on two adjacent facets swapped, or one face sent to
+        # another component of its facet, in the first, middle and last row
+        # of every table: refused when the row is a face of a row above it,
+        # and otherwise for a swap in a row with three or more faces, and for
+        # a move to a component with other faces
+        for k, rows in nerve.face_tables.items():
+            lower = nerve.face_tables.get(k - 1)
+            above = {c for row in nerve.face_tables.get(k + 1, ()) for c in row}
+            for r in sorted({0, len(rows) // 2, len(rows) - 1} if rows else ()):
+                for m in range(k):
+                    refused = not _guards_agree(_mutated(nerve, k, r, _swapped(m, m + 1)))
+                    assert refused == (r in above or k >= 2)
+                for m in range(k + 1):
+                    facet, _ = nerve.basis(k - 1)[rows[r][m]]
+                    if len(nerve.components(facet)) > 1:
+                        moved = _mutated(nerve, k, r, _moved(nerve, k, m))
+                        col = moved.face_tables[k][r][m]
+                        refused = not _guards_agree(moved)
+                        faces_differ = lower is not None and lower[col] != lower[rows[r][m]]
+                        assert refused == (r in above or faces_differ)
+
+
+def test_dd_guard_refuses_what_the_product_cannot_see(torus_nerve):
+    # faces swapped between facets 0 and 2 keep their signs, so the row of
+    # d^2 and the product are unchanged; the face identities fail
+    quad = torus_nerve.offset((0, 1, 2, 3))
+    swapped = _mutated(torus_nerve, 3, quad, _swapped(0, 2))
+    assert delta_rows(swapped, 2) == delta_rows(torus_nerve, 2)
+    product_guard(swapped, 2)
+    with pytest.raises(VerificationError, match="d\\^2 d\\^1 is not zero"):
+        cohomology(swapped, 2)
+
+
+def test_dd_guard_refuses_a_row_that_repeats_a_face():
+    # an edge with one face twice, under a triangle with one face thrice: the
+    # face identities hold, but d^0 holds one entry for the edge, not two,
+    # and the product is not zero
+    nerve = SimpleNamespace(face_tables={1: [(0, 0)], 2: [(0, 0, 0)]})
+    with pytest.raises(VerificationError, match="not zero"):
+        product_guard(nerve, 1)
+    with pytest.raises(VerificationError, match="a row of d\\^0 repeats a face"):
+        nerve_mod._check_dd_zero(nerve, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])

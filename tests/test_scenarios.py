@@ -573,6 +573,36 @@ def test_dimn_slice_check_fails_on_a_set_with_an_arc_on_z3(monkeypatch):
     }
 
 
+def test_dimn_slice_builds_the_n2_cover_only_when_n_exceeds_2(monkeypatch):
+    # at n = 2 iota is the identity: the slice reuses the four-set cover and
+    # nerve that run_dimn has built; at n = 3 it builds the n = 2 ones
+    real_cover, real_build = covers.torus_cover, scenarios.build_nerve
+    covers_made, nerves_of = [], []
+
+    def cover_counted(*args):
+        covers_made.append(args)
+        return real_cover(*args)
+
+    def build_counted(cover, *args):
+        nerves_of.append(cover.names)
+        return real_build(cover, *args)
+
+    monkeypatch.setattr(covers, "torus_cover", cover_counted)
+    monkeypatch.setattr(scenarios, "build_nerve", build_counted)
+    sectors = [f"S_{a}{b}" for a in "AB" for b in "AB"]
+    for n, eps, made in ((2, 1.0, [(2, 1.0, 2)]), (3, 1.5, [(3, 1.5, 2), (2, 1.5)])):
+        covers_made.clear()
+        nerves_of.clear()
+        rep = run_dimn(_fast_cfg(n=n))
+        assert covers_made == made
+        assert nerves_of.count(sectors) == len(made)
+        assert _check(rep, "clutching-bundle").metrics["slice"] == {
+            "sets_equal_n2": True,
+            "transitions_in_z1_z2": True,
+            "representatives_located": True,
+        }
+
+
 def test_dimn_glued_restriction_differing_from_the_clutching_bundle_fails(monkeypatch):
     # the glued bundle restricted to the sector sets must carry the clutching
     # bundle's transitions verbatim; doubling one of them fails step 10 alone

@@ -150,6 +150,51 @@ def test_divisors_of_sparse_unit_matrices(M):
     assert smith_divisors(M) == _oracle(M)
 
 
+@st.composite
+def _sparse_oriented(draw):
+    """A sparse matrix with entries in +-3 that is tall, wide or square."""
+    side = draw(st.sampled_from(["tall", "wide", "square"]))
+    short = draw(st.integers(1, 5))
+    long = short if side == "square" else draw(st.integers(short + 1, 9))
+    shape = (long, short) if side == "tall" else (short, long)
+    return draw(arrays(np.int64, shape, elements=st.sampled_from((-3, -2, -1, 0, 0, 0, 1, 2, 3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_oriented())
+def test_pivot_divisors_on_either_side(M):
+    rows = [{j: int(v) for j, v in enumerate(r) if v} for r in M]
+    pivots, _, _, R = snf_mod._eliminate([dict(r) for r in rows])
+    by_rows = (1,) * len(pivots) + smith_normal_form(R).divisors
+    divisors, cleared = snf_mod.pivot_divisors([dict(r) for r in rows])
+    assert divisors == smith_divisors(M) == by_rows == _oracle(M)
+    # the pivot rows R and their pivot columns C: M[R, C] is unimodular
+    pairs, _ = snf_mod._unit_pivots([dict(r) for r in rows])
+    assert set(pairs) == cleared and len(set(pairs.values())) == len(pairs)
+    assert not pairs or _is_unimodular(M[np.ix_(list(pairs), list(pairs.values()))])
+
+
+def test_pivot_divisors_eliminates_along_the_short_side(monkeypatch):
+    lines = []
+    real = snf_mod._eliminate
+
+    def spy(rows, prov=None):
+        lines.append(len(rows))
+        return real(rows, prov)
+
+    monkeypatch.setattr(snf_mod, "_eliminate", spy)
+    tall = [{0: 1}, {1: 1}, {0: 2, 1: 3}, {1: -1}, {0: 1, 1: 1}]
+    wide = [{j: 1 for j in range(5)}, {1: 2, 3: 1}]
+    # four rows on three of the six columns: more rows than columns touched
+    thin = [{0: 1, 5: 1}, {2: 1}, {0: 2, 2: -1}, {5: 3}]
+    for rows in (tall, wide, thin):
+        snf_mod.pivot_divisors([dict(r) for r in rows])
+    assert lines == [2, 2, 3]
+    # a solve keeps the rows, whose provenance its witness reads
+    solve_integer(tall, [0, 0, 0, 0, 0])
+    assert lines[-1] == len(tall)
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
 def test_divisors_of_empty_matrices(shape):
     M = np.zeros(shape, dtype=np.int64)
