@@ -27,12 +27,17 @@ from .errors import (
     NotACocycleError,
     ShapeError,
 )
-from .geometry import CAnd, CLt, COr, CPoint, Region, SConst, SPow, SRho, SSum, SX, SY, conjuncts
+from .geometry import (
+    CAnd, CLt, COr, CPoint, Region, SConst, SLogAbsZ, SPow, SProd, SRho, SSum, SX, SY, conjuncts, reads_y_only
+)
 from .hexpr import (
     ChartMap,
     Const,
+    Coord,
+    Exp,
     Laurent,
     MatExpr,
+    Product,
     as_laurent,
     as_monomial,
     laurent_add,
@@ -431,14 +436,26 @@ def restrict_to_sets(b: BundleData, keep: list[int]) -> BundleData:
     return BundleData(nerve.cover, nerve, b.rank, transitions)
 
 
+def _exp_image(node, n: int):
+    """A tree under w_j = e^{i z_j} on C^n, where |w_j| = e^{-y_j}: y_j
+    becomes -log|w_j|, and the sum of y_j^2 over every j becomes rho(w)."""
+    if type(node) is tuple:
+        return tuple(_exp_image(k, n) for k in node)
+    if node == SSum(tuple(SPow(SY(j), 2) for j in range(n))):
+        return SRho()
+    if type(node) is SY:
+        return SProd((SConst(-1.0), SLogAbsZ(node.j)))
+    if not hasattr(node, "to_jsonable"):
+        return node  # a number
+    return type(node)(*(_exp_image(v, n) for v in vars(node).values()))
+
+
 def pullback(
     b: BundleData,
     chart: ChartMap,
     pre_cover: Cover,
     resolution: Resolution,
     k_max: int = 3,
-    samples_per_set: int = 200,
-    seed: int = 0,
 ) -> BundleData:
     """Pull transition data back through a chart map.
 
@@ -447,38 +464,39 @@ def pullback(
     components, and per-component matrices are transported by locating the
     image of each preimage component representative.  Every preimage set
     lies in the declared injectivity chart: each conjunct of the chart's
-    domain is one of the set's.  Sampled points of it map into its target.
+    domain is one of the set's.  Its image lies in its target: the chart
+    must be w_j = e^{i z_j}, and each of the target's conjuncts one of the
+    set's conjuncts in y alone pushed through it (`_exp_image`).
     """
     if len(pre_cover.sets) != len(b.cover.sets):
         raise GlueError("preimage cover must have one set per original set")
-    rng = np.random.default_rng(seed)
-    for name, reg in pre_cover.sets:
-        if not set(conjuncts(chart.domain.constraint)) <= set(conjuncts(reg.constraint)):
+    n = chart.n_out
+    if chart.forward != tuple(Exp(Product((Const(1j), Coord(j)))) for j in range(n)):
+        raise ChartError(f"chart {chart.name!r} is not w_j = e^(i z_j), so its images are unproved")
+    for i, (name, reg) in enumerate(pre_cover.sets):
+        own = conjuncts(reg.constraint)
+        if not set(conjuncts(chart.domain.constraint)) <= set(own):
             raise ChartError(f"preimage set {name!r} leaves the injectivity chart")
-        img = chart.forward_xy(reg.sample(samples_per_set, rng))
-        idx = pre_cover.index(name)
-        if not np.all(b.cover.region(idx).mask(img)):
+        pushed = {_exp_image(c, n) for c in own if reads_y_only(c)}
+        if not set(conjuncts(b.cover.region(i).constraint)) <= pushed:
             raise ChartError(f"image of preimage set {name!r} leaves its target set")
     nerve = build_nerve(pre_cover, k_max, resolution)
-    mapping = {j: chart.forward[j] for j in range(chart.n_out)}
+    mapping = dict(enumerate(chart.forward))
+
+    def composed(M: MatExpr) -> MatExpr:
+        return MatExpr(tuple(tuple(subst(e, mapping) for e in row) for row in M.entries))
+
     transitions: TransTable = {}
-    for (i, j), bycomp in b.transitions.items():
-        if (i, j) not in nerve.simplices:
+    for edge, bycomp in b.transitions.items():
+        if edge not in nerve.simplices:
             continue
-        out: dict[Optional[int], MatExpr] = {}
         if set(bycomp) == {None}:
-            M = bycomp[None]
-            out[None] = MatExpr(
-                tuple(tuple(subst(e, mapping) for e in row) for row in M.entries)
-            )
-        else:
-            for ci, rep in enumerate(nerve.components((i, j))):
-                old_ci = b.nerve.locate((i, j), chart.forward_point(rep))
-                M = _on_component(bycomp, old_ci)
-                out[ci] = MatExpr(
-                    tuple(tuple(subst(e, mapping) for e in row) for row in M.entries)
-                )
-        transitions[(i, j)] = out
+            transitions[edge] = {None: composed(bycomp[None])}
+            continue
+        transitions[edge] = {
+            ci: composed(_on_component(bycomp, b.nerve.locate(edge, chart.forward_point(rep))))
+            for ci, rep in enumerate(nerve.components(edge))
+        }
     return BundleData(pre_cover, nerve, b.rank, transitions)
 
 

@@ -17,7 +17,7 @@ import os
 import sys
 import traceback
 
-from .errors import DomainError, ResolutionError, ResourceError, SamplingError, VerificationError
+from .errors import DomainError, ResolutionError, ResourceError, VerificationError
 from .report import emit_report
 from .scenarios import (
     DIM2_FIELDS, DIMN_FIELDS, ScenarioConfig, hessian_scan_rows, run_dim2, run_dimn, torus_rank_table
@@ -29,7 +29,7 @@ OUT_ENV = "CECHCERT_OUT"
 # The types of the ScenarioConfig fields a command takes as flags; a flag not
 # given leaves the field at its ScenarioConfig default.  run_connectivity has
 # no flag: a pipeline command checks connectivity, selftest does not.  seed
-# feeds only dim2's sampled chart-image check; reports merely echo it.
+# changes nothing (no command samples); dimn's report echoes it.
 _FLAG_TYPES = {"n": int, "epsilon": float, "r": float, "seed": int, "safety": float}
 # selftest runs both pipelines at n = 2
 _SELFTEST_FIELDS = tuple(dict.fromkeys(f for f in DIM2_FIELDS + DIMN_FIELDS if f != "n"))
@@ -155,7 +155,6 @@ def main(argv=None) -> int:
         DomainError,
         ResourceError,
         ResolutionError,
-        SamplingError,
         VerificationError,
         ValueError,
         OSError,

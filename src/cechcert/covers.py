@@ -144,10 +144,7 @@ def dim2_generator_cochain() -> IntCochain:
 def exp_chart() -> ChartMap:
     """(z1, z2) -> (e^{i z1}, e^{i z2}), injective on {|x_j| < pi}."""
     domain = dr_region(math.pi, name="D_pi")
-    forward = (
-        Exp(Product((Const(1j), Coord(0)))),
-        Exp(Product((Const(1j), Coord(1)))),
-    )
+    forward = tuple(Exp(Product((Const(1j), Coord(j)))) for j in range(2))
     return ChartMap("exp(i.)", forward, domain)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "CAnd",
     "COr",
     "conjuncts",
+    "reads_y_only",
     "evaluate",
     "Region",
     "GridLabeling",
@@ -219,6 +220,13 @@ def conjuncts(node) -> tuple:
     if type(node) is not CAnd:
         return (node,)
     return tuple(c for item in node.items for c in conjuncts(item))
+
+
+def reads_y_only(node) -> bool:
+    """Whether every leaf of a tree is a constant or a y_j."""
+    kids = [k for v in vars(node).values() for k in (v if type(v) is tuple else (v,))]
+    kids = [k for k in kids if hasattr(k, "to_jsonable")]
+    return all(map(reads_y_only, kids)) if kids else type(node) in (SConst, SY)
 
 
 def evaluate(node, pts: np.ndarray) -> np.ndarray:

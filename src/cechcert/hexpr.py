@@ -283,14 +283,5 @@ class ChartMap:
             out[:, j] = e.ev(zc)
         return out
 
-    def forward_xy(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        zc = pts[:, 0::2] + 1j * pts[:, 1::2]
-        wc = self.forward_complex(zc)
-        out = np.empty((pts.shape[0], 2 * self.n_out))
-        out[:, 0::2] = wc.real
-        out[:, 1::2] = wc.imag
-        return out
-
     def forward_point(self, z: CPoint) -> CPoint:
         return CPoint.from_complex(self.forward_complex(z.to_complex().reshape(1, -1))[0])

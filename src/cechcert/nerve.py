@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import AbstractSet, Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import NotACocycleError, ResolutionError, VerificationError
-from .geometry import CLt, COr, CPoint, Region, SConst, SPow, SProd, SSum, SY, conjuncts
+from .geometry import CLt, COr, CPoint, Region, SConst, SProd, SY, conjuncts
 from .snf import pivot_divisors, smith_normal_form, solve_integer
 
 __all__ = [
@@ -351,14 +351,15 @@ def coboundary(nerve: ResolvedNerve, c: IntCochain) -> IntCochain:
     return IntCochain(k + 1, c.ring, out)
 
 
-def delta_rows(nerve: ResolvedNerve, k: int) -> list[dict[int, int]]:
+def delta_rows(nerve: ResolvedNerve, k: int, drop: AbstractSet[int] = frozenset()) -> list[dict[int, int]]:
     """Sparse rows of the degree-k differential: one {column: entry} dict per
-    (k+1)-cochain, columns indexing k-cochains, both in canonical basis order."""
+    (k+1)-cochain, columns indexing k-cochains, both in canonical basis order;
+    the columns in `drop` are left out."""
     if k < 0:
         return [{} for _ in nerve.basis(0)]  # d^{-1} maps from the zero group
     signs = [(-1) ** m for m in range(k + 2)]
     # the facets of a simplex differ, so its faces land in distinct columns
-    return [dict(zip(cols, signs)) for cols in nerve.face_tables.get(k + 1, ())]
+    return [{c: v for c, v in zip(cols, signs) if c not in drop} for cols in nerve.face_tables.get(k + 1, ())]
 
 
 def delta_matrix(nerve: ResolvedNerve, k: int) -> np.ndarray:
@@ -411,9 +412,7 @@ def cohomology(
         # the rank formula below counts ker(d^k) / im(d^{k-1}), and clearing
         # keeps the divisors of d^k, only if d^k d^{k-1} = 0
         _check_dd_zero(nerve, deg)
-        divA, cleared = pivot_divisors(
-            [{c: v for c, v in row.items() if c not in cleared} for row in delta_rows(nerve, deg)]
-        )
+        divA, cleared = pivot_divisors(delta_rows(nerve, deg, cleared))
         dim_k = len(nerve.basis(deg))
         if ring == "Z2":
             rank2 = sum(1 for d in divA + divB if d % 2 != 0)
@@ -516,8 +515,9 @@ def is_coboundary(nerve: ResolvedNerve, c: IntCochain) -> CoboundaryVerdict:
 # Cover checks
 
 
-# y != 0 for y = (y1, y2): the conjunct that removes the totally real plane
-Y_NONZERO = CLt(SConst(0.0), SSum((SPow(SY(0), 2), SPow(SY(1), 2))))
+# y != 0 for y = (y1, y2), the conjunct that removes the totally real plane:
+# strict comparisons with 0, which no float underflow decides wrongly
+Y_NONZERO = COr(tuple(c for j in (0, 1) for c in (CLt(SConst(0.0), SY(j)), CLt(SY(j), SConst(0.0)))))
 # +-y1 and +-y2 as trees, with their coefficients on (y1, y2)
 _SIGNED_Y = {
     SY(0): (1, 0),
@@ -541,11 +541,10 @@ def check_cover(cover: Cover) -> None:
     """Prove that the sets of a slab cover lie in its ambient and cover it,
     or raise ResolutionError.  The ambient's conjuncts must be some C and
     y != 0, and each set's C and one Or of open half-planes a.y < 0 in
-    y = (y1, y2), which miss y = 0 (over the reals: y1^2 + y2^2 underflows
-    below |y| ~ 1e-162).  The uncovered ambient points have y != 0 in the
-    closed cone K where every a.y >= 0, and a cone K != {0} in the plane has
-    an extreme ray on a line a.y = 0, so the sets cover the ambient when no
-    direction +-(-a2, a1) lies in K: integer dot products."""
+    y = (y1, y2), which miss y = 0.  The uncovered ambient points have
+    y != 0 in the closed cone K where every a.y >= 0, and a cone K != {0} in
+    the plane has an extreme ray on a line a.y = 0, so the sets cover the
+    ambient when no direction +-(-a2, a1) lies in K: integer dot products."""
     ambient = conjuncts(cover.ambient.constraint)
     base = [c for c in ambient if c != Y_NONZERO]
     if len(base) == len(ambient):

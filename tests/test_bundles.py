@@ -10,8 +10,23 @@ import numpy as np
 import pytest
 
 from cechcert.errors import ChartError, DomainError, GlueError, NotACocycleError, ShapeError
-from cechcert.geometry import CPoint, ball_region
+from cechcert.geometry import (
+    CAnd,
+    CLt,
+    CPoint,
+    Region,
+    SConst,
+    SPow,
+    SRho,
+    SSum,
+    SX,
+    SY,
+    ball_region,
+    conjuncts,
+    reads_y_only,
+)
 from cechcert.hexpr import (
+    ChartMap,
     Const,
     Coord,
     Exp,
@@ -33,6 +48,7 @@ from cechcert.nerve import (
 from cechcert.bundles import (
     BundleData,
     BundleIso,
+    _exp_image,
     _winding,
     chern_cocycle,
     exp_sequence_push,
@@ -63,6 +79,7 @@ from cechcert.covers import (
     tube_resolution_dim2,
     up_ball,
 )
+from chart_samplers import escaping_sets
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +478,108 @@ def test_pullback_refuses_a_preimage_set_whose_image_leaves_its_target(tube2):
     pre_cover = Cover(pre.ambient.intersect(chart.domain, name="preimage"), sets)
     with pytest.raises(ChartError, match="image of preimage set 'U2' leaves its target set"):
         pullback(tube_bundle_dim2(cover, nerve), chart, pre_cover, dim2_resolution(), k_max=2)
+
+
+_Y_BALL = CLt(SSum((SPow(SY(0), 2), SPow(SY(1), 2))), SConst(1.0))
+# |x_j| < pi alone: the exp chart is injective there for every y
+_X_STRIP = Region(
+    "|x|<pi",
+    CAnd(tuple(CLt(SPow(SX(j), 2), SConst(math.pi * math.pi)) for j in range(2))),
+    exp_chart().domain.bbox,
+)
+
+
+def _exp_pre_cover(r=math.pi, domain=None, extra=(), without=()) -> tuple[ChartMap, Cover]:
+    """The exp chart on `domain` (default: its own, D_pi), and dim2_cover(r)
+    cut down to it, each set with the conjuncts `extra` added and those in
+    `without` removed."""
+    chart = exp_chart()
+    if domain is not None:
+        chart = ChartMap(chart.name, chart.forward, domain)
+    pre = dim2_cover(r)
+    sets = []
+    for name, reg in pre.sets:
+        cut = reg.intersect(chart.domain)
+        own = [c for c in conjuncts(cut.constraint) if c not in without]
+        sets.append((name, Region(name, CAnd(tuple(own) + tuple(extra)), cut.bbox)))
+    return chart, Cover(pre.ambient.intersect(chart.domain, name="preimage"), sets)
+
+
+def test_pushed_conjuncts_are_the_tube_sets_conjuncts(tube2):
+    # the y-ball becomes rho < 1 and the half-planes in y become half-planes
+    # in eta = -log|w|; the bounds in x have no image
+    cover, _ = tube2
+    for (_, pre), (_, target) in zip(_exp_pre_cover()[1].sets, cover.sets):
+        pushed = {_exp_image(c, 2) for c in conjuncts(pre.constraint) if reads_y_only(c)}
+        assert pushed == set(conjuncts(target.constraint))
+
+
+@pytest.mark.parametrize(
+    "chart, pre_cover",
+    [
+        *(_exp_pre_cover(r) for r in (math.pi, 3.15, 4.0, 7.0)),
+        _exp_pre_cover(extra=[CLt(SY(1), SConst(0.75))]),
+        _exp_pre_cover(extra=[CLt(SPow(SX(0), 2), SConst(0.25))]),
+        _exp_pre_cover(domain=_X_STRIP),
+    ],
+    ids=["pi", "3.15", "4", "7", "y2-bound", "x1-bound", "x-strip-chart"],
+)
+def test_sampled_images_stay_in_the_targets_pullback_accepts(tube2, chart, pre_cover):
+    cover, nerve = tube2
+    b = tube_bundle_dim2(cover, nerve)
+    pullback(b, chart, pre_cover, dim2_resolution(), k_max=2)
+    for seed in range(10):
+        assert escaping_sets(b, chart, pre_cover, np.random.default_rng(seed)) == []
+
+
+def _exp2_chart() -> ChartMap:
+    chart = exp_chart()
+    forward = tuple(Exp(Product((Const(2j), Coord(j)))) for j in range(2))
+    return ChartMap("exp(2i.)", forward, chart.domain)
+
+
+def _with_target_conjunct(cover: Cover, extra) -> Cover:
+    sets = [(n_, Region(n_, CAnd((reg.constraint, extra)), reg.bbox)) for n_, reg in cover.sets]
+    return Cover(cover.ambient, sets)
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        ("swapped", "image of preimage set 'U2' leaves its target set"),
+        ("target-eps-half", "image of preimage set 'U1' leaves its target set"),
+        ("exp-2i", r"chart 'exp\(2i.\)' is not w_j = e\^\(i z_j\)"),
+        ("no-y-ball", "image of preimage set 'U1' leaves its target set"),
+        ("target-x1-bound", "image of preimage set 'U1' leaves its target set"),
+        ("target-y1-only-rho", "image of preimage set 'U1' leaves its target set"),
+    ],
+)
+def test_pullback_refuses_each_escaping_image(tube2, mutation, message):
+    # each mutation lets images leave their targets, as the sampler sees
+    cover, nerve = tube2
+    chart, pre_cover = _exp_pre_cover()
+    if mutation == "swapped":
+        pre_cover = Cover(pre_cover.ambient, pre_cover.sets[::-1])
+    elif mutation == "target-eps-half":
+        cover = tube_cover_dim2(0.5)
+        nerve = build_nerve(cover, 2, tube_resolution_dim2())
+    elif mutation == "exp-2i":
+        chart = _exp2_chart()
+    elif mutation == "no-y-ball":
+        chart, pre_cover = _exp_pre_cover(domain=_X_STRIP, without=[_Y_BALL])
+    elif mutation == "target-x1-bound":
+        # |x1| < 1/2 on both sides: an x bound has no image, so Re w1 is free
+        x1_bound = CLt(SPow(SX(0), 2), SConst(0.25))
+        chart, pre_cover = _exp_pre_cover(extra=[x1_bound])
+        cover = _with_target_conjunct(cover, x1_bound)
+    else:
+        # y1^2 < 1/4 bounds (log|w1|)^2 alone, not rho
+        chart, pre_cover = _exp_pre_cover(extra=[CLt(SSum((SPow(SY(0), 2),)), SConst(0.25))])
+        cover = _with_target_conjunct(cover, CLt(SRho(), SConst(0.25)))
+    b = tube_bundle_dim2(cover, nerve)
+    with pytest.raises(ChartError, match=message):
+        pullback(b, chart, pre_cover, dim2_resolution(), k_max=2)
+    assert escaping_sets(b, chart, pre_cover, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

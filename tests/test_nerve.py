@@ -107,6 +107,15 @@ def test_check_cover_dim2():
             sampled_check_cover(cover, np.random.default_rng(seed))
 
 
+def test_dim2_ambient_holds_every_point_off_the_plane_in_floats():
+    # y1^2 + y2^2 underflows to 0 below |y| ~ 1.5e-162; the ambient compares
+    # y1 and y2 with 0 themselves, as the sets do
+    cover = dim2_cover(4.0)
+    pts = np.array([[0.0, 1e-200, 0.0, 0.0], [0.0, 0.0, 0.0, -5e-324], [0.0, 0.0, 0.0, 0.0]])
+    assert cover.ambient.mask(pts).tolist() == [True, True, False]
+    assert (cover.region(0).mask(pts) | cover.region(1).mask(pts)).tolist() == [True, True, False]
+
+
 def test_check_cover_detects_escape():
     ann = _annulus()
     big = ball_region((0.0, 0.0), 3.0, name="big")
@@ -678,6 +687,28 @@ def test_cleared_table_divisors_match_the_full_differentials(cover, k_max, res):
     assert z2 == [cohomology(nerve, k, ring="Z2") for k in range(1, k_max)]
 
 
+def test_cohomology_builds_each_differential_without_the_cleared_columns():
+    # d^k is read off the face tables with the pivot rows of d^{k-1} left
+    # out, so no row of it that is eliminated touches one
+    nerve = build_nerve(torus_cover(3, 1.5), 4, torus_resolution(3, 1.5, 4))
+    touched, pivot_rows = [], []
+
+    def recording(rows):
+        touched.append(set().union(*rows))
+        out = snf_pivot_divisors(rows)
+        pivot_rows.append(out[1])
+        return out
+
+    with patch.object(nerve_mod, "pivot_divisors", recording):
+        cohomology(nerve, range(4))
+    # d^{-1}, d^0, ..., d^3: d^{-1} has no pivot rows to clear
+    for k in range(2, 5):
+        assert pivot_rows[k - 1] and touched[k] and not touched[k] & pivot_rows[k - 1]
+        full = delta_rows(nerve, k - 1)
+        cleared = delta_rows(nerve, k - 1, pivot_rows[k - 1])
+        assert cleared == [{c: v for c, v in row.items() if c not in pivot_rows[k - 1]} for row in full]
+
+
 def _unimodular(size: int, ops: list[tuple[int, int, int]]):
     """U and U^-1 from row operations row_i += c row_j on the identity."""
     U, Uinv = np.eye(size, dtype=np.int64), np.eye(size, dtype=np.int64)
@@ -717,10 +748,10 @@ def test_cleared_table_matches_sympy_on_random_complexes(complex_):
         assert not (mats[k + 1] @ mats[k]).any()
     nerve = SimpleNamespace(k_max=3, basis=lambda k: range(dims[k]))
 
-    def rows(_nerve, k):
+    def rows(_nerve, k, drop=frozenset()):
         if k < 0:
             return [{} for _ in range(dims[0])]
-        return [{j: int(v) for j, v in enumerate(row) if v} for row in mats[k]]
+        return [{j: int(v) for j, v in enumerate(row) if v and j not in drop} for row in mats[k]]
 
     full = [()] + [
         tuple(int(d) for d in invariant_factors(Matrix(M.tolist()), domain=ZZ) if d)

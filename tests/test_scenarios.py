@@ -22,7 +22,7 @@ from cechcert.bundles import (
     validate_cocycle,
 )
 from cechcert.cli import main
-from cechcert.errors import DomainError, ResourceError, SamplingError
+from cechcert.errors import DomainError, ResourceError, VerificationError
 from cechcert.geometry import (
     CAnd,
     CLt,
@@ -196,13 +196,14 @@ def test_dim2_periodicity_fails_when_the_overlap_locator_reads_x(monkeypatch, tm
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_dim2_report_differs_from_the_per_point_loop_only_in_pairs_checked(seed, monkeypatch):
-    batched = json.loads(run_dim2(ScenarioConfig(seed=seed)).to_json())
+    # the seed draws the loop's sampled pairs; dim2 itself takes none
+    batched = json.loads(run_dim2(ScenarioConfig()).to_json())
     monkeypatch.setattr(
         scenarios,
         "periodicity_pairs",
         lambda nerve, region: sampled_periodicity(nerve, region, np.random.default_rng(seed)),
     )
-    looped = json.loads(run_dim2(ScenarioConfig(seed=seed)).to_json())
+    looped = json.loads(run_dim2(ScenarioConfig()).to_json())
     pairs = [
         next(c for c in rep["checks"] if c["name"] == "periodicity")["metrics"].pop("pairs_checked")
         for rep in (batched, looped)
@@ -211,28 +212,29 @@ def test_dim2_report_differs_from_the_per_point_loop_only_in_pairs_checked(seed,
     assert batched == looped
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_dim2_just_above_pi_has_its_exact_pairs(seed, tmp_path):
+@pytest.mark.parametrize("extra_ulps", [0, 1, 2, 3])
+def test_dim2_just_above_pi_has_its_exact_pairs(extra_ulps, tmp_path):
     # a sampled pair would have to land in the strip x1 in (-r, r - 2 pi);
-    # the exact pairs about the representatives lie in D_r for every r > pi
-    for r in ("3.15", repr(math.nextafter(math.pi, 4))):
-        out = tmp_path / "dim2.json"
-        assert main(["dim2", "--r", r, "--seed", str(seed), "--out", str(out)]) == 0
-        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    # the exact pairs about the representatives lie in D_r for every r > pi,
+    # down to the float 1 + extra_ulps ulps above pi
+    just_above = math.nextafter(math.pi, 4)
+    for _ in range(extra_ulps):
+        just_above = math.nextafter(just_above, 4)
+    for r in ("3.15", repr(just_above)):
+        outs = [tmp_path / f"dim2_{run}.json" for run in range(2)]
+        for out in outs:
+            assert main(["dim2", "--r", r, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        checks = {c["name"]: c for c in json.loads(outs[0].read_text())["checks"]}
         assert checks["periodicity"]["metrics"]["pairs_checked"] == 6
 
 
-def test_dim2_checks_and_artifacts_are_identical_across_seeds():
-    # the seed feeds only pullback's sampled image check, which adds nothing
-    # to the report
-    def body(r, seed):
-        payload = json.loads(run_dim2(ScenarioConfig(r=r, seed=seed)).to_json())
-        assert payload["config"] == {"r": r, "seed": seed} and payload["overall"] == "pass"
-        return payload["checks"], payload["artifacts"]
-
+def test_dim2_reports_are_byte_identical_across_runs():
+    # dim2 samples nothing, so it takes no seed and its config echoes r alone
     for r in (4.0, 3.15, math.nextafter(math.pi, 4)):
-        seeds = (0, 1, 7) if r == 4.0 else (0, 1, 2, 3)
-        assert all(body(r, seed) == body(r, seeds[0]) for seed in seeds[1:])
+        first, second = (run_dim2(ScenarioConfig(r=r)).to_json() for _ in range(2))
+        payload = json.loads(first)
+        assert first == second and payload["config"] == {"r": r} and payload["overall"] == "pass"
 
 
 def test_dimn_passes(dimn_report):
@@ -284,7 +286,7 @@ def test_dim2_passes_at_zero_tolerance(dim2_report):
 
 
 def test_report_config_echoes_the_fields_its_pipeline_reads(dim2_report, dimn_report):
-    assert set(json.loads(dim2_report.to_json())["config"]) == {"r", "seed"}
+    assert json.loads(dim2_report.to_json())["config"] == {"r": 4.0}
     assert set(json.loads(dimn_report.to_json())["config"]) == {
         "n", "epsilon", "seed", "safety", "run_connectivity",
     }
@@ -731,6 +733,7 @@ def test_dimn_up_ball_reaching_a_b_arc_fails_the_overlap_check(n, monkeypatch):
         ["dimn", "--samples", "300"],
         ["dimn", "--tol-cocycle", "0"],
         ["dim2", "--samples", "300"],
+        ["dim2", "--seed", "1"],
         ["dim2", "--tol-cocycle", "0"],
         ["selftest", "--samples", "300"],
         ["selftest", "--tol-cocycle", "0"],
@@ -851,11 +854,11 @@ def test_cli_parser_is_built_once_and_keeps_no_flags(tmp_path):
 
 def test_cli_computation_error_exit(tmp_path, monkeypatch, capsys):
     def fail(cfg):
-        raise SamplingError("no in-region point found")
+        raise VerificationError("witness fails y . d = 0 != y . c mod 0")
 
     monkeypatch.setattr(cli, "run_dimn", fail)
     assert main(["dimn", "--out", str(tmp_path / "x.json")]) == 2
-    assert "error: no in-region point found" in capsys.readouterr().err
+    assert "error: witness fails y . d = 0 != y . c mod 0" in capsys.readouterr().err
 
 
 def test_cli_crash_exit(tmp_path, monkeypatch, capsys):
