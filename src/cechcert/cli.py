@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import os
 import sys
 import traceback
 
 from .errors import DomainError, ResolutionError, ResourceError, VerificationError
-from .report import emit_report
+from .report import emit_report, encode_json
 from .scenarios import (
     DIM2_FIELDS, DIMN_FIELDS, ScenarioConfig, hessian_scan_rows, run_dim2, run_dimn, torus_rank_table
 )
@@ -118,8 +117,7 @@ def main(argv=None) -> int:
             rows = torus_rank_table(args.n, args.epsilon, args.kmax)
             path = _out_path(args, f"torus_ranks_n{args.n}.json")
             with open(path, "w") as fh:
-                json.dump(rows, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(encode_json(rows) + "\n")
             ok = _table_ok(rows)
             for row in rows:
                 print(f"H^{row['k']}: rank {row['rank']} (expected {row['expected']})")

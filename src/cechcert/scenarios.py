@@ -385,6 +385,17 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     # block is definite there, so rho is strictly convex on the ball and
     # G & U_p, a sublevel set of it, is convex
     up = cv.up_ball(n, eps, cfg.safety)
+    g = cv.g_eps_region(n, eps)
+    # the glued nerve of step (9) stands for U_p & tube by p moved toward the
+    # torus by half U_p's radius; a safety so small that this point rounds
+    # out of that overlap is refused here, before any nerve is built
+    mixed = cv.mixed_rep(n, eps, cfg.safety)
+    if not (up.contains(mixed) and g.contains(mixed)):
+        raise DomainError(
+            f"safety = {cfg.safety:g} is too small at n = {n}, epsilon = {eps:g}: U_p is so "
+            "small that its point inside the tube, p moved toward the torus by half its "
+            "radius, rounds out of the tube or of U_p; raise --safety"
+        )
     mid, radius = up.bbox.mean(axis=1), float(up.bbox[0, 1] - up.bbox[0, 0]) / 2.0
     center = mid[0::2] + 1j * mid[1::2]  # U_p's, read off its bbox [c - r, c + r]
     lo, hi = float(np.abs(center).min() - radius), float(np.abs(center).max() + radius)
@@ -396,7 +407,6 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     )
     # the segment between two points of the torus, where rho = 0, through
     # z_1 = 0, where rho = +inf (Region.mask, unlike rho, is total there)
-    g = cv.g_eps_region(n, eps)
     ends = [CPoint.from_complex([1.0] * n), CPoint.from_complex([-1.0] + [1.0] * (n - 1))]
     mid = CPoint(tuple((a + b) / 2.0 for a, b in zip(*(e.xy for e in ends))))
     inside = g.mask(np.array([e.xy for e in (*ends, mid)]))
@@ -647,21 +657,30 @@ def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] =
 
 def hessian_scan_rows(lo: float = 0.5, hi: float = 3.5, count: int = 1000):
     """Sweep of the per-coordinate Hessian block trace and determinant
-    (unscaled closed forms) over the modulus range."""
+    (unscaled closed forms) over the modulus range: the settings are checked
+    at the call, and the rows come one at a time, so a huge count holds no
+    list."""
     for name, value in (("lo", lo), ("hi", hi)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    rows = []
-    for s in np.linspace(lo, hi, count):
-        z = complex(float(s), 0.0)
-        rows.append(
-            {
-                "modulus": float(s),
-                "trace": hessian_block_trace(z),
-                "det": hessian_block_det(z),
-                "definite": hessian_block_det(z) > 0 and hessian_block_trace(z) > 0,
-            }
-        )
-    return rows
+    return _scan_rows(lo, hi, count)
+
+
+def _scan_rows(lo: float, hi: float, count: int):
+    for s in _linspace(lo, hi, count):
+        z = complex(s, 0.0)
+        trace, det = hessian_block_trace(z), hessian_block_det(z)
+        yield {"modulus": s, "trace": trace, "det": det, "definite": det > 0 and trace > 0}
+
+
+def _linspace(lo: float, hi: float, count: int):
+    """The values of np.linspace(lo, hi, count), bit for bit, one at a time:
+    i * step + lo, or numpy's i / div * delta where the step underflows to 0,
+    and hi last."""
+    div, delta = count - 1, hi - lo
+    step = delta / div if div else delta
+    for i in range(div):
+        yield (i * step if step else i / div * delta) + lo
+    yield hi if div else 0.0 * step + lo

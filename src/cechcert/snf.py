@@ -152,10 +152,15 @@ def _eliminate(rows: list[dict[int, int]], prov: list[dict[int, int]] | None = N
         row = rows[i]
         if size != len(row):
             continue  # changed since it was pushed, or pivoted (emptied)
-        units = [j for j, v in row.items() if abs(v) == 1]
-        if not units:
+        # the least (column count, column) among the +-1 entries, in one pass
+        j = best = None
+        for c, v in row.items():
+            if v == 1 or v == -1:
+                k = len(cols[c])
+                if j is None or k < best or (k == best and c < j):
+                    j, best = c, k
+        if j is None:
             continue
-        j = min(units, key=lambda c: (len(cols[c]), c))
         rows[i] = {}
         for c in row:
             cols[c].discard(i)

@@ -1,14 +1,21 @@
 """Certificate pipelines, report serialization, and the command line."""
 
+import csv
+import io
+import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cechcert
 from cechcert import cli, covers, scenarios
@@ -33,6 +40,7 @@ from cechcert.geometry import (
     SY,
     ball_region,
     hessian_block_det,
+    hessian_block_trace,
     levi_form,
 )
 from cechcert.hexpr import Const, Coord, IntPower, MatExpr, Product, Sum
@@ -342,12 +350,78 @@ def test_torus_rank_table_n4_low_degrees():
 
 
 def test_hessian_scan_rows():
-    rows = hessian_scan_rows(0.5, 3.5, 100)
+    rows = list(hessian_scan_rows(0.5, 3.5, 100))
     assert len(rows) == 100
     mid = [r for r in rows if 1.05 < r["modulus"] < math.e - 0.05]
     assert mid and all(r["definite"] for r in mid)
     tails = [r for r in rows if r["modulus"] < 0.95 or r["modulus"] > math.e + 0.05]
     assert tails and not any(r["definite"] for r in tails)
+
+
+def _linspace_rows(lo, hi, count):
+    # the rows as they were built before they streamed, from np.linspace
+    rows = []
+    for s in np.linspace(lo, hi, count):
+        z = complex(float(s), 0.0)
+        rows.append(
+            {
+                "modulus": float(s),
+                "trace": hessian_block_trace(z),
+                "det": hessian_block_det(z),
+                "definite": hessian_block_det(z) > 0 and hessian_block_trace(z) > 0,
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("count", [1, 2, 1000])
+def test_hessian_scan_csv_keeps_its_linspace_bytes(count, tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["hessian-scan", "--count", str(count), "--out", str(out)]) == 0
+    want = io.StringIO(newline="")
+    w = csv.DictWriter(want, fieldnames=["modulus", "trace", "det", "definite"])
+    w.writeheader()
+    w.writerows(_linspace_rows(0.5, 3.5, count))
+    assert out.read_bytes() == want.getvalue().encode()
+
+
+_ENDPOINTS = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENDPOINTS, _ENDPOINTS, st.integers(1, 300))
+# numpy's own branch where the step underflows to 0, -0.0 at count 1, and a
+# difference that overflows
+@example(0.0, 5e-324, 3)
+@example(1e-320, -1e-320, 7)
+@example(-0.0, 1.0, 1)
+@example(-1e308, 1e308, 5)
+def test_scan_moduli_are_linspace_bit_for_bit(lo, hi, count):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(lo, hi, count).tolist()
+    got = list(scenarios._linspace(lo, hi, count))
+    assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in want]
+
+
+def test_hessian_scan_rows_stream_without_a_list():
+    tracemalloc.start()
+    try:
+        rows = hessian_scan_rows(0.5, 3.5, 10**6)
+        first = list(itertools.islice(rows, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    step = 3.0 / (10**6 - 1)
+    assert [r["modulus"] for r in first] == [i * step + 0.5 for i in range(5)]
+
+
+def test_hessian_scan_rows_checks_its_settings_at_the_call():
+    # not at the first row: the checks are eager, only the rows stream
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        hessian_scan_rows(0.5, 3.5, 0)
+    with pytest.raises(ValueError, match="hi must be finite"):
+        hessian_scan_rows(0.5, math.inf, 10)
 
 
 def test_cli_dim2(tmp_path):
@@ -832,6 +906,27 @@ def test_dim2_refuses_r_up_to_pi_before_building(monkeypatch):
     for r in (1e-300, 3.0, math.nextafter(math.pi, 0), math.pi):
         with pytest.raises(DomainError, match=f"r = {r}; the periodicity check needs r > pi"):
             run_dim2(ScenarioConfig(r=r))
+
+
+@pytest.mark.parametrize("safety", ["1e-16", "1e-300"])
+def test_dimn_refuses_a_safety_too_small_for_floats_before_building(safety, tmp_path, capsys, monkeypatch):
+    # the point standing for U_p & tube rounds back onto p, on the tube's
+    # boundary, so the glued nerve could not hold it
+    def unexpected(*args):
+        raise AssertionError("run_dimn built a nerve for a safety it must refuse")
+
+    monkeypatch.setattr(scenarios, "build_nerve", unexpected)
+    out = tmp_path / "x.json"
+    assert main(["dimn", "--safety", safety, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: safety = {safety} is too small at n = 2, epsilon = 1:")
+    assert lines[0].endswith("raise --safety")
+    assert not out.exists()
+
+
+def test_dimn_passes_at_safety_1e_15():
+    assert run_dimn(_fast_cfg(safety=1e-15)).overall_pass
 
 
 def test_cli_parser_is_built_once_and_keeps_no_flags(tmp_path):

@@ -15,6 +15,8 @@ from sympy.matrices.normalforms import invariant_factors
 from cechcert import snf as snf_mod
 from cechcert.snf import smith_divisors, smith_normal_form, solve_integer
 
+import min_key_pivots
+
 
 def _is_unimodular(M: np.ndarray) -> bool:
     from fractions import Fraction
@@ -193,6 +195,28 @@ def test_pivot_divisors_eliminates_along_the_short_side(monkeypatch):
     # a solve keeps the rows, whose provenance its witness reads
     solve_integer(tall, [0, 0, 0, 0, 0])
     assert lines[-1] == len(tall)
+
+
+@st.composite
+def _tied_rows(draw):
+    """Sparse rows over a few columns, entries in +-1 and +-2, so that rows
+    often hold several units whose columns have the same count."""
+    width = draw(st.integers(1, 6))
+    entry = st.sampled_from((-2, -1, 1, 2))
+    row = st.dictionaries(st.integers(0, width - 1), entry, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_rows(), st.booleans())
+def test_eliminate_picks_the_pivots_of_the_min_key_rule(rows, with_prov):
+    def run(eliminate):
+        work = [dict(r) for r in rows]
+        prov = [{i: 1} for i in range(len(rows))] if with_prov else None
+        pivots, left, cols, R = eliminate(work, prov)
+        return list(pivots.items()), left, cols, R.tolist(), work, prov
+
+    assert run(snf_mod._eliminate) == run(min_key_pivots.eliminate)
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
