@@ -18,8 +18,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
     ChartError,
     DomainError,
@@ -306,12 +304,10 @@ def _union_cover(bU: BundleData, bV: BundleData) -> Cover:
     if names_u & set(bV.cover.names):
         raise GlueError("cover set name collision between the two bundles")
     amb_u, amb_v = bU.cover.ambient, bV.cover.ambient
-    lo = np.minimum(amb_u.bbox[:, 0], amb_v.bbox[:, 0])
-    hi = np.maximum(amb_u.bbox[:, 1], amb_v.bbox[:, 1])
     ambient = Region(
         f"{amb_u.name}|{amb_v.name}",
         COr((amb_u.constraint, amb_v.constraint)),
-        np.stack([lo, hi], axis=1),
+        [(min(lo1, lo2), max(hi1, hi2)) for (lo1, hi1), (lo2, hi2) in zip(amb_u.bbox, amb_v.bbox)],
     )
     return Cover(ambient, list(bU.cover.sets) + list(bV.cover.sets))
 

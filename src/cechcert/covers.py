@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .geometry import (
     CAnd,
     CLt,
@@ -92,8 +90,7 @@ def dr_region(r: float, name: str = "D_r") -> Region:
             CLt(SSum((_sq(SY(0)), _sq(SY(1)))), SConst(1.0)),
         )
     )
-    bbox = np.array([[-r, r], [-1.0, 1.0], [-r, r], [-1.0, 1.0]])
-    return Region(name, constraint, bbox)
+    return Region(name, constraint, [(-r, r), (-1.0, 1.0), (-r, r), (-1.0, 1.0)])
 
 
 def dim2_cover(r: float) -> Cover:
@@ -162,8 +159,7 @@ def g_eps_region(n: int, eps: float, name: Optional[str] = None) -> Region:
         raise ValueError(
             f"epsilon = {eps:g}: the tube's bound e^sqrt(epsilon) on |z_j| overflows a float"
         ) from None
-    bbox = np.array([[-m, m]] * (2 * n))
-    return Region(name or f"G_{eps:g}", CLt(SRho(), SConst(eps)), bbox)
+    return Region(name or f"G_{eps:g}", CLt(SRho(), SConst(eps)), [(-m, m)] * (2 * n))
 
 
 def _eta(j: int):
@@ -381,7 +377,7 @@ def omega_region(n: int, eps: float) -> Region:
     return Region(
         "Omega",
         CLt(SNormSq(), SConst(radius * radius)),
-        np.array([[-radius, radius]] * (2 * n)),
+        [(-radius, radius)] * (2 * n),
     )
 
 

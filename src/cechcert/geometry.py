@@ -6,22 +6,25 @@ Regions are boolean trees of strict scalar inequalities plus a finite bounding
 box; all regions are open and membership uses strict comparisons with no
 epsilon slack.
 
-Convention for log|z_j| at z_j = 0: scalar evaluation returns -inf (so the
+Convention for log|z_j| at z_j = 0: evaluation returns -inf (so the
 squared-log exhaustion evaluates to +inf there), which makes region membership
-total.  The standalone operations ``rho``, ``levi_form`` and ``real_hessian``
+total.  The standalone operations ``rho``, ``levi_form`` and ``hessian_block``
 raise :class:`DomainError` instead, since their closed forms are genuinely
 undefined on the coordinate axes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DomainError, ResourceError, SamplingError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CPoint",
@@ -40,7 +43,7 @@ __all__ = [
     "COr",
     "conjuncts",
     "reads_y_only",
-    "evaluate",
+    "masks",
     "Region",
     "GridLabeling",
     "ConvexityVerdict",
@@ -49,7 +52,6 @@ __all__ = [
     "hessian_block",
     "hessian_block_trace",
     "hessian_block_det",
-    "real_hessian",
     "hessian_fd_residual",
     "grid_components",
     "segment_convexity",
@@ -70,7 +72,7 @@ class CPoint:
     def __post_init__(self) -> None:
         if len(self.xy) < 2 or len(self.xy) % 2 != 0:
             raise ValueError("CPoint needs an even number >= 2 of real coordinates")
-        if not all(math.isfinite(v) for v in self.xy):
+        if not all(map(math.isfinite, self.xy)):
             raise ValueError("CPoint coordinates must be finite")
 
     @property
@@ -89,17 +91,12 @@ class CPoint:
         """The j-th complex coordinate (0-based)."""
         return complex(self.xy[2 * j], self.xy[2 * j + 1])
 
-    def to_complex(self) -> np.ndarray:
-        a = np.asarray(self.xy, dtype=float).reshape(-1, 2)
-        return a[:, 0] + 1j * a[:, 1]
-
-    def row(self) -> np.ndarray:
-        return np.asarray(self.xy, dtype=float).reshape(1, -1)
+    def to_complex(self) -> tuple[complex, ...]:
+        return tuple(map(complex, self.xy[0::2], self.xy[1::2]))
 
 
 # ---------------------------------------------------------------------------
-# Scalar expressions; `evaluate` computes them in batch on (m, 2n) coordinate
-# arrays
+# Scalar expressions
 
 
 @dataclass(frozen=True)
@@ -229,89 +226,154 @@ def reads_y_only(node) -> bool:
     return all(map(reads_y_only, kids)) if kids else type(node) in (SConst, SY)
 
 
-def evaluate(node, pts: np.ndarray) -> np.ndarray:
-    """Values of an expression, or the mask of a constraint, on a batch of
-    (m, 2n) coordinates.
+# Evaluation.  A tree compiles once per Region into closures of a point's
+# features [rho, |z|^2, x_1, y_1, ..., y_n, |z_1|, ..., |z_n|, log|z_1|, ...,
+# log|z_n|], with numpy's bits (hypot, v * v, sums and products in order from
+# 0 and 1) but for the last bit of a log, or of |z|^2 past 7 coordinates.
 
-    |z_j|, log|z_j| and the exhaustion are computed once per batch however
-    many branches use them: they are memoised under per-coordinate keys and
-    under the (frozen, hence hashable) SRho node.  And and Or combine
-    full-length masks and stop early once every point is decided.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _value(node, pts, {})
-
-
-def _abs_z(j: int, pts: np.ndarray, memo: dict) -> np.ndarray:
-    out = memo.get(("abs", j))
-    if out is None:
-        out = memo[("abs", j)] = np.hypot(pts[:, 2 * j], pts[:, 2 * j + 1])
-    return out
+_ABS, _LOG, _RHO, _NSQ = 1, 2, 4, 8  # the features a tree reads beyond x and y
+# a leaf reads feature a + b n + c j, and the features `reads`
+_LEAVES = {
+    SX: (2, 0, 2, 0), SY: (3, 0, 2, 0), SAbsZ: (2, 2, 1, _ABS), SLogAbsZ: (2, 3, 1, _ABS | _LOG),
+    SRho: (0, 0, 0, _ABS | _LOG | _RHO), SNormSq: (1, 0, 0, _NSQ),
+}
 
 
-def _log_abs_z(j: int, pts: np.ndarray, memo: dict) -> np.ndarray:
-    out = memo.get(("log", j))
-    if out is None:
-        out = memo[("log", j)] = np.log(_abs_z(j, pts, memo))
-    return out
-
-
-def _value(e, pts: np.ndarray, memo: dict) -> np.ndarray:
-    # Dispatch on the exact node type: identity tests cost a fraction of a
-    # class-pattern `match`, and Region.contains evaluates whole trees on
-    # single points.
-    t, m = type(e), pts.shape[0]
-    if t is CLt:
-        # NaN compares false, so an undefined side excludes the point.
-        return _value(e.lhs, pts, memo) < _value(e.rhs, pts, memo)
-    if t is CAnd:
-        out = np.ones(m, dtype=bool)
-        for it in e.items:
-            out &= _value(it, pts, memo)
-            if not out.any():
-                break
-        return out
-    if t is COr:
-        out = np.zeros(m, dtype=bool)
-        for it in e.items:
-            out |= _value(it, pts, memo)
-            if out.all():
-                break
-        return out
+def _compile(e, n: int, batch: bool = False):
+    """(v, reads) for a tree on C^n: v is a float for a constant, (i, k) for k
+    times feature i (k = 1.0: exactly the feature), else a closure of a
+    point's features (of numpy arrays with batch); reads: the feature bits."""
+    t = type(e)
     if t is SConst:
-        return np.full(m, e.value)
-    if t is SX:
-        return pts[:, 2 * e.j]
-    if t is SY:
-        return pts[:, 2 * e.j + 1]
-    if t is SAbsZ:
-        return _abs_z(e.j, pts, memo)
-    if t is SLogAbsZ:
-        return _log_abs_z(e.j, pts, memo)
-    if t is SSum:
-        out = np.zeros(m)
-        for term in e.terms:
-            out += _value(term, pts, memo)
-        return out
-    if t is SProd:
-        out = np.ones(m)
-        for f in e.factors:
-            out *= _value(f, pts, memo)
-        return out
+        return float(e.value), 0
+    leaf = _LEAVES.get(t)
+    if leaf is not None:
+        a, b, c, reads = leaf
+        j = getattr(e, "j", 0)
+        if not 0 <= j < n:
+            raise ValueError(f"a tree on C^{n} reads z_{j + 1}")
+        return (a + b * n + c * j, 1.0), reads
     if t is SPow:
-        return _value(e.base, pts, memo) ** e.k
-    if t is SRho:
-        out = memo.get(e)
-        if out is None:
-            # (-inf)^2 = +inf on the coordinate axes
-            out = memo[e] = np.zeros(m)
-            for j in range(pts.shape[1] // 2):
-                lg = _log_abs_z(j, pts, memo)
-                out += lg * lg
-        return out
-    if t is SNormSq:
-        return np.sum(pts * pts, axis=1)
+        (base, reads), k = _compile(e.base, n, batch), e.k
+        if type(base) is float:
+            return _power(base, k), 0
+        f = _closure(base)
+        return (lambda p: _power(f(p), k)), reads
+    if t is SSum or t is SProd:
+        add = t is SSum
+        acc, vs, reads = (0.0 if add else 1.0), [], 0
+        for item in e.terms if add else e.factors:
+            v, r = _compile(item, n, batch)
+            reads |= r
+            if vs or type(v) is not float:
+                vs.append(v)
+            else:  # a leading constant, folded in numpy's order
+                acc = acc + v if add else acc * v
+        if not vs:
+            return acc, 0
+        if not add and len(vs) == 1 and type(vs[0]) is tuple and vs[0][1] == 1.0:
+            return (vs[0][0], acc), reads
+        op, fs = (operator.add if add else operator.mul), list(map(_closure, vs))
+
+        def fold(p):
+            v = acc
+            for f in fs:
+                v = op(v, f(p))
+            return v
+
+        return fold, reads
+    if t is CLt:
+        (lhs, r1), (rhs, r2) = _compile(e.lhs, n, batch), _compile(e.rhs, n, batch)
+        return _less(lhs, rhs), r1 | r2
+    if t is CAnd or t is COr:
+        parts = [_compile(item, n, batch) for item in e.items]
+        fs, last = [f for f, _ in parts], t is CAnd
+        reads = functools.reduce(operator.or_, (r for _, r in parts), 0)
+        if batch:  # whole masks, combined item by item
+            op = operator.and_ if last else operator.or_
+            return (lambda p: functools.reduce(op, (f(p) for f in fs), last)), reads
+
+        def decide(p):
+            # And fails at its first false item, Or holds at its first true one
+            for f in fs:
+                if (not f(p)) is last:
+                    return not last
+            return last
+
+        return decide, reads
     raise TypeError(f"cannot evaluate {t.__name__}")
+
+
+def _closure(v):
+    """A compiled expression (`_compile`) as a closure of a point's features."""
+    if type(v) is tuple:
+        i, k = v
+        return operator.itemgetter(i) if k == 1.0 else (lambda p: k * p[i])
+    return (lambda p: v) if type(v) is float else v
+
+
+def _less(lhs, rhs):
+    """The closure of lhs < rhs for compiled sides, inline for scaled features
+    and constant bounds; NaN compares false, so an undefined side excludes."""
+    if type(lhs) is tuple and type(rhs) is tuple:
+        (i, a), (j, b) = lhs, rhs
+        return (lambda p: a * p[i] < p[j]) if b == 1.0 else (lambda p: a * p[i] < b * p[j])
+    if type(lhs) is tuple and type(rhs) is float:
+        i, a = lhs
+        return (lambda p: p[i] < rhs) if a == 1.0 else (lambda p: a * p[i] < rhs)
+    f, g = _closure(lhs), _closure(rhs)
+    return lambda p: f(p) < g(p)
+
+
+def _power(v: float, k: int) -> float:
+    """v ** k, or numpy's inf where Python raises (overflow, 0 to a negative power)."""
+    try:
+        return v * v if k == 2 else v**k
+    except (OverflowError, ZeroDivisionError):
+        return math.copysign(math.inf, v) if k % 2 else math.inf
+
+
+def _modulus(x: float, y: float) -> float:
+    """|x + iy| by libm's hypot, as numpy's; inf past the largest float."""
+    try:
+        return abs(complex(x, y))
+    except OverflowError:
+        return math.inf
+
+
+def _feature_columns(cols: list, reads: int, hypot, log, add_squares, zero) -> list:
+    """The features of the layout above that `reads` asks for (zero where
+    unread), column by column, from the coordinate columns x_1, y_1, ...:
+    lists of floats, or numpy arrays in `grid_components`, which passes
+    numpy's hypot and log; add_squares(acc, col) is acc + col * col."""
+    moduli = [hypot(x, y) for x, y in zip(cols[0::2], cols[1::2])] if reads & _ABS else []
+    logs = list(map(log, moduli)) if reads & _LOG else []
+    rho = functools.reduce(add_squares, logs, zero) if reads & _RHO else zero
+    nsq = functools.reduce(add_squares, cols, zero) if reads & _NSQ else zero
+    return [rho, nsq, *cols, *moduli, *logs]
+
+
+def _features(pts, reads: int, d: int) -> list[tuple]:
+    """The features that `reads` asks for of each point (rows of d floats, or
+    an (m, d) array), one tuple per point."""
+    if hasattr(pts, "tolist"):
+        pts = pts.tolist()  # an array's rows, as Python floats
+    if any(len(p) != d for p in pts):
+        raise ValueError(f"a point without the {d} real coordinates of its region")
+    cols = _feature_columns(  # log 0 = -inf as numpy's, and (-inf)^2 = +inf on the axes
+        list(zip(*pts)), reads, lambda x, y: list(map(_modulus, x, y)),
+        lambda col: [math.log(a) if a else -math.inf for a in col],
+        lambda acc, col: [a + v * v for a, v in zip(acc, col)], [0.0] * len(pts),
+    )
+    return list(zip(*cols))
+
+
+def masks(regions: Sequence["Region"], pts) -> list[list[bool]]:
+    """The `Region.mask` of each region on one batch of points; the regions
+    lie in one C^n, and each point's features are computed once for all."""
+    (d,) = {r.dim2n for r in regions}
+    feats = _features(pts, functools.reduce(operator.or_, (r._compiled[1] for r in regions), 0), d)
+    return [r.mask(pts, feats) for r in regions]
 
 
 # ---------------------------------------------------------------------------
@@ -328,28 +390,32 @@ class Region:
 
     name: str
     constraint: object
-    bbox: np.ndarray  # shape (2n, 2): [lo, hi] per real coordinate
+    bbox: tuple  # 2n pairs (lo, hi), one per real coordinate
 
     def __post_init__(self) -> None:
-        self.bbox = np.asarray(self.bbox, dtype=float)
-        if self.bbox.ndim != 2 or self.bbox.shape[1] != 2:
-            raise ValueError("bbox must have shape (2n, 2)")
+        self.bbox = tuple((float(lo), float(hi)) for lo, hi in self.bbox)
 
     @property
     def dim2n(self) -> int:
-        return self.bbox.shape[0]
+        return len(self.bbox)
+
+    @functools.cached_property
+    def _compiled(self):
+        return _compile(self.constraint, self.dim2n // 2)
 
     def contains(self, p: CPoint) -> bool:
         """Strict membership; points on a defining hypersurface are outside."""
-        return bool(evaluate(self.constraint, p.row())[0])
+        test, reads = self._compiled
+        return test(_features((p.xy,), reads, self.dim2n)[0])
 
-    def mask(self, pts: np.ndarray) -> np.ndarray:
-        return evaluate(self.constraint, np.asarray(pts, dtype=float))
+    def mask(self, pts, feats: Optional[list[tuple]] = None) -> list[bool]:
+        """`contains` of each point (rows of 2n floats, or an (m, 2n) array);
+        feats: their features, where `masks` computed them for several regions."""
+        test, reads = self._compiled
+        return list(map(test, _features(pts, reads, self.dim2n) if feats is None else feats))
 
     def intersect(self, other: "Region", name: Optional[str] = None) -> "Region":
-        lo = np.maximum(self.bbox[:, 0], other.bbox[:, 0])
-        hi = np.minimum(self.bbox[:, 1], other.bbox[:, 1])
-        bbox = np.stack([lo, np.maximum(lo, hi)], axis=1)
+        bbox = [(max(a, c), max(a, c, min(b, d))) for (a, b), (c, d) in zip(self.bbox, other.bbox)]
         return Region(
             name or f"{self.name}&{other.name}",
             CAnd((self.constraint, other.constraint)),
@@ -358,12 +424,13 @@ class Region:
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Rejection-sample `count` in-region points; deterministic given rng state."""
-        lo, hi = self.bbox[:, 0], self.bbox[:, 1]
+        import numpy as np
+        lo, hi = np.asarray(self.bbox).T
         got: list[np.ndarray] = []
         total = 0
         for _ in range(2000):  # batches of candidates before giving up
             cand = rng.uniform(lo, hi, size=(max(256, count), self.dim2n))
-            good = cand[self.mask(cand)]
+            good = cand[np.asarray(self.mask(cand), dtype=bool)]
             if good.shape[0]:
                 got.append(good)
                 total += good.shape[0]
@@ -375,21 +442,19 @@ class Region:
         return {
             "name": self.name,
             "constraint": self.constraint.to_jsonable(),
-            "bbox": self.bbox.tolist(),
+            "bbox": [list(b) for b in self.bbox],
         }
 
 
 def ball_region(center: Sequence[float], radius: float, name: str = "ball") -> Region:
     """Open euclidean ball in R^{2n} around `center` (given in xy coordinates)."""
     center = tuple(float(c) for c in center)
-    dim = len(center)
     terms = []
     for i, c in enumerate(center):
         coord = SX(i // 2) if i % 2 == 0 else SY(i // 2)
         terms.append(SPow(SSum((SConst(-c), coord)) if c else coord, 2))
     constraint = CLt(SSum(tuple(terms)), SConst(radius * radius))
-    bbox = np.array([[c - radius, c + radius] for c in center])
-    return Region(name, constraint, bbox)
+    return Region(name, constraint, [(c - radius, c + radius) for c in center])
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +476,25 @@ def rho(z: CPoint) -> float:
 def levi_form(z: CPoint, w: Sequence[complex]) -> float:
     """Complex Hessian of the exhaustion applied to tangent vector w."""
     _check_off_axes(z)
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (z.n,):
+    if len(w) != z.n:
         raise ValueError("tangent vector has wrong length")
-    zs = z.to_complex()
-    return float(np.sum(np.abs(w) ** 2 / (2.0 * np.abs(zs) ** 2)))
+    total = 0.0
+    for wj, zj in zip(w, z.to_complex()):
+        a, b = abs(complex(wj)), abs(zj)
+        total += a * a / (2.0 * (b * b))
+    return total
 
 
-def hessian_block(zj: complex) -> np.ndarray:
-    """Unscaled 2x2 Hessian block for one coordinate (scale is 2/|z_j|^4)."""
+def hessian_block(zj: complex) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Unscaled 2x2 Hessian block for one coordinate (scale is 2/|z_j|^4), as rows."""
     zj = complex(zj)
     if zj == 0:
         raise DomainError("coordinate vanishes")
     x, y = zj.real, zj.imag
     lg = math.log(abs(zj))
-    return np.array(
-        [
-            [(y * y - x * x) * lg + x * x, x * y * (1.0 - 2.0 * lg)],
-            [x * y * (1.0 - 2.0 * lg), (x * x - y * y) * lg + y * y],
-        ]
+    return (
+        ((y * y - x * x) * lg + x * x, x * y * (1.0 - 2.0 * lg)),
+        (x * y * (1.0 - 2.0 * lg), (x * x - y * y) * lg + y * y),
     )
 
 
@@ -453,18 +518,6 @@ def hessian_block_det(zj: complex) -> float:
     return (zj.real**2 + zj.imag**2) ** 2 * (lg - lg * lg)
 
 
-def real_hessian(z: CPoint) -> np.ndarray:
-    """The 2n x 2n real Hessian of the exhaustion: block diagonal, n 2x2 blocks."""
-    _check_off_axes(z)
-    n = z.n
-    H = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        zj = z.z(j)
-        scale = 2.0 / abs(zj) ** 4
-        H[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = scale * hessian_block(zj)
-    return H
-
-
 def hessian_fd_residual(z: CPoint, h: float) -> float:
     """Max entry difference between the closed-form Hessian and central differences.
 
@@ -486,14 +539,12 @@ def hessian_fd_residual(z: CPoint, h: float) -> float:
 
         f0 = f(0, 0)
         mixed = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4.0 * h * h)
-        fd = np.array(
-            [
-                [(f(1, 0) + f(-1, 0) - 2.0 * f0) / (h * h), mixed],
-                [mixed, (f(0, 1) + f(0, -1) - 2.0 * f0) / (h * h)],
-            ]
+        fd = (
+            ((f(1, 0) + f(-1, 0) - 2.0 * f0) / (h * h), mixed),
+            (mixed, (f(0, 1) + f(0, -1) - 2.0 * f0) / (h * h)),
         )
-        closed = 2.0 / abs(z.z(j)) ** 4 * hessian_block(z.z(j))
-        worst = max(worst, float(np.max(np.abs(fd - closed))))
+        scale, block = 2.0 / abs(z.z(j)) ** 4, hessian_block(z.z(j))
+        worst = max(worst, *(abs(fd[a][b] - scale * block[a][b]) for a in (0, 1) for b in (0, 1)))
     return worst
 
 
@@ -509,9 +560,15 @@ def up_radius(n: int, eps: float, safety: float) -> float:
     if not (0.0 < safety < 1.0):
         raise ValueError("safety factor must lie in (0, 1)")
     m = math.exp(math.sqrt(eps / n))
-    radius = safety * min(math.e - m, m - 1.0)
+    room = min(math.e - m, m - 1.0)
+    radius = safety * room
     if not radius > 0.0:
-        raise DomainError(f"epsilon = {eps} is too small at n = {n}: the U_p radius is {radius}")
+        raise DomainError(
+            f"safety = {safety:g} is too small at n = {n}, epsilon = {eps:g}: the U_p radius "
+            f"{safety:g} x {room:g} underflows to {radius}; raise --safety"
+            if room > 0.0
+            else f"epsilon = {eps} is too small at n = {n}: the U_p radius is {radius}"
+        )
     return radius
 
 
@@ -538,7 +595,7 @@ class GridLabeling:
 
     @property
     def n_nodes(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def n_in_region(self) -> int:
@@ -546,11 +603,13 @@ class GridLabeling:
 
 
 def grid_components(region: Region, step: float, budget: int = 10_000_000) -> GridLabeling:
-    """Scan the region bbox lattice and label axis-connected in-region components."""
+    """Scan the region bbox lattice and label axis-connected in-region components;
+    the tree is evaluated on numpy arrays (`_compile` with batch), one slab at a time."""
+    import numpy as np
     if step <= 0.0:
         raise ValueError("step must be positive")
-    lo, hi = region.bbox[:, 0], region.bbox[:, 1]
-    if not np.all(np.isfinite(region.bbox)):
+    lo, hi = np.asarray(region.bbox).T
+    if not np.all(np.isfinite([lo, hi])):
         raise ValueError("region bbox must be finite")
     counts = np.floor((hi - lo) / step + 1e-9).astype(int) + 1
     total = int(np.prod(counts.astype(object)))
@@ -558,17 +617,13 @@ def grid_components(region: Region, step: float, budget: int = 10_000_000) -> Gr
         raise ResourceError(f"lattice of {total} nodes exceeds budget {budget}")
     axes = [lo[i] + step * np.arange(counts[i]) for i in range(len(counts))]
     shape = tuple(int(c) for c in counts)
+    test, reads = _compile(region.constraint, len(shape) // 2, batch=True)
+    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
     mask = np.empty(shape, dtype=bool)
-    if len(shape) == 1:
-        pts = axes[0].reshape(-1, 1)
-        mask[:] = region.mask(pts)
-    else:
-        rest = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, len(shape) - 1)
-        buf = np.empty((rest.shape[0], len(shape)))
-        buf[:, 1:] = rest
+    with np.errstate(all="ignore"):
         for i0 in range(shape[0]):
-            buf[:, 0] = axes[0][i0]
-            mask[i0] = region.mask(buf).reshape(shape[1:])
+            xy = [grid[0][i0], *(g[0] for g in grid[1:])]  # the slab's coordinates, broadcastable
+            mask[i0] = test(_feature_columns(xy, reads, np.hypot, np.log, lambda a, v: a + v * v, 0.0))
     from scipy import ndimage  # not at module load: it adds ~0.3 s to every command's start
 
     labels, n_comp = ndimage.label(mask)
@@ -616,6 +671,7 @@ class ConvexityVerdict:
 
 def segment_convexity(region: Region, trials: int, seed: int) -> ConvexityVerdict:
     """Sample point pairs and interior parameters; report the first violation."""
+    import numpy as np
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -623,10 +679,9 @@ def segment_convexity(region: Region, trials: int, seed: int) -> ConvexityVerdic
     p2 = region.sample(trials, rng)
     t = rng.uniform(0.0, 1.0, size=trials)
     mids = t[:, None] * p1 + (1.0 - t)[:, None] * p2
-    ok = region.mask(mids)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        i = int(bad[0])
+    bad = [i for i, ok in enumerate(region.mask(mids)) if not ok]
+    if bad:
+        i = bad[0]
         return ConvexityVerdict(
             trials, (CPoint(tuple(p1[i])), CPoint(tuple(p2[i])), float(t[i]))
         )

@@ -8,18 +8,17 @@ exponents are read off (`as_monomial`).  A transition that differs between the
 components of an overlap is one expression per component, held in the
 bundle's transition table.
 
-Expressions evaluate in batch on (m, n) complex coordinate arrays; a CPoint is
-converted to a one-row batch.  All nodes are frozen, so equality is structural
-and expressions are safe to share.
+Expressions evaluate at one point with `cmath` (`evaluate`).  All nodes are
+frozen, so equality is structural and expressions are safe to share.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import Sequence, Union
 
 from .errors import DomainError, ShapeError
 from .geometry import CPoint, Region
@@ -33,6 +32,7 @@ __all__ = [
     "Sum",
     "Exp",
     "subst",
+    "evaluate",
     "Laurent",
     "laurent_add",
     "laurent_mul",
@@ -44,18 +44,9 @@ __all__ = [
 ]
 
 
-def _as_batch(z) -> np.ndarray:
-    if isinstance(z, CPoint):
-        return z.to_complex().reshape(1, -1)
-    return np.asarray(z, dtype=complex)
-
-
 @dataclass(frozen=True)
 class Const:
     value: complex
-
-    def ev(self, zc: np.ndarray) -> np.ndarray:
-        return np.full(zc.shape[0], complex(self.value))
 
     def to_jsonable(self):
         v = complex(self.value)
@@ -65,9 +56,6 @@ class Const:
 @dataclass(frozen=True)
 class Coord:
     j: int
-
-    def ev(self, zc: np.ndarray) -> np.ndarray:
-        return zc[:, self.j]
 
     def to_jsonable(self):
         return {"op": "coord", "j": self.j}
@@ -82,12 +70,6 @@ class IntPower:
         if self.k < 0 and self.base == Const(0):
             raise DomainError("negative power of the zero constant")
 
-    def ev(self, zc: np.ndarray) -> np.ndarray:
-        b = self.base.ev(zc)
-        if self.k < 0 and np.any(b == 0):
-            raise DomainError("negative power evaluated at a zero of the base")
-        return b ** self.k
-
     def to_jsonable(self):
         return {"op": "pow", "base": self.base.to_jsonable(), "k": self.k}
 
@@ -95,12 +77,6 @@ class IntPower:
 @dataclass(frozen=True)
 class Product:
     factors: tuple
-
-    def ev(self, zc: np.ndarray) -> np.ndarray:
-        out = np.ones(zc.shape[0], dtype=complex)
-        for f in self.factors:
-            out = out * f.ev(zc)
-        return out
 
     def to_jsonable(self):
         return {"op": "prod", "factors": [f.to_jsonable() for f in self.factors]}
@@ -110,12 +86,6 @@ class Product:
 class Sum:
     terms: tuple
 
-    def ev(self, zc: np.ndarray) -> np.ndarray:
-        out = np.zeros(zc.shape[0], dtype=complex)
-        for t in self.terms:
-            out = out + t.ev(zc)
-        return out
-
     def to_jsonable(self):
         return {"op": "sum", "terms": [t.to_jsonable() for t in self.terms]}
 
@@ -124,14 +94,30 @@ class Sum:
 class Exp:
     arg: "HExpr"
 
-    def ev(self, zc: np.ndarray) -> np.ndarray:
-        return np.exp(self.arg.ev(zc))
-
     def to_jsonable(self):
         return {"op": "exp", "arg": self.arg.to_jsonable()}
 
 
 HExpr = Union[Const, Coord, IntPower, Product, Sum, Exp]
+
+
+def evaluate(e: HExpr, zs: Sequence[complex]) -> complex:
+    """The value of an expression at the point zs of C^n."""
+    t = type(e)
+    if t is Const:
+        return complex(e.value)
+    if t is Coord:
+        return complex(zs[e.j])
+    if t is IntPower:
+        b = evaluate(e.base, zs)
+        if e.k < 0 and b == 0:
+            raise DomainError("negative power evaluated at a zero of the base")
+        return b**e.k
+    if t is Exp:
+        return cmath.exp(evaluate(e.arg, zs))
+    if t is Product:
+        return functools.reduce(operator.mul, (evaluate(f, zs) for f in e.factors), 1 + 0j)
+    return functools.reduce(operator.add, (evaluate(u, zs) for u in e.terms), 0j)
 
 
 def subst(e: HExpr, mapping: dict[int, HExpr]) -> HExpr:
@@ -230,17 +216,10 @@ class MatExpr:
     def r(self) -> int:
         return len(self.entries)
 
-    def ev(self, zc: np.ndarray) -> np.ndarray:
-        zc = _as_batch(zc)
-        r = self.r
-        out = np.empty((zc.shape[0], r, r), dtype=complex)
-        for a in range(r):
-            for b in range(r):
-                out[:, a, b] = self.entries[a][b].ev(zc)
-        return out
-
-    def at(self, z: CPoint) -> np.ndarray:
-        return self.ev(z.to_complex().reshape(1, -1))[0]
+    def at(self, z: CPoint):
+        """The matrix at a point, as a complex numpy array."""
+        import numpy as np
+        return np.array([[evaluate(e, z.to_complex()) for e in row] for row in self.entries])
 
     def to_jsonable(self):
         return {
@@ -276,12 +255,5 @@ class ChartMap:
     def n_out(self) -> int:
         return len(self.forward)
 
-    def forward_complex(self, zc: np.ndarray) -> np.ndarray:
-        zc = np.asarray(zc, dtype=complex)
-        out = np.empty((zc.shape[0], self.n_out), dtype=complex)
-        for j, e in enumerate(self.forward):
-            out[:, j] = e.ev(zc)
-        return out
-
     def forward_point(self, z: CPoint) -> CPoint:
-        return CPoint.from_complex(self.forward_complex(z.to_complex().reshape(1, -1))[0])
+        return CPoint.from_complex([evaluate(e, z.to_complex()) for e in self.forward])

@@ -17,13 +17,12 @@ differential is the alternating sum over dropped indices,
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import NotACocycleError, ResolutionError, VerificationError
-from .geometry import CLt, COr, CPoint, Region, SConst, SProd, SY, conjuncts
+from .geometry import CLt, COr, CPoint, Region, SConst, SProd, SY, conjuncts, masks
 from .snf import pivot_divisors, smith_normal_form, solve_integer
 
 __all__ = [
@@ -107,16 +106,17 @@ class Resolution:
 class ResolvedNerve:
     """The nerve of a cover with every intersection resolved into components.
 
-    `face_tables[k]`, for each built degree k >= 1, holds one tuple per element
-    of `basis(k)`: its entry m is the position in `basis(k - 1)` of the face
-    component on the m-th facet (the simplex without its m-th index)."""
+    `face_tables[k]`, for each built degree k >= 1, holds one column per
+    facet m = 0..k, one entry per element of `basis(k)`: the position in
+    `basis(k - 1)` of its face component on the m-th facet (the simplex
+    without its m-th index)."""
 
     def __init__(
         self,
         cover: Cover,
         k_max: int,
         simplices: dict[Simplex, list[CPoint]],
-        face_tables: dict[int, list[tuple[int, ...]]],
+        face_tables: dict[int, list[Sequence[int]]],
         locators: dict[Simplex, Callable[[CPoint], int]],
     ) -> None:
         self.cover = cover
@@ -150,7 +150,7 @@ class ResolvedNerve:
         return self._offset[simplex]
 
     def face_component(self, simplex: Simplex, comp: int, m: int) -> int:
-        col = self.face_tables[len(simplex) - 1][self.offset(simplex) + comp][m]
+        col = self.face_tables[len(simplex) - 1][m][self.offset(simplex) + comp]
         return col - self.offset(simplex[:m] + simplex[m + 1 :])
 
     def locate(self, simplex: Simplex, z: CPoint) -> int:
@@ -175,10 +175,11 @@ class ResolvedNerve:
         def old_column(ns: Simplex, ci: int) -> int:
             return self.offset(tuple(keep[i] for i in ns)) + ci
 
-        for k, rows in self.face_tables.items():
-            # a kept simplex keeps its facets, so each of its faces has a new column
-            col = {old_column(*key): j for j, key in enumerate(sub.basis(k - 1))}
-            sub.face_tables[k] = [tuple(col[c] for c in rows[old_column(*key)]) for key in sub.basis(k)]
+        for k, cols in self.face_tables.items():
+            # a kept simplex keeps its facets, so each of its faces has a new position
+            new = {old_column(*key): j for j, key in enumerate(sub.basis(k - 1))}
+            kept = [old_column(*key) for key in sub.basis(k)]
+            sub.face_tables[k] = [tuple([new[col[r]] for r in kept]) for col in cols]
         return sub
 
     def to_jsonable(self):
@@ -227,7 +228,7 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
     face_maps: dict[tuple[int, int], Sequence[int]] = {}
     for size in range(1, min(k_max + 2, n_sets + 1)):
         basis: list[tuple[Simplex, int]] = []
-        table: list[tuple[int, ...]] = []
+        columns: list[list[int]] = [[] for _ in range(size)]
         for s in itertools.combinations(range(n_sets), size):
             facets = [s[:m] + s[m + 1 :] for m in range(size)] if size > 1 else []
             if not all(map(simplices.__contains__, facets)):
@@ -250,8 +251,7 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
                 raise ResolutionError(
                     f"analytic representative {ci} of {s} is outside the intersection"
                 )
-            cols = []
-            for f in facets:
+            for m, f in enumerate(facets):
                 facet_patch = resolution.patches[f]
                 fmap = face_maps.get((id(patch), id(facet_patch)))
                 if fmap is None:
@@ -260,15 +260,14 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
                         fmap and not 0 <= min(fmap) <= max(fmap) < len(facet_patch.reps)
                     ):
                         raise ResolutionError(f"face map of {s} onto {f} misses its components")
-                cols.append(map(offset[f].__add__, fmap))
-            table.extend(zip(*cols))
+                columns[m].extend(map(offset[f].__add__, fmap))
             offset[s] = len(basis)
             basis.extend((s, ci) for ci in range(len(patch.reps)))
             simplices[s] = list(patch.reps)
             locators[s] = patch.locate
         bases[size - 1] = basis
         if size > 1:
-            face_tables[size - 1] = table
+            face_tables[size - 1] = list(map(tuple, columns))  # tuples of ints, which gc stops tracking
     nerve = ResolvedNerve(cover, k_max, simplices, face_tables, locators)
     nerve._basis.update(bases)
     nerve._offset.update(offset)
@@ -277,17 +276,14 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
 
 def _set_members(cover: Cover, resolution: Resolution) -> dict[CPoint, frozenset[int]]:
     """The cover sets containing each representative of the patches whose
-    indices are sets of this cover, from one `Region.mask` batch per set."""
+    indices are sets of this cover, from one `masks` batch of every set."""
     n_sets = len(cover.sets)
     patches = {id(p): p for s, p in resolution.patches.items() if 0 <= min(s) and max(s) < n_sets}
     reps = list(dict.fromkeys(rep for patch in patches.values() for rep in patch.reps))
     if not reps:
         return {}
-    pts = np.array([rep.xy for rep in reps], dtype=float)
-    inside = np.array([cover.region(i).mask(pts) for i in range(n_sets)])
-    return {
-        rep: frozenset(np.flatnonzero(inside[:, r]).tolist()) for r, rep in enumerate(reps)
-    }
+    inside = zip(*masks([region for _, region in cover.sets], [rep.xy for rep in reps]))
+    return {rep: frozenset(itertools.compress(range(n_sets), row)) for rep, row in zip(reps, inside)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +310,8 @@ class IntCochain:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values.values())
 
-    def vector(self, nerve: ResolvedNerve) -> np.ndarray:
-        basis = nerve.basis(self.degree)
-        return np.array([self.get(s, ci) for s, ci in basis], dtype=object)
+    def vector(self, nerve: ResolvedNerve) -> list[int]:
+        return [self.get(s, ci) for s, ci in nerve.basis(self.degree)]
 
     def to_jsonable(self):
         return {
@@ -357,13 +352,14 @@ def delta_rows(nerve: ResolvedNerve, k: int, drop: AbstractSet[int] = frozenset(
     the columns in `drop` are left out."""
     if k < 0:
         return [{} for _ in nerve.basis(0)]  # d^{-1} maps from the zero group
-    signs = [(-1) ** m for m in range(k + 2)]
+    signs, rows = [(-1) ** m for m in range(k + 2)], zip(*nerve.face_tables.get(k + 1, ()))
     # the facets of a simplex differ, so its faces land in distinct columns
-    return [{c: v for c, v in zip(cols, signs) if c not in drop} for cols in nerve.face_tables.get(k + 1, ())]
+    return [{c: v for c, v in zip(cols, signs) if c not in drop} for cols in rows]
 
 
-def delta_matrix(nerve: ResolvedNerve, k: int) -> np.ndarray:
-    """Dense int64 layout of `delta_rows(nerve, k)`."""
+def delta_matrix(nerve: ResolvedNerve, k: int):
+    """Dense int64 layout of `delta_rows(nerve, k)`, as a numpy array."""
+    import numpy as np
     M = np.zeros((len(nerve.basis(k + 1)), len(nerve.basis(k))), dtype=np.int64)
     for r, row in enumerate(delta_rows(nerve, k)):
         for c, v in row.items():
@@ -424,13 +420,6 @@ def cohomology(
     return out if isinstance(k, range) else out[0]
 
 
-def _face_array(nerve: ResolvedNerve, k: int) -> np.ndarray:
-    """`nerve.face_tables[k]` as an array, one row per basis element of degree k."""
-    table = nerve.face_tables[k]
-    flat = np.fromiter(itertools.chain.from_iterable(table), np.intp, len(table) * (k + 1))
-    return flat.reshape(-1, k + 1)
-
-
 def _check_dd_zero(nerve: ResolvedNerve, k: int) -> None:
     """Prove d^k d^{k-1} = 0 from the face tables, or raise VerificationError.
 
@@ -444,16 +433,18 @@ def _check_dd_zero(nerve: ResolvedNerve, k: int) -> None:
     `delta_rows` holds that sum when no row repeats a face: checked for G,
     and for F it follows from the identities (a row of F repeating a face,
     with 3 or more faces, makes some row of G repeat one)."""
-    if k < 1 or not nerve.face_tables.get(k + 1):
+    if k < 1 or not any(nerve.face_tables.get(k + 1, ())):
         return  # d^{-1} = 0, or d^k has no rows
-    F, G = _face_array(nerve, k + 1), _face_array(nerve, k)
+    # by columns, gcol[i][c] = G[c][i], and face[j](gcol[i])[r] = G[F[r][j]][i]
+    gcol = nerve.face_tables[k]
+    face = [operator.itemgetter(*col) for col in nerve.face_tables[k + 1]]
     for j in range(1, k + 2):
         for i in range(j):
-            if (G[F[:, j], i] != G[F[:, i], j - 1]).any():
+            if face[j](gcol[i]) != face[i](gcol[j - 1]):
                 raise VerificationError(f"d^{k} d^{k - 1} is not zero: the differential is broken")
     for j in range(1, k + 1):
         for i in range(j):
-            if (G[:, i] == G[:, j]).any():
+            if any(map(operator.eq, gcol[i], gcol[j])):
                 raise VerificationError(f"a row of d^{k - 1} repeats a face: the differential is broken")
 
 

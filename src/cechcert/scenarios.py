@@ -29,12 +29,11 @@ misses U_p, so the same holds for the glued bundle.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import covers as cv
 from .bundles import (
@@ -55,6 +54,7 @@ from .geometry import (
     hessian_block_trace,
     hessian_fd_residual,
     levi_form,
+    masks,
     rho,
     up_radius,
 )
@@ -129,8 +129,8 @@ class ScenarioConfig:
 # the pairs p - pi k -> p + pi k for the shifts 2 pi k of (x1, x2), as rows
 # added to (x1, y1, x2, y2): three starts, then three ends; at p with x = 0
 # each pair differs by exactly 2 pi k, as fl(2 pi) = 2 fl(pi)
-_SHIFTS = np.array([(1.0, 0, 0, 0), (0, 0, 1.0, 0), (-1.0, 0, 1.0, 0)])
-PAIR_ENDS = math.pi * np.vstack([-_SHIFTS, _SHIFTS])
+_SHIFTS = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (-1.0, 0.0, 1.0, 0.0))
+PAIR_ENDS = tuple(tuple(math.pi * s * v for v in shift) for s in (-1.0, 1.0) for shift in _SHIFTS)
 X_BOUNDS = (SPow(SX(0), 2), SPow(SX(1), 2))
 
 
@@ -148,18 +148,18 @@ def periodicity_pairs(nerve: ResolvedNerve, region: Region) -> tuple[bool, int]:
     )
     located, pairs = True, 0
     for rep_pt in nerve.components((0, 1)):
-        ends = np.asarray(rep_pt.xy) + PAIR_ENDS
+        ends = [tuple(a + b for a, b in zip(rep_pt.xy, end)) for end in PAIR_ENDS]
         inside = region.mask(ends)
-        for i in np.flatnonzero(inside[:3] & inside[3:]):
-            pairs += 1
-            p, q = (CPoint(tuple(ends[j].tolist())) for j in (i, i + 3))
-            if nerve.locate((0, 1), p) != nerve.locate((0, 1), q):
-                located = False
+        for i in range(3):
+            if inside[i] and inside[i + 3]:
+                pairs += 1
+                if nerve.locate((0, 1), CPoint(ends[i])) != nerve.locate((0, 1), CPoint(ends[i + 3])):
+                    located = False
     return boxed and located, pairs
 
 
 def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
-    if not cv.dr_region(cfg.r).mask(PAIR_ENDS + (0.0, 0.5, 0.0, 0.0)).all():
+    if not all(cv.dr_region(cfg.r).mask([(x1, y1 + 0.5, x2, y2) for x1, y1, x2, y2 in PAIR_ENDS])):
         raise DomainError(
             f"no 2 pi-shifted pair of overlap points lies in D_r for r = {cfg.r}; "
             "the periodicity check needs r > pi"
@@ -253,12 +253,11 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
     # (6) the unit torus sits compactly inside the tube: |z_j| = 1 there, so
     # rho = 0 < eps = 1; the tube's constraint is evaluated on the grid of
     # 8th roots of unity in each coordinate
-    roots = np.exp(2j * math.pi * np.arange(8) / 8)
-    w1, w2 = (w.ravel() for w in np.meshgrid(roots, roots, indexing="ij"))
-    torus_pts = np.stack([w1.real, w1.imag, w2.real, w2.imag], axis=1)
-    g1 = cv.g_eps_region(2, 1.0)
-    in_tube = bool(np.all(g1.mask(torus_pts)))
-    max_rho = float(np.max(np.log(np.abs(w1)) ** 2 + np.log(np.abs(w2)) ** 2))
+    roots = [cmath.exp(2j * math.pi * k / 8) for k in range(8)]
+    torus_pts = [(w1.real, w1.imag, w2.real, w2.imag) for w1 in roots for w2 in roots]
+    in_tube = all(cv.g_eps_region(2, 1.0).mask(torus_pts))
+    logs = [math.log(abs(w)) for w in roots]
+    max_rho = max(a * a + b * b for a in logs for b in logs)
     rep.add(
         "torus-inside-tube",
         in_tube and max_rho < 1e-20,
@@ -396,9 +395,9 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
             "small that its point inside the tube, p moved toward the torus by half its "
             "radius, rounds out of the tube or of U_p; raise --safety"
         )
-    mid, radius = up.bbox.mean(axis=1), float(up.bbox[0, 1] - up.bbox[0, 0]) / 2.0
-    center = mid[0::2] + 1j * mid[1::2]  # U_p's, read off its bbox [c - r, c + r]
-    lo, hi = float(np.abs(center).min() - radius), float(np.abs(center).max() + radius)
+    mid, radius = [(a + b) / 2.0 for a, b in up.bbox], (up.bbox[0][1] - up.bbox[0][0]) / 2.0
+    center = CPoint(mid).to_complex()  # U_p's, read off its bbox [c - r, c + r]
+    lo, hi = min(map(abs, center)) - radius, max(map(abs, center)) + radius
     rep.add(
         "up-ball",
         1.0 < lo and hi < math.e,
@@ -409,8 +408,8 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     # z_1 = 0, where rho = +inf (Region.mask, unlike rho, is total there)
     ends = [CPoint.from_complex([1.0] * n), CPoint.from_complex([-1.0] + [1.0] * (n - 1))]
     mid = CPoint(tuple((a + b) / 2.0 for a, b in zip(*(e.xy for e in ends))))
-    inside = g.mask(np.array([e.xy for e in (*ends, mid)]))
-    ends_in, mid_in = bool(inside[:2].all()), bool(inside[2])
+    inside = g.mask([e.xy for e in (*ends, mid)])
+    ends_in, mid_in = all(inside[:2]), inside[2]
     rep.add(
         "tube-not-convex",
         ends_in and not mid_in,
@@ -468,8 +467,8 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     # point of U_p has Re z_j > re_min > 0, so it is in arc A, and
     # 3 Re z_j^2 > 3 re_min^2 >= im_max^2 > Im z_j^2, so it is in no B arc
     # (x_j < |z_j|/2); glue
-    re_min = float(center.real.min() - radius)
-    im_max = float(np.abs(center.imag).max() + radius)
+    re_min = min(c.real for c in center) - radius
+    im_max = max(abs(c.imag) for c in center) + radius
     sector_ok = re_min > 0.0
     only_a = sector_ok and 3.0 * re_min**2 >= im_max**2
     omega_prime = cv.omega_prime_region(n, eps, up)
@@ -503,7 +502,7 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     restr_same = restr.transitions == lnt.transitions
     # iota(G^2_eps) has z_j = 1 for j > 2, at distance sqrt(n - 2) (m - 1) from
     # p, more than the U_p radius; at n = 2 iota is the identity
-    gap = float(np.linalg.norm(center[2:] - 1.0))
+    gap = math.sqrt(math.fsum(abs(c - 1.0) ** 2 for c in center[2:]))
     rep.add(
         "glued-class-obstruction",
         (not cex_verdict.yes)
@@ -597,10 +596,9 @@ def connectivity_check(n: int, eps: float, safety: float) -> tuple[bool, dict]:
     up = cv.up_ball(n, eps, safety)
     levels = (eps - 0.99 * widest, eps + 0.99 * widest)
     pts = [CPoint((math.exp(math.sqrt(level / n)), 0.0) * n) for level in levels]
-    rows = np.array([w.xy for w in pts])
     witnesses = [
-        {"point": list(w.xy), "rho": rho(w), "in_up_and_omega_minus_shell": bool(ok)}
-        for w, ok in zip(pts, up.mask(rows) & shell.mask(rows))
+        {"point": list(w.xy), "rho": rho(w), "in_up_and_omega_minus_shell": a and b}
+        for w, a, b in zip(pts, *masks((up, shell), [w.xy for w in pts]))
     ]
     inner, outer = witnesses
     ok = (

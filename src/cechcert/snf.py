@@ -14,9 +14,9 @@ Programming, 1986, Cor. 4.1a): then y M x = 0 != y c mod q for every integer
 x, and anyone can check it with two products.
 
 Only remainders go to `smith_normal_form`: unimodular U, V with U * M * V
-diagonal, d1 | d2 | ..., from one reduction on Python integers.  It is exact,
-but with no proven bound on its running time: small dense inputs (random
-7 x 7, entries in +-10) can take minutes.
+diagonal, d1 | d2 | ..., from one reduction on Python integers (numpy's, but
+for the empty one).  It is exact, but with no proven bound on its running
+time: small dense inputs (random 7 x 7, entries in +-10) can take minutes.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SNFResult", "pivot_divisors", "smith_divisors", "smith_normal_form", "solve_integer"]
 
@@ -42,6 +44,7 @@ class SNFResult:
 
 def _reduce(A: np.ndarray) -> SNFResult:
     """Reduce an object array of Python ints in place to its Smith form."""
+    import numpy as np
     m, n = A.shape
     U = np.eye(m, dtype=object)
     V = np.eye(n, dtype=object)
@@ -115,22 +118,41 @@ def _reduce(A: np.ndarray) -> SNFResult:
     return SNFResult(U, V, tuple(A[i, i] for i in range(t)))
 
 
+class _Empty(tuple):
+    """The remainder when every line took a +-1 pivot, and the transforms of its
+    Smith form, without numpy: an empty tuple numpy reads as a 0 x 0 object array."""
+
+    shape, dtype = (0, 0), object
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np
+        return np.empty((0, 0), dtype=dtype or object)
+
+
+_EMPTY = _Empty()
+
+
 def smith_normal_form(M) -> SNFResult:
     """Exact Smith normal form of an integer matrix (any shape, including empty)."""
-    M = np.asarray(M)
+    if M is _EMPTY:
+        return SNFResult(_EMPTY, _EMPTY, ())
+    import numpy as np
+    M = np.array(M, dtype=object)  # exact: no float64 for rows mixing ints past 2**63 with negatives
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     return _reduce(np.frompyfunc(int, 1, 1)(M))
 
 
-def _rows(M) -> list[dict[int, int]]:
-    """{column: entry} rows of a 2-d array, or copies of sparse rows."""
+def _rows(M) -> tuple[list[dict[int, int]], int]:
+    """{column: entry} rows of a 2-d array, or copies of sparse rows, and the column count."""
     if isinstance(M, list) and all(isinstance(row, dict) for row in M):
-        return [{j: int(v) for j, v in row.items() if v} for row in M]
-    M = np.asarray(M)
+        rows = [{j: int(v) for j, v in row.items() if v} for row in M]
+        return rows, max(map(max, filter(None, rows)), default=-1) + 1
+    import numpy as np
+    M = np.array(M, dtype=object)
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    return [{j: int(v) for j, v in enumerate(row) if v} for row in M.tolist()]
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in M.tolist()], M.shape[1]
 
 
 def _eliminate(rows: list[dict[int, int]], prov: list[dict[int, int]] | None = None):
@@ -139,7 +161,8 @@ def _eliminate(rows: list[dict[int, int]], prov: list[dict[int, int]] | None = N
     shortest column (Markowitz order), and row operations clear that column
     from every other row.  Returns the pivots in order, as {row: (column,
     entry, rest of the row)}, and the leftover rows: their indices, the
-    columns they touch, and their dense layout on those columns."""
+    columns they touch, and their dense layout on those columns, as lists
+    (`_EMPTY` when no row is left)."""
     cols: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in enumerate(rows):
         for j in row:
@@ -183,12 +206,8 @@ def _eliminate(rows: list[dict[int, int]], prov: list[dict[int, int]] | None = N
             heapq.heappush(heap, (len(other), r))
         pivots[i] = (j, p, row)
     left = [i for i, row in enumerate(rows) if row]
-    at = {c: x for x, c in enumerate(sorted({c for i in left for c in rows[i]}))}
-    R = np.zeros((len(left), len(at)), dtype=object)
-    for y, i in enumerate(left):
-        for c, v in rows[i].items():
-            R[y, at[c]] = v
-    return pivots, left, list(at), R
+    cols = sorted({c for i in left for c in rows[i]})
+    return pivots, left, cols, [[rows[i].get(c, 0) for c in cols] for i in left] or _EMPTY
 
 
 def smith_divisors(M) -> tuple[int, ...]:
@@ -198,7 +217,7 @@ def smith_divisors(M) -> tuple[int, ...]:
     are copied, not changed.  `smith_normal_form` gets the remainder even when
     it is empty, so a trace of it always shows the dense work that remains.
     """
-    return pivot_divisors(_rows(M))[0]
+    return pivot_divisors(_rows(M)[0])[0]
 
 
 def pivot_divisors(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], set[int]]:
@@ -218,7 +237,7 @@ def pivot_divisors(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], set[int
     return (1,) * len(pivots) + smith_normal_form(R).divisors, set(pivots)
 
 
-def _unit_pivots(rows: list[dict[int, int]]) -> tuple[dict[int, int], np.ndarray]:
+def _unit_pivots(rows: list[dict[int, int]]) -> tuple[dict[int, int], list[list[int]]]:
     """The +-1 pivots of `pivot_divisors`, as {row: column}, and the dense
     remainder, from one `_eliminate` along the short side."""
     if len(rows) <= len(set().union(*rows)):
@@ -248,8 +267,7 @@ def solve_integer(M, c, modulus: int | None = None):
     if modulus not in (None, 2):
         raise ValueError(f"modulus must be None or 2, got {modulus}")
     red = (lambda v: v % 2) if modulus else int
-    rows = _rows(M)
-    n = np.shape(M)[1] if np.ndim(M) == 2 else max(map(max, filter(None, rows)), default=-1) + 1
+    rows, n = _rows(M)
     c = [int(v) for v in c]
     if len(c) != len(rows):
         raise ValueError(f"right-hand side has {len(c)} entries for {len(rows)} rows")
@@ -263,22 +281,24 @@ def solve_integer(M, c, modulus: int | None = None):
     for i, row in enumerate(rows):
         if not row and i not in pivots and red(rhs[i]):
             return witness(prov[i], 0)
-    snf = smith_normal_form(R)
-    w = np.zeros(len(cols), dtype=object)
-    for t, v in enumerate(snf.U @ np.array([rhs[i] for i in left], dtype=object)):
-        d = snf.divisors[t] if t < len(snf.divisors) else 0
-        d = d % 2 if modulus else d  # mod 2 an odd divisor is a unit, an even one 0
-        if red(v % d if d else v):
-            y: dict[int, int] = {}
-            for u, i in zip(snf.U[t], left):
-                for r, e in prov[i].items():
-                    y[r] = y.get(r, 0) + u * e
-            return witness(y, d)
-        if d:
-            w[t] = v // d
     x = [0] * n
-    for col, v in zip(cols, snf.V @ w):
-        x[col] = int(v)
+    snf = smith_normal_form(R)
+    if R:  # a dense remainder; no pipeline nerve leaves one
+        import numpy as np
+        w = np.zeros(len(cols), dtype=object)
+        for t, v in enumerate(snf.U @ np.array([rhs[i] for i in left], dtype=object)):
+            d = snf.divisors[t] if t < len(snf.divisors) else 0
+            d = d % 2 if modulus else d  # mod 2 an odd divisor is a unit, an even one 0
+            if red(v % d if d else v):
+                y: dict[int, int] = {}
+                for u, i in zip(snf.U[t], left):
+                    for r, e in prov[i].items():
+                        y[r] = y.get(r, 0) + u * e
+                return witness(y, d)
+            if d:
+                w[t] = v // d
+        for col, v in zip(cols, snf.V @ w):
+            x[col] = int(v)
     # a pivot row holds no earlier pivot column, so reverse order is back-substitution
     for i, (j, p, row) in reversed(pivots.items()):
         x[j] = p * (rhs[i] - sum(v * x[col] for col, v in row.items()))

@@ -4,12 +4,19 @@ set's conjuncts in y through the chart and samples nothing."""
 
 import numpy as np
 
+from cechcert.hexpr import evaluate
+
+
+def forward_complex(chart, zc: np.ndarray) -> np.ndarray:
+    """The chart's images of (m, n) complex coordinates, as (m, n_out)."""
+    return np.array([[evaluate(e, row) for e in chart.forward] for row in np.asarray(zc, dtype=complex)])
+
 
 def forward_xy(chart, pts: np.ndarray) -> np.ndarray:
     """The chart's images of (m, 2n) real coordinates, as (m, 2 n_out) real
     coordinates."""
     pts = np.asarray(pts, dtype=float)
-    wc = chart.forward_complex(pts[:, 0::2] + 1j * pts[:, 1::2])
+    wc = forward_complex(chart, pts[:, 0::2] + 1j * pts[:, 1::2])
     out = np.empty((pts.shape[0], 2 * chart.n_out))
     out[:, 0::2] = wc.real
     out[:, 1::2] = wc.imag
@@ -22,5 +29,5 @@ def escaping_sets(bundle, chart, pre_cover, rng: np.random.Generator, samples_pe
     return [
         name
         for i, (name, reg) in enumerate(pre_cover.sets)
-        if not bundle.cover.region(i).mask(forward_xy(chart, reg.sample(samples_per_set, rng))).all()
+        if not all(bundle.cover.region(i).mask(forward_xy(chart, reg.sample(samples_per_set, rng))))
     ]

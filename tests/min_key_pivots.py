@@ -5,8 +5,6 @@ fixes every Farkas witness and so every report byte."""
 import heapq
 from collections import defaultdict
 
-import numpy as np
-
 
 def eliminate(rows: list[dict[int, int]], prov: list[dict[int, int]] | None = None):
     """The same elimination and return value as `snf._eliminate`; each pivot
@@ -49,9 +47,5 @@ def eliminate(rows: list[dict[int, int]], prov: list[dict[int, int]] | None = No
             heapq.heappush(heap, (len(other), r))
         pivots[i] = (j, p, row)
     left = [i for i, row in enumerate(rows) if row]
-    at = {c: x for x, c in enumerate(sorted({c for i in left for c in rows[i]}))}
-    R = np.zeros((len(left), len(at)), dtype=object)
-    for y, i in enumerate(left):
-        for c, v in rows[i].items():
-            R[y, at[c]] = v
-    return pivots, left, list(at), R
+    cols = sorted({c for i in left for c in rows[i]})
+    return pivots, left, cols, [[rows[i].get(c, 0) for c in cols] for i in left]

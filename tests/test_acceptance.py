@@ -31,7 +31,6 @@ from cechcert.geometry import (
     hessian_block_trace,
     hessian_fd_residual,
     levi_form,
-    real_hessian,
     segment_convexity,
 )
 from cechcert.hexpr import Const
@@ -45,6 +44,7 @@ from cechcert.scenarios import (
     torus_rank_table,
 )
 
+from real_hessian import real_hessian
 from test_bundles import _ball_glue_instance
 from tube_samplers import contraction_residual, sample_boundary, sample_tube
 

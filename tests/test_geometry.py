@@ -18,13 +18,13 @@ from cechcert.geometry import (
     hessian_block_trace,
     hessian_fd_residual,
     levi_form,
-    real_hessian,
     rho,
     segment_convexity,
     up_radius,
 )
 from cechcert.covers import g_eps_region, omega_region, p_point, up_ball
 
+from real_hessian import real_hessian
 from tube_samplers import contraction_residual, sample_boundary, sample_tube
 
 
@@ -138,7 +138,7 @@ def test_hessian_fd_residual_agrees_with_the_full_difference_hessian():
 def test_hessian_fd_residual_sees_a_wrong_block(monkeypatch):
     p = p_point(3, 1.5)
     assert hessian_fd_residual(p, 1e-4) < 1e-5
-    monkeypatch.setattr(geometry, "hessian_block", lambda zj: 1.001 * hessian_block(zj))
+    monkeypatch.setattr(geometry, "hessian_block", lambda zj: 1.001 * np.array(hessian_block(zj)))
     assert hessian_fd_residual(p, 1e-4) > 1e-5
 
 
@@ -166,7 +166,7 @@ def test_sympy_confirms_the_levi_diagonal_and_the_hessian_blocks():
     for zj in (1.5 + 0.5j, -0.3 + 2.2j, 2.0 - 1.0j, 0.7 - 0.1j, math.e):
         at = {x: zj.real, y: zj.imag}
         want = np.array(H.subs(at).evalf(30).tolist(), dtype=float)
-        assert np.allclose(2.0 / abs(zj) ** 4 * hessian_block(zj), want, rtol=1e-12, atol=1e-15)
+        assert np.allclose(2.0 / abs(zj) ** 4 * np.array(hessian_block(zj)), want, rtol=1e-12, atol=1e-15)
         assert hessian_block_det(zj) == pytest.approx(float(block.det().subs(at).evalf(30)), rel=1e-12, abs=1e-15)
         assert hessian_block_trace(zj) == pytest.approx(float(r2.subs(at)), rel=1e-15)
         levi = float(((H[0, 0] + H[1, 1]) / 4).subs(at).evalf(30))
@@ -262,6 +262,12 @@ def test_up_radius():
     with pytest.raises(DomainError):
         up_radius(2, 2.5, 0.5)
     assert up_radius(2, 1.0, 1e-6) < 1e-5
+    # the radius safety * min(e - m, m - 1) is 0 through the safety factor
+    # (room 7e-11), or through epsilon (m rounds to 1), and each is named
+    with pytest.raises(DomainError, match=r"^safety = .* raise --safety$"):
+        up_radius(2, 1e-20, 1e-320)
+    with pytest.raises(DomainError, match=r"^epsilon = 1e-40 is too small at n = 2"):
+        up_radius(2, 1e-40, 0.5)
 
 
 def test_up_ball_inside_pd_window():

@@ -512,6 +512,18 @@ def test_dimn_passes_at_tiny_epsilon():
     assert run_dimn(_fast_cfg(epsilon=1e-20)).overall_pass
 
 
+def test_dimn_names_safety_when_it_underflows_the_up_radius(tmp_path, capsys):
+    # at epsilon = 1e-20 the room min(e - m, m - 1) is 7e-11, so the radius
+    # underflows to 0 only through the safety factor, and the error names it
+    out = tmp_path / "x.json"
+    assert main(["dimn", "--epsilon", "1e-20", "--safety", "1e-320", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: safety = ") and "at n = 2, epsilon = 1e-20:" in lines[0]
+    assert lines[0].endswith("raise --safety")
+    assert not out.exists()
+
+
 def test_dimn_runs_the_four_set_cover_past_the_old_nerve_limit(monkeypatch):
     # no region is rejection-sampled, and the glued cover is the four sector
     # sets plus Omega' at every n
@@ -1067,6 +1079,32 @@ for argv in (
         sys.exit(f"{argv} failed")
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
+
+
+_NUMPY_PROBE = """
+import json, sys
+import cechcert.cli
+from cechcert.scenarios import ScenarioConfig
+ScenarioConfig(seed=1)
+loaded = ["numpy" in sys.modules]
+out = sys.argv[1]
+for argv in (["dim2", "--out", out + "/dim2.json"], ["dimn", "--n", "3", "--out", out + "/dimn3.json"], ["selftest"]):
+    if cechcert.cli.main(argv) != 0:
+        sys.exit(f"{argv} failed")
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_the_pipelines_load_no_numpy(tmp_path):
+    # a fresh interpreter: the import, and then dim2, dimn --n 3 and
+    # selftest in turn, each leave numpy unloaded
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cechcert.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False]
 
 
 def test_no_command_imports_scipy(tmp_path):

@@ -214,7 +214,7 @@ def test_eliminate_picks_the_pivots_of_the_min_key_rule(rows, with_prov):
         work = [dict(r) for r in rows]
         prov = [{i: 1} for i in range(len(rows))] if with_prov else None
         pivots, left, cols, R = eliminate(work, prov)
-        return list(pivots.items()), left, cols, R.tolist(), work, prov
+        return list(pivots.items()), left, cols, list(R), work, prov
 
     assert run(snf_mod._eliminate) == run(min_key_pivots.eliminate)
 
@@ -223,6 +223,32 @@ def test_eliminate_picks_the_pivots_of_the_min_key_rule(rows, with_prov):
 def test_divisors_of_empty_matrices(shape):
     M = np.zeros(shape, dtype=np.int64)
     assert smith_divisors(M) == smith_normal_form(M).divisors == ()
+
+
+def test_remainders_past_int64_stay_exact():
+    # a row of 2**63 + 1 and -2 has no unit entry, so it reaches the dense
+    # remainder, where an inferred dtype would be float64 and round the odd
+    # entry to 2**63: divisor 2 instead of gcd = 1
+    big = 2**63 + 1
+    for M in ([{0: big, 1: -2}], [[big, -2]], [{0: big, 1: -2}, {0: 2 * big, 1: -4}]):
+        assert smith_divisors(M) == (1,)
+    assert smith_normal_form([[big, -2]]).divisors == (1,)
+    assert smith_divisors([{0: 3 * 2**64, 1: -6}]) == (6,)
+    x, _ = solve_integer([[big, -2]], [1])
+    assert big * x[0] - 2 * x[1] == 1
+    x, (y, q) = solve_integer([[2 * big, -2]], [1])
+    assert x is None and q == 2 and y[0] % 2
+
+
+def test_an_empty_remainder_reaches_smith_normal_form_without_numpy():
+    rows = [{0: 1, 1: 2}, {1: 1}]
+    pivots, _, _, R = snf_mod._eliminate([dict(r) for r in rows])
+    assert len(pivots) == 2 and R is snf_mod._EMPTY and not R
+    res = smith_normal_form(R)
+    assert res.divisors == () and res.U is res.V is snf_mod._EMPTY
+    # numpy reads it as a 0 x 0 object array, as it read the dense remainder
+    A = np.asarray(R)
+    assert A.shape == (0, 0) and A.dtype == object and res.U.dtype == object
 
 
 def _rp2_coboundary() -> np.ndarray:
