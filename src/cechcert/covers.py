@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .errors import ResolutionError
 from .geometry import (
     CAnd,
     CLt,
@@ -252,24 +253,20 @@ class SectorPatch(AnalyticPatch):
     """Components of a sector intersection, one per sign word over `diff`,
     the sectored coordinates where both letters occur: bit 0 when Im z_j > 0,
     most significant first.  A sector facet's coordinates lie in `diff`, so
-    the face map onto it projects the words and locates nothing."""
+    the face map onto it projects the words; it refuses any other facet."""
 
     diff: tuple[int, ...] = ()
 
     def face_map(self, facet: AnalyticPatch) -> Sequence[int]:
-        if isinstance(facet, SectorPatch):
-            table = _sign_projection(self.diff, facet.diff)
-            if table is not None:
-                return table
-        return super().face_map(facet)
+        if not isinstance(facet, SectorPatch) or not set(facet.diff) <= set(self.diff):
+            raise ResolutionError(f"face map of a sector patch over {self.diff} onto no sector patch in it")
+        return _sign_projection(self.diff, facet.diff)
 
 
 @functools.lru_cache(maxsize=None)
-def _sign_projection(ds: tuple[int, ...], df: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """The sign word on df of each sign word on ds, in word order; None when
-    df is not inside ds."""
-    if not set(df) <= set(ds):
-        return None
+def _sign_projection(ds: tuple[int, ...], df: tuple[int, ...]) -> tuple[int, ...]:
+    """The sign word on df, a subset of ds, of each sign word on ds, in word
+    order."""
     shifts = [len(ds) - 1 - ds.index(j) for j in df]
     out = []
     for word in range(2 ** len(ds)):

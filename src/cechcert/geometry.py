@@ -8,9 +8,9 @@ epsilon slack.
 
 Convention for log|z_j| at z_j = 0: evaluation returns -inf (so the
 squared-log exhaustion evaluates to +inf there), which makes region membership
-total.  The standalone operations ``rho``, ``levi_form`` and ``hessian_block``
-raise :class:`DomainError` instead, since their closed forms are genuinely
-undefined on the coordinate axes.
+total.  The standalone operations ``rho``, ``hessian_block_trace`` and
+``hessian_block_det`` raise :class:`DomainError` instead, since their closed
+forms are genuinely undefined on the coordinate axes.
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ __all__ = [
     "GridLabeling",
     "ConvexityVerdict",
     "rho",
-    "levi_form",
-    "hessian_block",
     "hessian_block_trace",
     "hessian_block_det",
-    "hessian_fd_residual",
     "grid_components",
     "segment_convexity",
     "up_radius",
@@ -458,48 +455,19 @@ def ball_region(center: Sequence[float], radius: float, name: str = "ball") -> R
 
 
 # ---------------------------------------------------------------------------
-# The exhaustion, its Levi form and real Hessian
-
-
-def _check_off_axes(z: CPoint) -> None:
-    for j in range(z.n):
-        if z.z(j) == 0:
-            raise DomainError(f"coordinate z_{j + 1} vanishes")
+# The exhaustion and the trace and determinant of its Hessian blocks
 
 
 def rho(z: CPoint) -> float:
     """Sum of squared log-moduli; vanishes exactly on the unit torus."""
-    _check_off_axes(z)
+    for j in range(z.n):
+        if z.z(j) == 0:
+            raise DomainError(f"coordinate z_{j + 1} vanishes")
     return float(sum(math.log(abs(z.z(j))) ** 2 for j in range(z.n)))
 
 
-def levi_form(z: CPoint, w: Sequence[complex]) -> float:
-    """Complex Hessian of the exhaustion applied to tangent vector w."""
-    _check_off_axes(z)
-    if len(w) != z.n:
-        raise ValueError("tangent vector has wrong length")
-    total = 0.0
-    for wj, zj in zip(w, z.to_complex()):
-        a, b = abs(complex(wj)), abs(zj)
-        total += a * a / (2.0 * (b * b))
-    return total
-
-
-def hessian_block(zj: complex) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Unscaled 2x2 Hessian block for one coordinate (scale is 2/|z_j|^4), as rows."""
-    zj = complex(zj)
-    if zj == 0:
-        raise DomainError("coordinate vanishes")
-    x, y = zj.real, zj.imag
-    lg = math.log(abs(zj))
-    return (
-        ((y * y - x * x) * lg + x * x, x * y * (1.0 - 2.0 * lg)),
-        (x * y * (1.0 - 2.0 * lg), (x * x - y * y) * lg + y * y),
-    )
-
-
 def hessian_block_trace(zj: complex) -> float:
-    """Closed-form trace of the unscaled block: x^2 + y^2."""
+    """The unscaled Hessian block's trace at z_j: `scenarios.BLOCK_TRACE`, R."""
     zj = complex(zj)
     if zj == 0:
         raise DomainError("coordinate vanishes")
@@ -507,45 +475,13 @@ def hessian_block_trace(zj: complex) -> float:
 
 
 def hessian_block_det(zj: complex) -> float:
-    """Closed-form determinant of the unscaled block.
-
-    Equals (x^2 + y^2)^2 * (log|z| - (log|z|)^2); positive iff |z| in (1, e).
-    """
+    """The unscaled Hessian block's determinant at z_j: `scenarios.BLOCK_DET`,
+    R^2 (L - L^2) with R = |z_j|^2 and L = log|z_j|; positive iff 1 < |z_j| < e."""
     zj = complex(zj)
     if zj == 0:
         raise DomainError("coordinate vanishes")
     lg = math.log(abs(zj))
     return (zj.real**2 + zj.imag**2) ** 2 * (lg - lg * lg)
-
-
-def hessian_fd_residual(z: CPoint, h: float) -> float:
-    """Max entry difference between the closed-form Hessian and central differences.
-
-    rho is a sum of per-coordinate terms, so its off-block second partials
-    vanish identically; each 2x2 block is differenced on its own coordinate's
-    term (log|z_j|)^2 alone, O(n) in all.
-    """
-    if h <= 0.0:
-        raise DomainError("finite-difference step must be positive")
-    for j in range(z.n):
-        if abs(z.z(j)) <= 2.0 * h:
-            raise DomainError("point too close to a coordinate axis for the given step")
-    worst = 0.0
-    for j in range(z.n):
-        x, y = z.xy[2 * j], z.xy[2 * j + 1]
-
-        def f(a: float, b: float) -> float:
-            return math.log(math.hypot(x + a * h, y + b * h)) ** 2
-
-        f0 = f(0, 0)
-        mixed = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4.0 * h * h)
-        fd = (
-            ((f(1, 0) + f(-1, 0) - 2.0 * f0) / (h * h), mixed),
-            (mixed, (f(0, 1) + f(0, -1) - 2.0 * f0) / (h * h)),
-        )
-        scale, block = 2.0 / abs(z.z(j)) ** 4, hessian_block(z.z(j))
-        worst = max(worst, *(abs(fd[a][b] - scale * block[a][b]) for a in (0, 1) for b in (0, 1)))
-    return worst
 
 
 def up_radius(n: int, eps: float, safety: float) -> float:

@@ -4,9 +4,10 @@ The language is deliberately small: constants, coordinates, integer powers,
 products, sums and exp.  That is enough for every transition function the
 certificates use, and small enough that every exp-free expression has an
 exact Laurent polynomial normal form, from which a monomial's coefficient and
-exponents are read off (`as_monomial`).  A transition that differs between the
-components of an overlap is one expression per component, held in the
-bundle's transition table.
+exponents are read off (`as_monomial`), and on which `scenarios` proves the
+tube's Hessian identities by a chain rule (`laurent_diff`) and substitution
+(`laurent_subst`).  A transition that differs between the components of an
+overlap is one expression per component, held in the bundle's transition table.
 
 Expressions evaluate at one point with `cmath` (`evaluate`).  All nodes are
 frozen, so equality is structural and expressions are safe to share.
@@ -36,6 +37,8 @@ __all__ = [
     "Laurent",
     "laurent_add",
     "laurent_mul",
+    "laurent_diff",
+    "laurent_subst",
     "as_laurent",
     "as_monomial",
     "MatExpr",
@@ -160,6 +163,33 @@ def laurent_mul(p: Laurent, q: Laurent) -> Laurent:
             m = tuple(sorted((j, k) for j, k in exps.items() if k))
             out[m] = out.get(m, 0) + c * d
     return {m: c for m, c in out.items() if c != 0}
+
+
+def laurent_diff(p: Laurent, chain: dict[int, Laurent]) -> Laurent:
+    """The derivative of p by a parameter t of which chain[j] is dv_j/dt for
+    each variable v_j (a variable missing from chain does not depend on t):
+    the sum over p's terms c v^k and their variables of c k_j v^k/v_j dv_j/dt."""
+    out: Laurent = {}
+    for m, c in p.items():
+        for j, k in m:
+            if j in chain:
+                out = laurent_add(out, laurent_mul({m: c * k}, laurent_mul({((j, -1),): 1}, chain[j])))
+    return out
+
+
+def laurent_subst(p: Laurent, values: dict[int, Laurent]) -> Laurent:
+    """p with each variable j in `values` replaced by the form values[j],
+    which p must hold to nonnegative powers only (else ShapeError)."""
+    out: Laurent = {}
+    for m, c in p.items():
+        term = {tuple((j, k) for j, k in m if j not in values): c}
+        for j, k in m:
+            if j in values:
+                if k < 0:
+                    raise ShapeError(f"negative power of the replaced variable {j}")
+                term = functools.reduce(laurent_mul, [values[j]] * k, term)
+        out = laurent_add(out, term)
+    return out
 
 
 def as_laurent(e: HExpr) -> Laurent:

@@ -4,20 +4,23 @@ run_dim2 reproduces the slab construction: a two-set cover whose overlap has
 two components carries an integer 1-cocycle with no primitive; its half-scale
 exponential push is a line bundle with +-1 transitions that admits no locally
 constant trivialization, and the data transports through the exponential chart
-onto a tube around the unit torus.
+onto a tube around the unit torus, which holds the torus as the tube's tree is
+rho < c with c > 0 and rho = sum_j (log|z_j|)^2 is 0 on the torus.
 
 run_dimn reproduces the tube construction in C^n: analytic certificates for
 the tube (boundedness, Levi positivity and radial contraction, in closed form
 since rho = |x|^2 in the log-moduli x_j = log|z_j|; Hessian definiteness at
 the distinguished boundary point and on a ball around it, where the tube is
 convex; a boundary point at eps = n with no definite block; and a segment
-leaving the tube), all exact, so that no seed changes them; the connectivity
-of the ball minus the thickened compact (for every n, one inequality between
-log-moduli radii plus two witnesses of the hole at p; see
-connectivity_check), the clutching bundle on the sector cover with a
-nonvanishing first Chern cocycle, and the gluing with the trivial bundle on
-the outside set, whose result still carries a nonvanishing class while the
-one-set cover of the ball carries none.
+leaving the tube), all exact, so that no seed changes them: Laurent forms in
+x, y, L = log|z| and R = |z|^2 prove the Hessian block, its trace R (so the
+Levi coefficient 1/(2R)) and its determinant R^2 (L - L^2), zero at L = 1
+(block_identities_hold).  Then the connectivity of the ball minus the
+thickened compact (for every n, one inequality between log-moduli radii plus
+two witnesses of the hole at p; see connectivity_check), the clutching bundle
+on the sector cover with a nonvanishing first Chern cocycle, and the gluing
+with the trivial bundle on the outside set, whose result still carries a
+nonvanishing class while the one-set cover of the ball carries none.
 
 At every n the clutching bundle lives on the four sets pi^{-1}(S_ab) & G_eps,
 pi(z) = (z_1, z_2), which iota(w) = (w_1, w_2, 1, ..., 1) pulls back, with the
@@ -29,7 +32,7 @@ misses U_p, so the same holds for the glued bundle.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,14 +55,13 @@ from .geometry import (
     grid_components,  # unused; perfbench/test_perfbench.py reads scenarios.grid_components
     hessian_block_det,
     hessian_block_trace,
-    hessian_fd_residual,
-    levi_form,
     masks,
     rho,
     up_radius,
 )
-from .geometry import CLt, SConst, SPow, SX, conjuncts, reads_y_only
-from .hexpr import Const, Coord, IntPower, MatExpr, Product, Sum, as_laurent, laurent_add
+from .geometry import CLt, SConst, SPow, SRho, SX, conjuncts, reads_y_only
+from .hexpr import Const, Coord, IntPower, MatExpr, Product, Sum
+from .hexpr import as_laurent, laurent_add, laurent_diff, laurent_mul, laurent_subst
 from .nerve import Cover, ResolvedNerve, build_nerve, check_cover, cohomology, is_coboundary
 from .bundles import BundleData, BundleIso, trivial_bundle
 from .report import CertificateReport
@@ -85,7 +87,6 @@ DIM2_FIELDS = ("r",)
 DIMN_FIELDS = ("n", "epsilon", "seed", "safety", "run_connectivity")
 
 SAFETY_CONNECT = 0.9  # U_p of the connectivity check; sets its delta
-FD_STEP = 1e-4  # finite-difference step of the Hessian cross-check at p
 DIMN_KMAX = 3  # top dimension of the sector nerve of the clutching bundle
 # the largest n CI runs; a fresh `dimn --n 64` takes about 0.3 s on a
 # 2-vCPU Xeon
@@ -93,6 +94,7 @@ MAX_DIMN_N = 64
 # sum over s <= k_max + 1 of C(2^n, s): cohomology-torus at n = 4 has 14,892
 # simplices (k_max 5) and at n = 5 would have 4,514,872
 MAX_NERVE_SIMPLICES = 100_000
+MAX_SCAN_ROWS = 10_000_000  # hessian-scan's count: 26 s of rows at 2.6 us, 1.5 min written
 
 
 @dataclass
@@ -250,18 +252,16 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
         "image bundle validates; pulling back through the chart returns (+1, -1)",
     )
 
-    # (6) the unit torus sits compactly inside the tube: |z_j| = 1 there, so
-    # rho = 0 < eps = 1; the tube's constraint is evaluated on the grid of
-    # 8th roots of unity in each coordinate
-    roots = [cmath.exp(2j * math.pi * k / 8) for k in range(8)]
-    torus_pts = [(w1.real, w1.imag, w2.real, w2.imag) for w1 in roots for w2 in roots]
-    in_tube = all(cv.g_eps_region(2, 1.0).mask(torus_pts))
-    logs = [math.log(abs(w)) for w in roots]
-    max_rho = max(a * a + b * b for a in logs for b in logs)
+    # (6) the unit torus sits compactly inside the tube: the tube's tree is
+    # rho < c with c > 0, and rho is 0 where every L_j = log|z_j| is 0
+    tube = cv.g_eps_region(2, 1.0).constraint
+    rho_bound = type(tube) is CLt and type(tube.lhs) is SRho and type(tube.rhs) is SConst
+    bound = tube.rhs.value if rho_bound else None
+    on_torus = laurent_subst({((0, 2),): 1, ((1, 2),): 1}, {0: {}, 1: {}})  # rho at L_1 = L_2 = 0
     rep.add(
         "torus-inside-tube",
-        in_tube and max_rho < 1e-20,
-        {"points": len(torus_pts), "max_rho": max_rho, "margin": 1.0 - max_rho},
+        rho_bound and bound > 0 and not on_torus,
+        {"rho_bound": bound, "rho_on_torus": on_torus.get((), 0)},
         "the torus sits at exhaustion level 0, compactly inside the tube",
     )
 
@@ -283,6 +283,37 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
 
 # ---------------------------------------------------------------------------
 # Tube pipeline
+
+
+# The unscaled Hessian block of rho's term (log|z|)^2 in z = x + iy (its real
+# Hessian is 2/R^2 times the block), its trace and determinant, as Laurent
+# forms in the variables x, y, L = log|z| and R = |z|^2
+X, Y, L, R = range(4)
+_OFF = {((X, 1), (Y, 1)): 1, ((X, 1), (Y, 1), (L, 1)): -2}  # x y (1 - 2L)
+HESSIAN_BLOCK = (
+    ({((X, 2),): 1, ((X, 2), (L, 1)): -1, ((Y, 2), (L, 1)): 1}, _OFF),  # (y^2 - x^2) L + x^2
+    (_OFF, {((Y, 2),): 1, ((X, 2), (L, 1)): 1, ((Y, 2), (L, 1)): -1}),  # (x^2 - y^2) L + y^2
+)
+BLOCK_TRACE = {((R, 1),): 1}  # R
+BLOCK_DET = {((L, 1), (R, 2)): 1, ((L, 2), (R, 2)): -1}  # R^2 (L - L^2)
+# d/dx and d/dy of each variable: dL/dx = x/R and dR/dx = 2x
+_CHAIN = tuple({v: {(): 1}, L: {((v, 1), (R, -1)): 1}, R: {((v, 1),): 2}} for v in (X, Y))
+
+
+@functools.cache
+def block_identities_hold() -> bool:
+    """Whether R^2 d^2(L^2) = 2 HESSIAN_BLOCK entry by entry (d/dx and d/dy by
+    the chain rule of _CHAIN), with trace BLOCK_TRACE and determinant
+    BLOCK_DET, as polynomial identities in x, y and L once R is replaced by
+    x^2 + y^2.  No n or epsilon enters, so a process proves them once."""
+    (a, b), (c, d) = HESSIAN_BLOCK
+    square, r2 = {((L, 2),): 1}, {((R, 2),): 1}
+    second = [laurent_mul(r2, laurent_diff(laurent_diff(square, v), w)) for v in _CHAIN for w in _CHAIN]
+    defects = [laurent_add(h, entry, -2) for h, entry in zip(second, (a, b, c, d))] + [
+        laurent_add(laurent_add(a, d), BLOCK_TRACE, -1),
+        laurent_add(laurent_add(laurent_mul(a, d), laurent_mul(b, c), -1), BLOCK_DET, -1),
+    ]
+    return not any(laurent_subst(p, {R: {((X, 2),): 1, ((Y, 2),): 1}}) for p in defects)
 
 
 def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
@@ -308,16 +339,17 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     bound = cv.omega_radius(n, eps) ** 2
     rep.add("tube-bounded", sup_norm_sq < bound, {"sup_norm_sq": sup_norm_sq, "bound": bound})
 
-    # (2) Levi positivity: log|z_j|^2 is pluriharmonic, so the Levi form is
-    # diagonal with entries 1/(2|z_j|^2), least where |z_j| is largest on the
-    # closed tube: at the boundary point (e^{sqrt(eps)}, 1, ..., 1)
+    # (2) Levi positivity: the Levi form is diagonal, entry j a quarter of the
+    # Laplacian of L_j^2, trace/(2R^2) = 1/(2R) with R = |z_j|^2: least where
+    # |z_j| is largest on the closed tube, at (e^{sqrt(eps)}, 1, ..., 1)
+    proved = block_identities_hold()
     lower = 1.0 / (2.0 * math.exp(2.0 * math.sqrt(eps)))
     extreme = CPoint.from_complex([math.exp(math.sqrt(eps))] + [1.0] * (n - 1))
-    levi_margin = levi_form(extreme, [1.0] + [0.0] * (n - 1)) - lower
+    twice_levi = laurent_mul(BLOCK_TRACE, {((R, -2),): 1})
     rep.add(
         "levi-lower-bound",
-        levi_margin >= -1e-12,
-        {"min_margin": levi_margin, "lower_coeff": lower, "extreme_point": list(extreme.xy)},
+        proved and twice_levi == {((R, -1),): 1},
+        {"identities_hold": proved, "lower_coeff": lower, "extreme_point": list(extreme.xy)},
     )
 
     # (3) the radial contraction |z|^{-t} z multiplies each x_j = log|z_j| by
@@ -334,19 +366,18 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
         {"identity_terms": len(image_form), "defect_terms": len(defect)},
     )
 
-    # (4) Hessian definiteness at p when eps < n, with finite-difference cross-check
+    # (4) Hessian definiteness at p when eps < n: the block is the Hessian,
+    # definite where its determinant and trace are positive
     p = cv.p_point(n, eps)
+    dets = [hessian_block_det(p.z(j)) for j in range(n)]
     if eps < n:
-        dets = [hessian_block_det(p.z(j)) for j in range(n)]
         trs = [hessian_block_trace(p.z(j)) for j in range(n)]
-        fd = hessian_fd_residual(p, FD_STEP)
         rep.add(
             "hessian-pd-at-p",
-            min(dets) > 0 and min(trs) > 0 and fd < 1e-5,
-            {"block_dets": dets, "block_traces": trs, "fd_residual": fd},
+            proved and min(dets) > 0 and min(trs) > 0,
+            {"block_dets": dets, "block_traces": trs, "identities_hold": proved},
         )
     else:
-        dets = [hessian_block_det(p.z(j)) for j in range(n)]
         rep.add(
             "hessian-pd-at-p",
             False,
@@ -354,16 +385,18 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
             "no definite boundary point exists at this epsilon",
         )
 
-    # (5) negative control at eps = n: a block is definite iff x_j = log|z_j|
-    # lies in (0, 1), so a point with every block definite has rho = |x|^2 < n
-    # and none lies on rho = n; at the witness |z_j| = e every block degenerates
+    # (5) negative control at eps = n: det = R^2 L (1 - L), so all blocks are
+    # definite only where every L_j = log|z_j| lies in (0, 1), where rho < n;
+    # at the witness |z_j| = e every L_j = 1, rho = n and the det form vanishes
     witness = CPoint.from_complex([math.e] * n)
-    witness_rho = rho(witness)
-    worst_det = max(hessian_block_det(witness.z(j)) for j in range(n))
+    ones = {j: {(): 1} for j in range(n)}
+    witness_rho = laurent_subst({((j, 2),): 1 for j in range(n)}, ones).get((), 0)
+    det_at_e = laurent_subst(BLOCK_DET, {L: {(): 1}})
     rep.add(
         "negative-control-eps-n",
-        abs(witness_rho - n) <= 1e-12 * n and worst_det <= 1e-12,
-        {"witness": list(witness.xy), "witness_rho": witness_rho, "max_block_det": worst_det},
+        proved and not det_at_e and witness_rho == n,
+        {"witness": list(witness.xy), "witness_rho": witness_rho, "block_det_terms": len(det_at_e),
+         "identities_hold": proved},
         "at eps = n some squared log-modulus reaches 1, killing a block determinant",
     )
 
@@ -656,13 +689,15 @@ def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] =
 def hessian_scan_rows(lo: float = 0.5, hi: float = 3.5, count: int = 1000):
     """Sweep of the per-coordinate Hessian block trace and determinant
     (unscaled closed forms) over the modulus range: the settings are checked
-    at the call, and the rows come one at a time, so a huge count holds no
-    list."""
+    at the call, a count past MAX_SCAN_ROWS refused before any row, and the
+    rows come one at a time, so no count holds a list."""
     for name, value in (("lo", lo), ("hi", hi)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if count > MAX_SCAN_ROWS:
+        raise ValueError(f"count must be at most {MAX_SCAN_ROWS:,}, got {count:,}; lower --count")
     return _scan_rows(lo, hi, count)
 
 

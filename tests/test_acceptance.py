@@ -29,8 +29,6 @@ from cechcert.geometry import (
     CPoint,
     hessian_block_det,
     hessian_block_trace,
-    hessian_fd_residual,
-    levi_form,
     segment_convexity,
 )
 from cechcert.hexpr import Const
@@ -44,7 +42,7 @@ from cechcert.scenarios import (
     torus_rank_table,
 )
 
-from real_hessian import real_hessian
+from real_hessian import hessian_fd_residual, levi_form, real_hessian
 from test_bundles import _ball_glue_instance
 from tube_samplers import contraction_residual, sample_boundary, sample_tube
 

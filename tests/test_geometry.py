@@ -7,24 +7,21 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from cechcert import geometry
+from cechcert import scenarios
 from cechcert.errors import DomainError, ResourceError
 from cechcert.geometry import (
     CPoint,
     ball_region,
     grid_components,
-    hessian_block,
     hessian_block_det,
     hessian_block_trace,
-    hessian_fd_residual,
-    levi_form,
     rho,
     segment_convexity,
     up_radius,
 )
 from cechcert.covers import g_eps_region, omega_region, p_point, up_ball
 
-from real_hessian import real_hessian
+from real_hessian import hessian_block, hessian_fd_residual, levi_form, real_hessian
 from tube_samplers import contraction_residual, sample_boundary, sample_tube
 
 
@@ -136,9 +133,11 @@ def test_hessian_fd_residual_agrees_with_the_full_difference_hessian():
 
 
 def test_hessian_fd_residual_sees_a_wrong_block(monkeypatch):
+    # the residual reads the block forms the proof uses
     p = p_point(3, 1.5)
     assert hessian_fd_residual(p, 1e-4) < 1e-5
-    monkeypatch.setattr(geometry, "hessian_block", lambda zj: 1.001 * np.array(hessian_block(zj)))
+    wrong = tuple(tuple({m: 1.001 * c for m, c in f.items()} for f in row) for row in scenarios.HESSIAN_BLOCK)
+    monkeypatch.setattr(scenarios, "HESSIAN_BLOCK", wrong)
     assert hessian_fd_residual(p, 1e-4) > 1e-5
 
 
@@ -163,6 +162,17 @@ def test_sympy_confirms_the_levi_diagonal_and_the_hessian_blocks():
     assert sp.simplify(H - 2 / r2**2 * block) == sp.zeros(2, 2)
     assert sp.simplify(block.det() - r2**2 * (lg - lg**2)) == 0
     assert sp.simplify(block.trace() - r2) == 0
+    # the Laurent forms the proof uses, in x, y, L = log|z| and R = |z|^2
+    at_xy = {scenarios.X: x, scenarios.Y: y, scenarios.L: lg, scenarios.R: r2}
+
+    def sym(form):
+        return sum(c * sp.Mul(*(at_xy[j] ** k for j, k in m)) for m, c in form.items())
+
+    forms = sp.Matrix([[sym(f) for f in row] for row in scenarios.HESSIAN_BLOCK])
+    assert sp.simplify(forms - block) == sp.zeros(2, 2)
+    assert sp.simplify(forms.trace() - sym(scenarios.BLOCK_TRACE)) == 0
+    assert sp.simplify(forms.det() - sym(scenarios.BLOCK_DET)) == 0
+    assert sp.simplify(sym(scenarios.BLOCK_TRACE) / (2 * r2**2) - (H[0, 0] + H[1, 1]) / 4) == 0
     for zj in (1.5 + 0.5j, -0.3 + 2.2j, 2.0 - 1.0j, 0.7 - 0.1j, math.e):
         at = {x: zj.real, y: zj.imag}
         want = np.array(H.subs(at).evalf(30).tolist(), dtype=float)

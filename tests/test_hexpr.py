@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,9 @@ from cechcert.hexpr import (
     as_monomial,
     evaluate,
     laurent_add,
+    laurent_diff,
     laurent_mul,
+    laurent_subst,
     subst,
 )
 from cechcert.covers import exp_chart
@@ -127,3 +130,41 @@ def test_laurent_mul_drops_cancelled_terms():
     )
     # x * x^-1 = 1 keeps the constant, with its empty monomial
     assert laurent_mul(x, {((0, -1),): 2 + 0j}) == {(): 2 + 0j}
+
+
+_V = sp.symbols("v0:3")
+
+
+def _sym(p):
+    return sp.Add(*(int(c.real) * sp.Mul(*(_V[j] ** k for j, k in m)) for m, c in p.items()))
+
+
+# polynomials: Laurent forms without negative powers
+_polys = st.dictionaries(
+    _monomials.map(lambda m: tuple((j, abs(k)) for j, k in m)),
+    st.integers(-3, 3).filter(bool).map(complex),
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_laurents, _laurents, _laurents, st.sampled_from([(0,), (1, 2), (0, 1, 2)]))
+def test_laurent_diff_is_the_chain_rule(p, d0, d1, variables):
+    # dp/dt = sum_j dp/dv_j dv_j/dt, with dv_j/dt = 0 for j left out of the chain
+    chain = {j: (d0, d1, d0)[j] for j in variables}
+    want = sum(sp.diff(_sym(p), _V[j]) * _sym(chain[j]) for j in variables)
+    assert sp.expand(_sym(laurent_diff(p, chain)) - want) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _laurents, _laurents)
+def test_laurent_subst_replaces_nonnegative_powers(p, q, r):
+    want = _sym(p).subs({_V[0]: _sym(q), _V[2]: _sym(r)}, simultaneous=True)
+    assert sp.expand(_sym(laurent_subst(p, {0: q, 2: r})) - want) == 0
+    assert laurent_subst(p, {0: {}, 1: {}, 2: {}}) == ({(): p[()]} if () in p else {})
+
+
+def test_laurent_subst_refuses_a_negative_power_of_a_replaced_variable():
+    with pytest.raises(ShapeError, match="negative power of the replaced variable 1"):
+        laurent_subst({((0, 1), (1, -1)): 1}, {1: {((2, 1),): 1}})
+    assert laurent_subst({((0, 1), (1, -1)): 1}, {0: {(): 3}}) == {((1, -1),): 3}

@@ -51,6 +51,7 @@ from cechcert.nerve import (
 )
 from cechcert.bundles import chern_cocycle
 from cechcert.covers import (
+    SectorPatch,
     _torus_patch,
     dr_region,
     dim2_cover,
@@ -648,6 +649,16 @@ def test_face_map_outside_the_facet_is_refused():
     bad.patches[(0,)] = AnalyticPatch([arc_a], lambda p: 0 if p == arc_a else 1)
     with pytest.raises(ResolutionError, match=r"face map of \(0, 1\) onto \(0,\) misses"):
         build_nerve(_arc_cover(), 1, bad)
+    # a sector patch projects its sign words onto a sector facet and refuses
+    # any other facet, here a sector set's patch that is not a SectorPatch
+    res = torus_resolution(2, 1.0, 1)
+    plain = Resolution(dict(res.patches))
+    plain.patches[(0,)] = AnalyticPatch(res.patches[(0,)].reps, res.patches[(0,)].locate)
+    with pytest.raises(ResolutionError, match=r"onto no sector patch in it"):
+        build_nerve(torus_cover(2, 1.0), 1, plain)
+    # or a sector facet over a coordinate the patch does not sector
+    with pytest.raises(ResolutionError, match=r"over \(0,\) onto no sector patch"):
+        SectorPatch([], lambda p: 0, (0,)).face_map(SectorPatch([], lambda p: 0, (1,)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -35,13 +36,13 @@ from cechcert.geometry import (
     CLt,
     Region,
     SConst,
+    SRho,
     SSum,
     SX,
     SY,
     ball_region,
     hessian_block_det,
     hessian_block_trace,
-    levi_form,
 )
 from cechcert.hexpr import Const, Coord, IntPower, MatExpr, Product, Sum
 from cechcert.nerve import (
@@ -61,6 +62,7 @@ from cechcert.scenarios import (
     torus_rank_table,
 )
 
+from real_hessian import levi_form
 from slab_periodicity import sampled_periodicity
 from tube_samplers import contraction_residual, sample_boundary, sample_tube
 
@@ -424,6 +426,21 @@ def test_hessian_scan_rows_checks_its_settings_at_the_call():
         hessian_scan_rows(0.5, math.inf, 10)
 
 
+def test_hessian_scan_refuses_a_count_past_its_bound_before_any_row(tmp_path, capsys, monkeypatch):
+    def unexpected(z):
+        raise AssertionError("hessian-scan computed a row for a count it must refuse")
+
+    monkeypatch.setattr(scenarios, "hessian_block_trace", unexpected)
+    monkeypatch.setattr(scenarios, "hessian_block_det", unexpected)
+    hessian_scan_rows(0.5, 3.5, scenarios.MAX_SCAN_ROWS)  # accepted; no row is drawn
+    out = tmp_path / "scan.csv"
+    for count in (scenarios.MAX_SCAN_ROWS + 1, 10**8):
+        assert main(["hessian-scan", "--count", str(count), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: count must be at most 10,000,000, got {count:,}; lower --count" in err
+        assert "Traceback" not in err and not out.exists()
+
+
 def test_cli_dim2(tmp_path):
     out = tmp_path / "dim2.json"
     code = main(["dim2", "--out", str(out)])
@@ -732,19 +749,91 @@ def _wrong_contraction_exponent(base, k):
         pytest.param(name, *rest, id=name)
         for name, *rest in (
             ("tube-bounded", covers, "omega_radius", _shrunken_omega_radius),
-            ("levi-lower-bound", scenarios, "levi_form", lambda z, w: 0.5 * levi_form(z, w)),
+            ("levi-lower-bound", scenarios, "BLOCK_TRACE", {((scenarios.R, 1),): 2}),
             ("contraction-identity", scenarios, "IntPower", _wrong_contraction_exponent),
-            ("negative-control-eps-n", scenarios, "hessian_block_det", lambda z: hessian_block_det(z) + 1e-6),
+            ("negative-control-eps-n", scenarios, "BLOCK_DET", {m: -c for m, c in scenarios.BLOCK_DET.items()}),
         )
     ],
 )
-def test_dimn_exact_tube_check_can_fail(name, target, attr, mutant, monkeypatch):
+def test_dimn_exact_tube_check_can_fail(name, target, attr, mutant, fresh_identities, monkeypatch):
     # at eps = n the pipeline stops after the tube checks, so a mutant that
     # would upset a later step (Omega's radius) reaches only its own check
     cfg = _fast_cfg(n=2, epsilon=2.0)
     assert _check(run_dimn(cfg), name).status == "pass"
     monkeypatch.setattr(target, attr, mutant)
+    scenarios.block_identities_hold.cache_clear()
     assert _check(run_dimn(cfg), name).status == "fail"
+
+
+@pytest.fixture
+def fresh_identities(monkeypatch):
+    # block_identities_hold proves its identities once a process: a test that
+    # patches the forms clears the cache after patching, and this clears it
+    # again before monkeypatch restores the forms
+    yield
+    scenarios.block_identities_hold.cache_clear()
+
+
+_XYL = ((scenarios.X, 1), (scenarios.Y, 1), (scenarios.L, 1))
+_BLOCK_MUTANTS = {
+    # x y (1 - L) off the diagonal, where the block has x y (1 - 2L)
+    "wrong-block-entry": (
+        "HESSIAN_BLOCK",
+        tuple(tuple({**f, _XYL: -1} if _XYL in f else f for f in row) for row in scenarios.HESSIAN_BLOCK),
+    ),
+    "det-sign-flipped": ("BLOCK_DET", {m: -c for m, c in scenarios.BLOCK_DET.items()}),
+    "trace-doubled": ("BLOCK_TRACE", {((scenarios.R, 1),): 2}),
+    # dR/dx = x, where R = x^2 + y^2 gives 2x
+    "wrong-chain-rule": (
+        "_CHAIN",
+        tuple({**d, scenarios.R: {((v, 1),): 1}} for v, d in zip((scenarios.X, scenarios.Y), scenarios._CHAIN)),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_BLOCK_MUTANTS))
+def test_block_identity_mutants_fail_the_hessian_checks(mutant, fresh_identities, monkeypatch):
+    attr, value = _BLOCK_MUTANTS[mutant]
+    assert scenarios.block_identities_hold()
+    monkeypatch.setattr(scenarios, attr, value)
+    scenarios.block_identities_hold.cache_clear()
+    assert not scenarios.block_identities_hold()
+    rep = run_dimn(_fast_cfg())
+    assert [c.name for c in rep.checks if c.status == "fail"] == [
+        "levi-lower-bound", "hessian-pd-at-p", "negative-control-eps-n"
+    ]
+
+
+def test_block_identities_are_proved_once_a_process(fresh_identities):
+    scenarios.block_identities_hold.cache_clear()
+    run_dimn(_fast_cfg(n=2))
+    run_dimn(_fast_cfg(n=3, epsilon=3.0))
+    assert scenarios.block_identities_hold.cache_info().misses == 1
+
+
+def _g_eps_with(constraint):
+    return lambda n, eps: Region("G", constraint, covers.g_eps_region(n, eps).bbox)
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        CLt(SRho(), SConst(0.0)),
+        CLt(SRho(), SConst(-1.0)),
+        # rho > 1/2 as well: the torus, where rho = 0, is outside
+        CAnd((CLt(SRho(), SConst(1.0)), CLt(SConst(0.5), SRho()))),
+        CLt(SSum((SRho(), SConst(-1.0))), SConst(1.0)),
+    ],
+    ids=["bound-0", "bound-negative", "extra-conjunct", "not-rho"],
+)
+def test_dim2_torus_check_fails_for_a_tube_that_is_not_rho_below_a_positive_bound(constraint, monkeypatch):
+    # only the torus check reads the tube through scenarios' own covers
+    # module; the tube cover is built from the real one
+    assert _check(run_dim2(_fast_cfg()), "torus-inside-tube").status == "pass"
+    mutant = types.SimpleNamespace(**{**vars(covers), "g_eps_region": _g_eps_with(constraint)})
+    monkeypatch.setattr(scenarios, "cv", mutant)
+    rep = run_dim2(_fast_cfg())
+    assert [c.name for c in rep.checks if c.status == "fail"] == ["torus-inside-tube"]
 
 
 def test_dimn_draws_no_random_numbers(monkeypatch):
