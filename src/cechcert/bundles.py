@@ -15,7 +15,6 @@ import cmath
 import itertools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import (
@@ -83,7 +82,6 @@ def _on_component(bycomp: dict[Optional[int], MatExpr], comp: int) -> MatExpr:
     return bycomp[comp] if comp in bycomp else bycomp[None]
 
 
-@dataclass
 class BundleData:
     """A cover with its resolved nerve and per-pair transition matrices.
 
@@ -92,25 +90,21 @@ class BundleData:
     not named).  Identity self-transitions are implicit and never stored.
     """
 
-    cover: Cover
-    nerve: ResolvedNerve
-    rank: int
-    transitions: TransTable
-
-    def __post_init__(self) -> None:
-        for (i, j), bycomp in self.transitions.items():
+    def __init__(self, cover: Cover, nerve: ResolvedNerve, rank: int, transitions: TransTable) -> None:
+        for (i, j), bycomp in transitions.items():
             if not i < j:
                 raise ValueError("transition keys must be ordered pairs (i, j), i < j")
-            if (i, j) not in self.nerve.simplices:
+            if (i, j) not in nerve.simplices:
                 raise ValueError(f"transition on empty overlap {(i, j)}")
-            comps = set(range(len(self.nerve.components((i, j)))))
+            comps = set(range(len(nerve.components((i, j)))))
             if set(bycomp) - comps - {None}:
                 raise ValueError(f"transition on {(i, j)} names a component the overlap lacks")
             if None not in bycomp and comps - set(bycomp):
                 raise ValueError(f"transition on {(i, j)} misses a component and has no None key")
             for m in bycomp.values():
-                if m.r != self.rank:
+                if m.r != rank:
                     raise ValueError("transition matrix size does not match bundle rank")
+        self.cover, self.nerve, self.rank, self.transitions = cover, nerve, rank, transitions
 
     def edge_matrix(self, i: int, j: int, comp: int) -> MatExpr:
         """Stored matrix for the ordered edge (i < j) on one component."""
@@ -209,20 +203,19 @@ def _unit_failure(A: LMat, proven: set[int]) -> Optional[str]:
     return f"z_{min(need) + 1} is not proved nonzero on the overlap" if need else None
 
 
-@dataclass
 class CocycleReport:
-    max_residual: float
-    worst_location: str
-    points_checked: int  # the identities checked
-    det_floor_ok: bool
-    tol: float
+    # points_checked: the identities checked
+    def __init__(self, max_residual: float, worst_location: str, points_checked: int, det_floor_ok: bool,
+                 tol: float) -> None:
+        self.max_residual, self.worst_location = max_residual, worst_location
+        self.points_checked, self.det_floor_ok, self.tol = points_checked, det_floor_ok, tol
 
     @property
     def passed(self) -> bool:
         return self.det_floor_ok and self.max_residual <= self.tol
 
     def to_jsonable(self):
-        return {**asdict(self), "passed": self.passed}
+        return {**vars(self), "passed": self.passed}
 
 
 def _report(cover: Cover, items, tol: float) -> CocycleReport:
@@ -284,13 +277,13 @@ def validate_cocycle(b: BundleData, tol: float = 1e-9) -> CocycleReport:
 # Gluing
 
 
-@dataclass
 class BundleIso:
     """An isomorphism over the overlap of two covers, given per mixed pair:
     h[(i, j)][comp] carries frame U_i of the first bundle to frame V_j of the
     second, on the component of U_i intersect V_j."""
 
-    h: dict[Edge, dict[Optional[int], MatExpr]]
+    def __init__(self, h: dict[Edge, dict[Optional[int], MatExpr]]) -> None:
+        self.h = h
 
     def matrix(self, i: int, j: int, comp: int, rank: int) -> MatExpr:
         bycomp = self.h.get((i, j))
@@ -443,7 +436,7 @@ def _exp_image(node, n: int):
         return SProd((SConst(-1.0), SLogAbsZ(node.j)))
     if not hasattr(node, "to_jsonable"):
         return node  # a number
-    return type(node)(*(_exp_image(v, n) for v in vars(node).values()))
+    return type(node)(*(_exp_image(v, n) for v in node.fields()))
 
 
 def pullback(
@@ -586,11 +579,10 @@ def chern_cocycle(b: BundleData) -> IntCochain:
     return cochain
 
 
-@dataclass
 class FlatClassResult:
-    trivializable: bool
-    signs: Optional[dict[tuple[int, int], int]]
-    verdict: CoboundaryVerdict
+    def __init__(self, trivializable: bool, signs: Optional[dict[tuple[int, int], int]],
+                 verdict: CoboundaryVerdict) -> None:
+        self.trivializable, self.signs, self.verdict = trivializable, signs, verdict
 
     def to_jsonable(self):
         out = {"trivializable": self.trivializable, "verdict": self.verdict.to_jsonable()}

@@ -10,11 +10,9 @@ named by the CECHCERT_OUT environment variable (default: current directory).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
-import traceback
 
 from .errors import DomainError, ResolutionError, ResourceError, VerificationError
 from .report import emit_report, encode_json
@@ -124,6 +122,7 @@ def main(argv=None) -> int:
             print(f"table written to {path}")
             return 0 if ok else 1
         if args.cmd == "hessian-scan":
+            import csv  # here, not at module load: no other command writes CSV
             rows = hessian_scan_rows(args.lo, args.hi, args.count)
             path = _out_path(args, "hessian_scan.csv")
             with open(path, "w", newline="") as fh:
@@ -160,6 +159,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # here, not at module load: only a crash prints one
         traceback.print_exc()
         return 2
     return 2

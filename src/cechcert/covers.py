@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ResolutionError
 from .geometry import (
@@ -248,14 +247,14 @@ def torus_cover(n: int, eps: float, d: Optional[int] = None) -> Cover:
     return Cover(g, sets)
 
 
-@dataclass
 class SectorPatch(AnalyticPatch):
     """Components of a sector intersection, one per sign word over `diff`,
     the sectored coordinates where both letters occur: bit 0 when Im z_j > 0,
     most significant first.  A sector facet's coordinates lie in `diff`, so
     the face map onto it projects the words; it refuses any other facet."""
 
-    diff: tuple[int, ...] = ()
+    def __init__(self, reps: list[CPoint], locate: Callable[[CPoint], int], diff: tuple[int, ...] = ()):
+        self.reps, self.locate, self.diff = reps, locate, diff
 
     def face_map(self, facet: AnalyticPatch) -> Sequence[int]:
         if not isinstance(facet, SectorPatch) or not set(facet.diff) <= set(self.diff):

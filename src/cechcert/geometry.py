@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DomainError, ResourceError, SamplingError
@@ -57,20 +56,55 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Points
+# Records and points
 
 
-@dataclass(frozen=True)
-class CPoint:
+class Frozen:
+    """An immutable record: its fields are its `__slots__`; it equals only a
+    record of its type with equal fields, hashes as their tuple and refuses
+    assignment.  No record uses the standard library's record decorator: it
+    compiles each method it writes through `exec` at import (0.4 ms a frozen
+    class) and loads `inspect`, which every command paid at start.  Each
+    sets its fields in a fixed-arity `__init__`, as fast as a generated one."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # fields(): the field values, by one attrgetter call (a bare value for one name)
+        get = operator.attrgetter(*cls.__slots__) if cls.__slots__ else lambda self: ()
+        cls.fields = (lambda self: (get(self),)) if len(cls.__slots__) == 1 else (lambda self: get(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.fields() == other.fields()
+
+    def __hash__(self) -> int:
+        return hash(self.fields())
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # for copy and pickle, which would assign the fields
+        return type(self), self.fields()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self.fields()))})"
+
+
+class CPoint(Frozen):
     """A point of C^n stored as 2n real coordinates (x_j, y_j)."""
 
-    xy: tuple[float, ...]
+    __slots__ = ("xy",)
 
-    def __post_init__(self) -> None:
-        if len(self.xy) < 2 or len(self.xy) % 2 != 0:
+    def __init__(self, xy: tuple[float, ...]) -> None:
+        if len(xy) < 2 or len(xy) % 2 != 0:
             raise ValueError("CPoint needs an even number >= 2 of real coordinates")
-        if not all(map(math.isfinite, self.xy)):
+        if not all(map(math.isfinite, xy)):
             raise ValueError("CPoint coordinates must be finite")
+        object.__setattr__(self, "xy", xy)
 
     @property
     def n(self) -> int:
@@ -96,84 +130,102 @@ class CPoint:
 # Scalar expressions
 
 
-@dataclass(frozen=True)
-class SConst:
-    value: float
+class SConst(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        object.__setattr__(self, "value", value)
 
     def to_jsonable(self):
         return {"op": "const", "value": self.value}
 
 
-@dataclass(frozen=True)
-class SX:
-    j: int
+class SX(Frozen):
+    __slots__ = ("j",)
+
+    def __init__(self, j: int) -> None:
+        object.__setattr__(self, "j", j)
 
     def to_jsonable(self):
         return {"op": "x", "j": self.j}
 
 
-@dataclass(frozen=True)
-class SY:
-    j: int
+class SY(Frozen):
+    __slots__ = ("j",)
+
+    def __init__(self, j: int) -> None:
+        object.__setattr__(self, "j", j)
 
     def to_jsonable(self):
         return {"op": "y", "j": self.j}
 
 
-@dataclass(frozen=True)
-class SAbsZ:
-    j: int
+class SAbsZ(Frozen):
+    __slots__ = ("j",)
+
+    def __init__(self, j: int) -> None:
+        object.__setattr__(self, "j", j)
 
     def to_jsonable(self):
         return {"op": "abs_z", "j": self.j}
 
 
-@dataclass(frozen=True)
-class SLogAbsZ:
+class SLogAbsZ(Frozen):
     """log|z_j|, evaluating to -inf at z_j = 0."""
 
-    j: int
+    __slots__ = ("j",)
+
+    def __init__(self, j: int) -> None:
+        object.__setattr__(self, "j", j)
 
     def to_jsonable(self):
         return {"op": "log_abs_z", "j": self.j}
 
 
-@dataclass(frozen=True)
-class SRho:
+class SRho(Frozen):
     """Sum over j of (log|z_j|)^2; +inf on the coordinate axes."""
+
+    __slots__ = ()
 
     def to_jsonable(self):
         return {"op": "rho"}
 
 
-@dataclass(frozen=True)
-class SNormSq:
+class SNormSq(Frozen):
     """Sum over j of |z_j|^2."""
+
+    __slots__ = ()
 
     def to_jsonable(self):
         return {"op": "norm_sq"}
 
 
-@dataclass(frozen=True)
-class SSum:
-    terms: tuple
+class SSum(Frozen):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple) -> None:
+        object.__setattr__(self, "terms", terms)
 
     def to_jsonable(self):
         return {"op": "sum", "terms": [t.to_jsonable() for t in self.terms]}
 
 
-@dataclass(frozen=True)
-class SProd:
-    factors: tuple
+class SProd(Frozen):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple) -> None:
+        object.__setattr__(self, "factors", factors)
 
     def to_jsonable(self):
         return {"op": "prod", "factors": [f.to_jsonable() for f in self.factors]}
 
 
-@dataclass(frozen=True)
-class SPow:
-    base: object
-    k: int
+class SPow(Frozen):
+    __slots__ = ("base", "k")
+
+    def __init__(self, base: object, k: int) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "k", k)
 
     def to_jsonable(self):
         return {"op": "pow", "base": self.base.to_jsonable(), "k": self.k}
@@ -183,26 +235,32 @@ class SPow:
 # Constraints (boolean trees of strict inequalities)
 
 
-@dataclass(frozen=True)
-class CLt:
-    lhs: object
-    rhs: object
+class CLt(Frozen):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: object, rhs: object) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def to_jsonable(self):
         return {"op": "lt", "lhs": self.lhs.to_jsonable(), "rhs": self.rhs.to_jsonable()}
 
 
-@dataclass(frozen=True)
-class CAnd:
-    items: tuple
+class CAnd(Frozen):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple) -> None:
+        object.__setattr__(self, "items", items)
 
     def to_jsonable(self):
         return {"op": "and", "items": [i.to_jsonable() for i in self.items]}
 
 
-@dataclass(frozen=True)
-class COr:
-    items: tuple
+class COr(Frozen):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple) -> None:
+        object.__setattr__(self, "items", items)
 
     def to_jsonable(self):
         return {"op": "or", "items": [i.to_jsonable() for i in self.items]}
@@ -218,8 +276,7 @@ def conjuncts(node) -> tuple:
 
 def reads_y_only(node) -> bool:
     """Whether every leaf of a tree is a constant or a y_j."""
-    kids = [k for v in vars(node).values() for k in (v if type(v) is tuple else (v,))]
-    kids = [k for k in kids if hasattr(k, "to_jsonable")]
+    kids = [k for v in node.fields() for k in (v if type(v) is tuple else (v,)) if isinstance(k, Frozen)]
     return all(map(reads_y_only, kids)) if kids else type(node) in (SConst, SY)
 
 
@@ -377,7 +434,6 @@ def masks(regions: Sequence["Region"], pts) -> list[list[bool]]:
 # Regions
 
 
-@dataclass
 class Region:
     """An open subset of C^n: a constraint tree plus a finite bounding box.
 
@@ -385,12 +441,10 @@ class Region:
     and must contain the region (a sampled invariant, not enforced here).
     """
 
-    name: str
-    constraint: object
-    bbox: tuple  # 2n pairs (lo, hi), one per real coordinate
-
-    def __post_init__(self) -> None:
-        self.bbox = tuple((float(lo), float(hi)) for lo, hi in self.bbox)
+    def __init__(self, name: str, constraint: object, bbox: Sequence) -> None:
+        self.name, self.constraint = name, constraint
+        # 2n pairs (lo, hi), one per real coordinate
+        self.bbox = tuple((float(lo), float(hi)) for lo, hi in bbox)
 
     @property
     def dim2n(self) -> int:
@@ -512,7 +566,6 @@ def up_radius(n: int, eps: float, safety: float) -> float:
 # Grid connectivity
 
 
-@dataclass
 class GridLabeling:
     """Connected components of the in-region nodes of a bbox lattice.
 
@@ -521,13 +574,10 @@ class GridLabeling:
     component's representative is its first in-region node in C scan order.
     """
 
-    step: float
-    origin: np.ndarray
-    shape: tuple[int, ...]
-    mask: np.ndarray
-    labels: np.ndarray
-    n_components: int
-    representatives: list[CPoint]
+    def __init__(self, step: float, origin: np.ndarray, shape: tuple[int, ...], mask: np.ndarray,
+                 labels: np.ndarray, n_components: int, representatives: list[CPoint]) -> None:
+        self.step, self.origin, self.shape, self.mask = step, origin, shape, mask
+        self.labels, self.n_components, self.representatives = labels, n_components, representatives
 
     @property
     def n_nodes(self) -> int:
@@ -585,13 +635,12 @@ def grid_components(region: Region, step: float, budget: int = 10_000_000) -> Gr
 # Segment convexity
 
 
-@dataclass(frozen=True)
 class ConvexityVerdict:
     """Outcome of randomized segment sampling: either no violation in `trials`
     trials, or the first witness (p1, p2, t) with the combination outside."""
 
-    trials: int
-    witness: Optional[tuple[CPoint, CPoint, float]] = None
+    def __init__(self, trials: int, witness: Optional[tuple[CPoint, CPoint, float]] = None) -> None:
+        self.trials, self.witness = trials, witness
 
     @property
     def ok(self) -> bool:

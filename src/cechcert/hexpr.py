@@ -18,11 +18,10 @@ from __future__ import annotations
 import cmath
 import functools
 import operator
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import DomainError, ShapeError
-from .geometry import CPoint, Region
+from .geometry import CPoint, Frozen, Region
 
 __all__ = [
     "HExpr",
@@ -47,55 +46,65 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Const:
-    value: complex
+class Const(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: complex) -> None:
+        object.__setattr__(self, "value", value)
 
     def to_jsonable(self):
         v = complex(self.value)
         return {"op": "const", "re": v.real, "im": v.imag}
 
 
-@dataclass(frozen=True)
-class Coord:
-    j: int
+class Coord(Frozen):
+    __slots__ = ("j",)
+
+    def __init__(self, j: int) -> None:
+        object.__setattr__(self, "j", j)
 
     def to_jsonable(self):
         return {"op": "coord", "j": self.j}
 
 
-@dataclass(frozen=True)
-class IntPower:
-    base: "HExpr"
-    k: int
+class IntPower(Frozen):
+    __slots__ = ("base", "k")
 
-    def __post_init__(self) -> None:
-        if self.k < 0 and self.base == Const(0):
+    def __init__(self, base: "HExpr", k: int) -> None:
+        if k < 0 and base == Const(0):
             raise DomainError("negative power of the zero constant")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "k", k)
 
     def to_jsonable(self):
         return {"op": "pow", "base": self.base.to_jsonable(), "k": self.k}
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Frozen):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple) -> None:
+        object.__setattr__(self, "factors", factors)
 
     def to_jsonable(self):
         return {"op": "prod", "factors": [f.to_jsonable() for f in self.factors]}
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Sum(Frozen):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple) -> None:
+        object.__setattr__(self, "terms", terms)
 
     def to_jsonable(self):
         return {"op": "sum", "terms": [t.to_jsonable() for t in self.terms]}
 
 
-@dataclass(frozen=True)
-class Exp:
-    arg: "HExpr"
+class Exp(Frozen):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: "HExpr") -> None:
+        object.__setattr__(self, "arg", arg)
 
     def to_jsonable(self):
         return {"op": "exp", "arg": self.arg.to_jsonable()}
@@ -230,17 +239,17 @@ def as_monomial(e: HExpr) -> tuple[complex, dict[int, int]]:
 # Matrix expressions
 
 
-@dataclass(frozen=True)
-class MatExpr:
+class MatExpr(Frozen):
     """An r x r matrix of expressions; transitions are required to be units
     on their domains (checked exactly in the bundle validators, not here)."""
 
-    entries: tuple  # r-tuple of r-tuples of HExpr
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        r = len(self.entries)
-        if r == 0 or any(len(row) != r for row in self.entries):
+    def __init__(self, entries: tuple) -> None:  # r-tuple of r-tuples of HExpr
+        r = len(entries)
+        if r == 0 or any(len(row) != r for row in entries):
             raise ShapeError("matrix expression must be square and nonempty")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def r(self) -> int:
@@ -269,7 +278,6 @@ def mat_identity(r: int) -> MatExpr:
 # Chart maps
 
 
-@dataclass
 class ChartMap:
     """A holomorphic map and a declared chart on which it is injective.
 
@@ -277,9 +285,8 @@ class ChartMap:
     source space on which the map is injective.
     """
 
-    name: str
-    forward: tuple
-    domain: Region
+    def __init__(self, name: str, forward: tuple, domain: Region) -> None:
+        self.name, self.forward, self.domain = name, forward, domain
 
     @property
     def n_out(self) -> int:

@@ -17,12 +17,12 @@ differential is the alternating sum over dropped indices,
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Optional, Sequence
 
-from .errors import NotACocycleError, ResolutionError, VerificationError
-from .geometry import CLt, COr, CPoint, Region, SConst, SProd, SY, conjuncts, masks
+from .errors import NotACocycleError, ResolutionError, ResourceError, VerificationError
+from .geometry import CLt, COr, CPoint, Frozen, Region, SConst, SProd, SY, conjuncts, masks
 from .snf import pivot_divisors, smith_normal_form, solve_integer
 
 __all__ = [
@@ -46,17 +46,14 @@ __all__ = [
 Simplex = tuple[int, ...]
 
 
-@dataclass
 class Cover:
     """An ambient region together with a named, ordered family of open sets."""
 
-    ambient: Region
-    sets: list[tuple[str, Region]]
-
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.sets]
+    def __init__(self, ambient: Region, sets: list[tuple[str, Region]]) -> None:
+        names = [n for n, _ in sets]
         if len(set(names)) != len(names):
             raise ValueError("cover set names must be unique")
+        self.ambient, self.sets = ambient, sets
 
     @property
     def names(self) -> list[str]:
@@ -81,13 +78,12 @@ class Cover:
         }
 
 
-@dataclass
 class AnalyticPatch:
     """Analytic component data for one intersection: representatives in
     component order plus a labeling function that names a point's component."""
 
-    reps: list[CPoint]
-    locate: Callable[[CPoint], int]
+    def __init__(self, reps: list[CPoint], locate: Callable[[CPoint], int]) -> None:
+        self.reps, self.locate = reps, locate
 
     def face_map(self, facet: "AnalyticPatch") -> Sequence[int]:
         """The component of `facet`'s intersection that holds each of these
@@ -95,12 +91,12 @@ class AnalyticPatch:
         return [facet.locate(rep) for rep in self.reps]
 
 
-@dataclass
 class Resolution:
     """The components of each intersection: analytic patches keyed by sorted
     index tuple; an intersection without a patch is empty."""
 
-    patches: dict[Simplex, AnalyticPatch] = field(default_factory=dict)
+    def __init__(self, patches: Optional[dict[Simplex, AnalyticPatch]] = None) -> None:
+        self.patches = {} if patches is None else patches
 
 
 class ResolvedNerve:
@@ -197,9 +193,20 @@ class ResolvedNerve:
         }
 
 
+# the most simplices build_nerve enumerates: 14,892 at cohomology-torus --n 4
+MAX_NERVE_SIMPLICES = 100_000
+
+
+def simplex_count(n_sets: int, k_max: int) -> int:
+    """The number of simplices up to dimension k_max on n_sets sets."""
+    return sum(math.comb(n_sets, size) for size in range(1, min(k_max + 1, n_sets) + 1))
+
+
 def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNerve:
     """Enumerate intersections up to k_max + 1 sets and resolve their components.
 
+    A cover with more than MAX_NERVE_SIMPLICES candidate simplices is
+    refused (ResourceError) before anything is enumerated or located.
     A simplex exists iff its patch is present.  Simplices are enumerated in
     canonical order, so each degree's basis and face table grow together: a
     simplex's faces on a facet are its patch's `face_map` onto the facet's
@@ -214,6 +221,12 @@ def build_nerve(cover: Cover, k_max: int, resolution: Resolution) -> ResolvedNer
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     n_sets = len(cover.sets)
+    count = simplex_count(n_sets, k_max)
+    if count > MAX_NERVE_SIMPLICES:
+        raise ResourceError(
+            f"the nerve of {n_sets} sets has up to {count:,} simplices of dimension at most "
+            f"{k_max}, over the limit of {MAX_NERVE_SIMPLICES:,}"
+        )
     simplices: dict[Simplex, list[CPoint]] = {}
     locators: dict[Simplex, Callable[[CPoint], int]] = {}
     bases: dict[int, list[tuple[Simplex, int]]] = {}
@@ -290,19 +303,15 @@ def _set_members(cover: Cover, resolution: Resolution) -> dict[CPoint, frozenset
 # Cochains and the differential
 
 
-@dataclass
 class IntCochain:
     """An integer cochain on a resolved nerve; missing keys read as 0."""
 
-    degree: int
-    ring: str  # "Z" or "Z2"
-    values: dict[tuple[Simplex, int], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.ring not in ("Z", "Z2"):
+    def __init__(self, degree: int, ring: str, values: Optional[dict] = None) -> None:
+        if ring not in ("Z", "Z2"):
             raise ValueError("ring must be 'Z' or 'Z2'")
-        if self.ring == "Z2":
-            self.values = {k: v % 2 for k, v in self.values.items()}
+        values = {} if values is None else values
+        self.degree, self.ring = degree, ring  # ring: "Z" or "Z2"
+        self.values = {k: v % 2 for k, v in values.items()} if ring == "Z2" else values
 
     def get(self, simplex: Simplex, comp: int) -> int:
         return self.values.get((simplex, comp), 0)
@@ -371,10 +380,12 @@ def delta_matrix(nerve: ResolvedNerve, k: int):
 # Cohomology
 
 
-@dataclass
-class CohomologyResult:
-    free_rank: int
-    torsion: tuple[int, ...]
+class CohomologyResult(Frozen):
+    __slots__ = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]) -> None:
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
 
 def cohomology(
@@ -448,15 +459,14 @@ def _check_dd_zero(nerve: ResolvedNerve, k: int) -> None:
                 raise VerificationError(f"a row of d^{k - 1} repeats a face: the differential is broken")
 
 
-@dataclass
 class CoboundaryVerdict:
     """Either yes, with a primitive b satisfying d(b) = c exactly, or no, with
     a witness: a k-chain y on `nerve.basis(k)` and a modulus q (0: exact)
     with y . d(b) = 0 for every (k-1)-cochain b and y . c != 0, both mod q."""
 
-    primitive: Optional[IntCochain]
-    witness: Optional[IntCochain] = None
-    modulus: int = 0
+    def __init__(self, primitive: Optional[IntCochain], witness: Optional[IntCochain] = None,
+                 modulus: int = 0) -> None:
+        self.primitive, self.witness, self.modulus = primitive, witness, modulus
 
     @property
     def yes(self) -> bool:

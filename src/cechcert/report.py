@@ -9,7 +9,6 @@ bytes of json.dumps(obj, sort_keys=True, indent=2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -20,16 +19,12 @@ FAIL = "fail"
 TRUSTED = "trusted"
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    metrics: dict = field(default_factory=dict)
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if self.status not in (PASS, FAIL, TRUSTED):
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(self, name: str, status: str, metrics: Optional[dict] = None, note: str = "") -> None:
+        if status not in (PASS, FAIL, TRUSTED):
+            raise ValueError(f"unknown status {status!r}")
+        self.name, self.status, self.note = name, status, note
+        self.metrics = {} if metrics is None else metrics
 
     def to_jsonable(self):
         return {
@@ -40,12 +35,12 @@ class CheckResult:
         }
 
 
-@dataclass
 class CertificateReport:
-    scenario: str
-    config: dict
-    checks: list[CheckResult] = field(default_factory=list)
-    artifacts: dict = field(default_factory=dict)
+    def __init__(self, scenario: str, config: dict, checks: Optional[list[CheckResult]] = None,
+                 artifacts: Optional[dict] = None) -> None:
+        self.scenario, self.config = scenario, config
+        self.checks = [] if checks is None else checks
+        self.artifacts = {} if artifacts is None else artifacts
 
     def add(self, name: str, ok: bool, metrics: Optional[dict] = None, note: str = "") -> CheckResult:
         if any(c.name == name for c in self.checks):

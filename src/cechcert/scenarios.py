@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import covers as cv
@@ -63,6 +62,7 @@ from .geometry import CLt, SConst, SPow, SRho, SX, conjuncts, reads_y_only
 from .hexpr import Const, Coord, IntPower, MatExpr, Product, Sum
 from .hexpr import as_laurent, laurent_add, laurent_diff, laurent_mul, laurent_subst
 from .nerve import Cover, ResolvedNerve, build_nerve, check_cover, cohomology, is_coboundary
+from .nerve import MAX_NERVE_SIMPLICES, simplex_count
 from .bundles import BundleData, BundleIso, trivial_bundle
 from .report import CertificateReport
 
@@ -91,31 +91,23 @@ DIMN_KMAX = 3  # top dimension of the sector nerve of the clutching bundle
 # the largest n CI runs; a fresh `dimn --n 64` takes about 0.3 s on a
 # 2-vCPU Xeon
 MAX_DIMN_N = 64
-# sum over s <= k_max + 1 of C(2^n, s): cohomology-torus at n = 4 has 14,892
-# simplices (k_max 5) and at n = 5 would have 4,514,872
-MAX_NERVE_SIMPLICES = 100_000
 MAX_SCAN_ROWS = 10_000_000  # hessian-scan's count: 26 s of rows at 2.6 us, 1.5 min written
 
 
-@dataclass
 class ScenarioConfig:
     """Knobs for the certificate pipelines; each report echoes the ones its
     pipeline reads."""
 
-    n: int = 2
-    epsilon: Optional[float] = None  # default: n/2 for the tube pipeline
-    r: float = 4.0
-    seed: int = 0  # read by no pipeline; dimn's report echoes it
-    safety: float = 0.5
-    run_connectivity: bool = True
-
-    def __post_init__(self) -> None:
-        for name in ("epsilon", "r", "safety"):
-            value = getattr(self, name)
+    # epsilon None: n/2 for the tube pipeline; seed: read by no pipeline, dimn's report echoes it
+    def __init__(self, n: int = 2, epsilon: Optional[float] = None, r: float = 4.0, seed: int = 0,
+                 safety: float = 0.5, run_connectivity: bool = True) -> None:
+        for name, value in (("epsilon", epsilon), ("r", r), ("safety", safety)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
+        if not r > 0:
+            raise ValueError(f"r must be positive, got {r}")
+        self.n, self.epsilon, self.r, self.seed = n, epsilon, r, seed
+        self.safety, self.run_connectivity = safety, run_connectivity
 
     def eps(self) -> float:
         return self.n / 2.0 if self.epsilon is None else self.epsilon
@@ -662,9 +654,8 @@ def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] =
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
     k_max = n + 1 if k_max is None else k_max
-    # refuse, naming n, before anything is built (2^17 sets alone pass the limit)
-    sets = 2 ** min(n, MAX_NERVE_SIMPLICES.bit_length())
-    count = sum(math.comb(sets, size) for size in range(1, k_max + 2))
+    # refuse, naming n, before the 2^n sets are built (2^17 alone pass the limit)
+    count = simplex_count(2 ** min(n, MAX_NERVE_SIMPLICES.bit_length()), k_max)
     if count > MAX_NERVE_SIMPLICES:
         raise ResourceError(
             f"n = {n}: the sector nerve has at least {count:,} simplices up to "

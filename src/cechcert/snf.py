@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -32,14 +31,12 @@ if TYPE_CHECKING:
 __all__ = ["SNFResult", "pivot_divisors", "smith_divisors", "smith_normal_form", "solve_integer"]
 
 
-@dataclass
 class SNFResult:
     """U, V unimodular (object arrays of Python ints) with U @ M @ V zero
     except for its first len(divisors) diagonal entries, which are the divisors."""
 
-    U: np.ndarray
-    V: np.ndarray
-    divisors: tuple[int, ...]
+    def __init__(self, U: np.ndarray, V: np.ndarray, divisors: tuple[int, ...]) -> None:
+        self.U, self.V, self.divisors = U, V, divisors
 
 
 def _reduce(A: np.ndarray) -> SNFResult:

@@ -1,7 +1,6 @@
 """Resolved nerves, the integer differential, and exact cohomology."""
 
 import contextlib
-import dataclasses
 import itertools
 import math
 import os
@@ -23,7 +22,7 @@ import cechcert
 from cechcert import nerve as nerve_mod
 from cechcert import scenarios as scenarios_mod
 from cechcert import snf as snf_mod
-from cechcert.errors import NotACocycleError, ResolutionError, VerificationError
+from cechcert.errors import NotACocycleError, ResolutionError, ResourceError, VerificationError
 from cechcert.geometry import (
     CAnd,
     CLt,
@@ -516,6 +515,35 @@ def test_labeler_mislabeling_its_representative_is_named():
         build_nerve(_arc_cover(), 1, res)
 
 
+def _unlocated(*args, **kwargs):
+    raise AssertionError("a representative was masked")
+
+
+def test_build_nerve_refuses_an_oversized_nerve_before_locating_anything(monkeypatch):
+    # 60 disjoint balls on the x_1 axis, each with a representative: up to
+    # dimension 3 that is C(60, 1) + ... + C(60, 4) = 523,685 candidate
+    # simplices, refused before any representative is masked or located
+    sets = [(f"B{i}", ball_region((2.0 * i, 0.0, 0.0, 0.0), 0.5, name=f"B{i}")) for i in range(60)]
+    cover = Cover(ball_region((60.0, 0.0, 0.0, 0.0), 70.0), sets)
+    res = Resolution({(i,): AnalyticPatch([CPoint((2.0 * i, 0.0, 0.0, 0.0))], _unlocated) for i in range(60)})
+    monkeypatch.setattr(nerve_mod, "masks", _unlocated)
+    with pytest.raises(ResourceError, match="nerve of 60 sets has up to 523,685 simplices of dimension at most 3"):
+        build_nerve(cover, 3, res)
+    # up to dimension 2 there are 36,050: refused below that limit, built at it
+    monkeypatch.setattr(nerve_mod, "MAX_NERVE_SIMPLICES", 36_049)
+    with pytest.raises(ResourceError, match="up to 36,050 simplices .* over the limit of 36,049"):
+        build_nerve(cover, 2, res)
+    monkeypatch.undo()
+    monkeypatch.setattr(nerve_mod, "MAX_NERVE_SIMPLICES", 36_050)
+    res = Resolution({s: AnalyticPatch(p.reps, lambda z: 0) for s, p in res.patches.items()})
+    nerve = build_nerve(cover, 2, res)
+    assert len(nerve.simplices) == 60 and not nerve.simplices_of_dim(1)
+    monkeypatch.undo()
+    # the rank table's early refusal reads the same limit
+    assert scenarios_mod.MAX_NERVE_SIMPLICES is nerve_mod.MAX_NERVE_SIMPLICES == 100_000
+    assert nerve_mod.simplex_count(2**5, 6) == 4_514_872 and nerve_mod.simplex_count(4, 10**9) == 15
+
+
 def _reference_nerve(cover, k_max, resolution):
     """Analytic nerve with membership tested one representative at a time
     by `Region.contains` on the intersection, and every face located."""
@@ -607,8 +635,8 @@ def test_subnerve_needs_increasing_indices(dim2_nerve):
 
 
 def _counting(res):
-    """A copy of `res` whose patches count their `locate` calls; a patch
-    shared between simplices stays shared."""
+    """A copy of `res`, a sector resolution, whose patches count their
+    `locate` calls; a patch shared between simplices stays shared."""
     calls = [0]
 
     def wrap(locate):
@@ -621,14 +649,14 @@ def _counting(res):
     copies = {}
     for patch in res.patches.values():
         if id(patch) not in copies:
-            copies[id(patch)] = dataclasses.replace(patch, locate=wrap(patch.locate))
+            copies[id(patch)] = SectorPatch(patch.reps, wrap(patch.locate), patch.diff)
     return Resolution({s: copies[id(p)] for s, p in res.patches.items()}), calls
 
 
 def test_sector_faces_are_projected_not_located():
     cover, res = torus_cover(3, 1.5), torus_resolution(3, 1.5, 4)
     # every simplex its own patch: one labeler check per representative
-    unshared = Resolution({s: dataclasses.replace(p) for s, p in res.patches.items()})
+    unshared = Resolution({s: SectorPatch(p.reps, p.locate, p.diff) for s, p in res.patches.items()})
     counted, calls = _counting(unshared)
     nerve = build_nerve(cover, 4, counted)
     n_reps = sum(len(comps) for comps in nerve.simplices.values())

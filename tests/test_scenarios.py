@@ -1196,6 +1196,44 @@ def test_import_and_the_pipelines_load_no_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False]
 
 
+_STDLIB_PROBE = """
+import json, sys
+heavy = ("dataclasses", "inspect", "traceback")
+import cechcert.cli
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+from cechcert.scenarios import ScenarioConfig
+ScenarioConfig(seed=1)
+loaded["ScenarioConfig"] = [m for m in heavy if m in sys.modules]
+out = sys.argv[1]
+for argv in (
+    ["selftest"],
+    ["dim2", "--out", out + "/dim2.json"],
+    ["dimn", "--n", "3", "--out", out + "/dimn3.json"],
+    ["cohomology-torus", "--n", "2", "--out", out + "/torus2.json"],
+    ["hessian-scan", "--out", out + "/hessian.csv"],
+):
+    if cechcert.cli.main(argv) != 0:
+        sys.exit(f"{argv} failed")
+    loaded[argv[0]] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_every_command_load_no_dataclasses_inspect_or_traceback(tmp_path):
+    # a fresh interpreter: records are written by hand, and the CLI imports
+    # traceback only to print a crash, so none of the three modules, with
+    # the generated record methods a cost every start used to pay, loads on
+    # the way to any verdict
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cechcert.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    steps = ["import", "ScenarioConfig", "selftest", "dim2", "dimn", "cohomology-torus", "hessian-scan"]
+    assert loaded == {step: [] for step in steps}
+
+
 def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter: this one has scipy loaded through the test modules
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cechcert.__file__)))
