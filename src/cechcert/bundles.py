@@ -1,18 +1,18 @@
-"""Vector bundles presented by transition matrices over a resolved nerve.
+"""Line bundles presented by transition functions over a resolved nerve.
 
-A bundle stores one matrix expression per ordered set pair (i, j) with i < j
-and overlap component, or one for every component under the key None; the
-stored matrix carries frame i to frame j; no inverse is ever formed.  On top
-of this sit the exact cocycle and gluing validators, the gluing construction,
-restriction to a subset of the cover sets and pullback, the integer-to-units
-exponential push, the first Chern cocycle as exact integers from exponents and
-windings, and the locally-constant trivialization test.
+A bundle stores one holomorphic expression per ordered set pair (i, j) with
+i < j and overlap component, or one for every component under the key None;
+the stored expression carries frame i to frame j, and a pair with none stored
+has the transition 1; no inverse is ever formed.  On top of this sit the exact
+cocycle and gluing validators, the gluing construction, restriction to a
+subset of the cover sets and pullback, the integer-to-units exponential push,
+the first Chern cocycle as exact integers from exponents and windings, and the
+locally-constant trivialization test.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from collections import Counter
 from typing import Optional
@@ -32,14 +32,13 @@ from .hexpr import (
     Const,
     Coord,
     Exp,
+    HExpr,
     Laurent,
-    MatExpr,
     Product,
     as_laurent,
     as_monomial,
     laurent_add,
     laurent_mul,
-    mat_identity,
     subst,
 )
 from .nerve import (
@@ -70,27 +69,32 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
-TransTable = dict[Edge, dict[Optional[int], MatExpr]]
+TransTable = dict[Edge, dict[Optional[int], HExpr]]
 
-# A transition or iso matrix with |det| at or below this is treated as singular.
-_DET_FLOOR = 1e-12
+# the transition of a pair with none stored; one object, so that `_report`
+# computes its normal form once
+_ONE = Const(1)
 
 
-def _on_component(bycomp: dict[Optional[int], MatExpr], comp: int) -> MatExpr:
-    """The matrix of a per-component table on one component; the key None
-    holds the matrix of every component the table does not name."""
+def _on_component(table: TransTable, edge: Edge, comp: int) -> HExpr:
+    """The expression of a table on one component of an edge: 1 when the
+    table has none for the edge, and the key None holds the expression of
+    every component the edge's entry does not name."""
+    bycomp = table.get(edge)
+    if bycomp is None:
+        return _ONE
     return bycomp[comp] if comp in bycomp else bycomp[None]
 
 
 class BundleData:
-    """A cover with its resolved nerve and per-pair transition matrices.
+    """A cover with its resolved nerve and per-pair transitions.
 
     transitions[(i, j)][comp] with i < j carries frame i to frame j on the
-    given component of the overlap (key None: the matrix of every component
-    not named).  Identity self-transitions are implicit and never stored.
+    given component of the overlap (key None: the transition of every
+    component not named).  Identity transitions are implicit and never stored.
     """
 
-    def __init__(self, cover: Cover, nerve: ResolvedNerve, rank: int, transitions: TransTable) -> None:
+    def __init__(self, cover: Cover, nerve: ResolvedNerve, transitions: TransTable) -> None:
         for (i, j), bycomp in transitions.items():
             if not i < j:
                 raise ValueError("transition keys must be ordered pairs (i, j), i < j")
@@ -101,29 +105,22 @@ class BundleData:
                 raise ValueError(f"transition on {(i, j)} names a component the overlap lacks")
             if None not in bycomp and comps - set(bycomp):
                 raise ValueError(f"transition on {(i, j)} misses a component and has no None key")
-            for m in bycomp.values():
-                if m.r != rank:
-                    raise ValueError("transition matrix size does not match bundle rank")
-        self.cover, self.nerve, self.rank, self.transitions = cover, nerve, rank, transitions
+        self.cover, self.nerve, self.transitions = cover, nerve, transitions
 
-    def edge_matrix(self, i: int, j: int, comp: int) -> MatExpr:
-        """Stored matrix for the ordered edge (i < j) on one component."""
-        bycomp = self.transitions.get((i, j))
-        if bycomp is None:
-            return mat_identity(self.rank)
-        return _on_component(bycomp, comp)
+    def transition(self, i: int, j: int, comp: int) -> HExpr:
+        """The transition of the ordered edge (i < j) on one component."""
+        return _on_component(self.transitions, (i, j), comp)
 
     def to_jsonable(self):
         return {
-            "rank": self.rank,
             "cover": self.cover.to_jsonable(),
             "nerve": self.nerve.to_jsonable(),
             "transitions": [
                 {
                     "pair": list(pair),
                     "components": [
-                        {"component": ci, "matrix": m.to_jsonable()}
-                        for ci, m in sorted(
+                        {"component": ci, "transition": e.to_jsonable()}
+                        for ci, e in sorted(
                             bycomp.items(), key=lambda kv: (kv[0] is None, kv[0])
                         )
                     ],
@@ -133,37 +130,17 @@ class BundleData:
         }
 
 
-def trivial_bundle(cover: Cover, nerve: ResolvedNerve, rank: int = 1) -> BundleData:
-    return BundleData(cover, nerve, rank, {})
+def trivial_bundle(cover: Cover, nerve: ResolvedNerve) -> BundleData:
+    return BundleData(cover, nerve, {})
 
 
 # ---------------------------------------------------------------------------
 # Exact validation of transition identities
 
-LMat = list[list[Laurent]]
 
-
-def _lmat_det(A: LMat) -> Laurent:
-    """Determinant by expansion along the first row."""
-    if len(A) == 1:
-        return A[0][0]
-    out: Laurent = {}
-    for c in range(len(A)):
-        minor = [row[:c] + row[c + 1 :] for row in A[1:]]
-        out = laurent_add(out, laurent_mul(A[0][c], _lmat_det(minor)), (-1) ** c)
-    return out
-
-
-def _defect(A: LMat, B: LMat, C: LMat, D: LMat) -> float:
-    """The largest coefficient modulus of A B - C D (0.0 when they agree)."""
-    worst, r = 0.0, len(A)
-    for a, c in itertools.product(range(r), repeat=2):
-        entry: Laurent = {}
-        for k in range(r):
-            entry = laurent_add(entry, laurent_mul(A[a][k], B[k][c]))
-            entry = laurent_add(entry, laurent_mul(C[a][k], D[k][c]), -1)
-        worst = max([worst, *map(abs, entry.values())])
-    return worst
+def _defect(a: Laurent, b: Laurent, c: Laurent, d: Laurent) -> float:
+    """The largest coefficient modulus of a b - c d (0.0 when they agree)."""
+    return max(map(abs, laurent_add(laurent_mul(a, b), laurent_mul(c, d), -1).values()), default=0.0)
 
 
 def _nonvanishing(node, n: int) -> set[int]:
@@ -189,88 +166,84 @@ def _nonvanishing(node, n: int) -> set[int]:
     }
 
 
-def _unit_failure(A: LMat, proven: set[int]) -> Optional[str]:
-    """Why a matrix is not proved a unit where the coordinates in `proven`
-    are nonzero, or None.  Its determinant must be one term c z^a with |c|
-    above `_DET_FLOOR`, and each coordinate with a nonzero exponent in that
-    term or a negative exponent in an entry must be in `proven`."""
-    det = _lmat_det(A)
-    if len(det) != 1 or abs(next(iter(det.values()))) <= _DET_FLOOR:
-        return "determinant below floor"
-    need = {j for j, _ in next(iter(det))}
-    need.update(j for row in A for p in row for m in p for j, k in m if k < 0)
-    need -= proven
+def _unit_failure(p: Laurent, proven: set[int]) -> Optional[str]:
+    """Why a transition is not proved a unit where the coordinates in
+    `proven` are nonzero, or None.  Its normal form must be one term c z^a
+    (normal forms drop zero coefficients, so c != 0), and each coordinate
+    with a nonzero exponent in it must be in `proven`."""
+    if len(p) != 1:
+        return "not a nonzero monomial"
+    need = {j for j, _ in next(iter(p))} - proven
     return f"z_{min(need) + 1} is not proved nonzero on the overlap" if need else None
 
 
 class CocycleReport:
     # points_checked: the identities checked
-    def __init__(self, max_residual: float, worst_location: str, points_checked: int, det_floor_ok: bool,
-                 tol: float) -> None:
+    def __init__(self, max_residual: float, worst_location: str, points_checked: int, units_ok: bool) -> None:
         self.max_residual, self.worst_location = max_residual, worst_location
-        self.points_checked, self.det_floor_ok, self.tol = points_checked, det_floor_ok, tol
+        self.points_checked, self.units_ok = points_checked, units_ok
 
     @property
     def passed(self) -> bool:
-        return self.det_floor_ok and self.max_residual <= self.tol
+        return self.units_ok and self.max_residual == 0
 
     def to_jsonable(self):
         return {**vars(self), "passed": self.passed}
 
 
-def _report(cover: Cover, items, tol: float) -> CocycleReport:
+def _report(cover: Cover, items) -> CocycleReport:
     """Fold (location, units, identity) items into a report: each unit
-    (M, simplex) must pass `_unit_failure` on the intersection of the simplex,
-    and each identity (A, B, C, D) or None must give A B = C D; max_residual
-    is the largest coefficient of A B - C D.  The location is the first unit
-    failure, or else the first identity with the largest residual."""
-    # transitions are shared between simplices; keyed by id, as hashing a
-    # MatExpr walks its whole tree, with M kept so that its id stays unique
-    forms: dict[int, tuple[MatExpr, LMat]] = {}
+    (e, simplex) must pass `_unit_failure` on the intersection of the simplex,
+    and each identity (a, b, c, d) or None must give a b = c d exactly, as
+    Laurent forms; max_residual is the largest coefficient of a b - c d.  The
+    location is the first unit failure, or else the first identity with the
+    largest residual."""
+    # transitions are shared between simplices; keyed by id, as hashing an
+    # expression walks its whole tree, with e kept so that its id stays unique
+    forms: dict[int, tuple[HExpr, Laurent]] = {}
 
-    def form(M: MatExpr) -> LMat:
-        hit = forms.get(id(M))
+    def form(e: HExpr) -> Laurent:
+        hit = forms.get(id(e))
         if hit is None:
-            hit = forms[id(M)] = (M, [[as_laurent(e) for e in row] for row in M.entries])
+            hit = forms[id(e)] = (e, as_laurent(e))
         return hit[1]
 
-    worst, where, count, det_ok = 0.0, "", 0, True
+    worst, where, count, units_ok = 0.0, "", 0, True
     for loc, units, identity in items:
-        for M, simplex in units:
+        for e, simplex in units:
             overlap = cover.intersection(simplex).constraint
-            why = _unit_failure(form(M), _nonvanishing(overlap, cover.ambient.dim2n // 2))
-            if why and det_ok:
-                det_ok, where = False, f"{loc}: {why}"
+            why = _unit_failure(form(e), _nonvanishing(overlap, cover.ambient.dim2n // 2))
+            if why and units_ok:
+                units_ok, where = False, f"{loc}: {why}"
         if identity:
             res = _defect(*map(form, identity))
             count += 1
             if res > worst:
                 worst = res
-                if det_ok:
+                if units_ok:
                     where = loc
-    return CocycleReport(worst, where, count, det_ok, tol)
+    return CocycleReport(worst, where, count, units_ok)
 
 
-def validate_cocycle(b: BundleData, tol: float = 1e-9) -> CocycleReport:
+def validate_cocycle(b: BundleData) -> CocycleReport:
     """Check the cocycle identity f(k<-j) f(j<-i) = f(k<-i) exactly on every
-    (triple overlap, component), in the stored forward matrices of its faces'
-    components, and that every stored transition is a unit on its overlap
-    (`_report`)."""
+    (triple overlap, component), in the stored forward transitions of its
+    faces' components, and that every stored transition is a unit on its
+    overlap (`_report`)."""
 
     def items():
         for edge in sorted(b.transitions):
             for ci in range(len(b.nerve.components(edge))):
-                yield f"edge {edge} comp {ci}", [(b.edge_matrix(*edge, ci), edge)], None
-        one = mat_identity(b.rank)
+                yield f"edge {edge} comp {ci}", [(b.transition(*edge, ci), edge)], None
         for tri in b.nerve.simplices_of_dim(2):
             for ci in range(len(b.nerve.components(tri))):
                 f_jk, f_ik, f_ij = (
-                    b.edge_matrix(*(tri[:m] + tri[m + 1 :]), b.nerve.face_component(tri, ci, m))
+                    b.transition(*(tri[:m] + tri[m + 1 :]), b.nerve.face_component(tri, ci, m))
                     for m in range(3)
                 )
-                yield f"triple {tri} comp {ci}", [], (f_jk, f_ij, f_ik, one)
+                yield f"triple {tri} comp {ci}", [], (f_jk, f_ij, f_ik, _ONE)
 
-    return _report(b.cover, items(), tol)
+    return _report(b.cover, items())
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +253,13 @@ def validate_cocycle(b: BundleData, tol: float = 1e-9) -> CocycleReport:
 class BundleIso:
     """An isomorphism over the overlap of two covers, given per mixed pair:
     h[(i, j)][comp] carries frame U_i of the first bundle to frame V_j of the
-    second, on the component of U_i intersect V_j."""
+    second, on the component of U_i intersect V_j (1 on a pair not given)."""
 
-    def __init__(self, h: dict[Edge, dict[Optional[int], MatExpr]]) -> None:
+    def __init__(self, h: TransTable) -> None:
         self.h = h
 
-    def matrix(self, i: int, j: int, comp: int, rank: int) -> MatExpr:
-        bycomp = self.h.get((i, j))
-        if bycomp is None:
-            return mat_identity(rank)
-        return _on_component(bycomp, comp)
+    def transition(self, i: int, j: int, comp: int) -> HExpr:
+        return _on_component(self.h, (i, j), comp)
 
 
 def _union_cover(bU: BundleData, bV: BundleData) -> Cover:
@@ -322,22 +292,21 @@ def _carry_transitions(
                 f"the glued resolution has no overlap {edge} for the transition on "
                 f"{src_bundle.cover.names[i]} x {src_bundle.cover.names[j]}"
             )
-        out: dict[Optional[int], MatExpr] = {}
+        out: dict[Optional[int], HExpr] = {}
         if set(bycomp) == {None}:
             out[None] = bycomp[None]
         else:
             for ci, rep in enumerate(union_nerve.components(edge)):
-                old_ci = src_bundle.nerve.locate((i, j), rep)
-                out[ci] = _on_component(bycomp, old_ci)
+                out[ci] = src_bundle.transition(i, j, src_bundle.nerve.locate((i, j), rep))
         dst[edge] = out
 
 
-def _input_edge(b: BundleData, a: int, c: int, rep: CPoint) -> MatExpr:
-    """b's stored matrix carrying frame a to frame c (a <= c) on the component
-    of their overlap that holds rep; the identity when a == c."""
+def _input_edge(b: BundleData, a: int, c: int, rep: CPoint) -> HExpr:
+    """b's stored transition carrying frame a to frame c (a <= c) on the
+    component of their overlap that holds rep; 1 when a == c."""
     if a == c:
-        return mat_identity(b.rank)
-    return b.edge_matrix(a, c, b.nerve.locate((a, c), rep))
+        return _ONE
+    return b.transition(a, c, b.nerve.locate((a, c), rep))
 
 
 def validate_iso(
@@ -345,7 +314,6 @@ def validate_iso(
     bV: BundleData,
     iso: BundleIso,
     union_nerve: ResolvedNerve,
-    tol: float = 1e-9,
 ) -> CocycleReport:
     """Check the gluing equation f(i2<-i1) = h(i2,j2)^{-1} g(j2<-j1) h(i1,j1),
     with h carrying U-frames to V-frames, exactly as h(i2,j2) f = g h(i1,j1)
@@ -363,15 +331,12 @@ def validate_iso(
                 continue
             e1, e2 = (us[0], vs[0]), (us[-1], vs[-1])
             for ci, rep in enumerate(union_nerve.components(s)):
-                h1, h2 = (
-                    iso.matrix(i, j - off, union_nerve.locate((i, j), rep), bU.rank)
-                    for i, j in (e1, e2)
-                )
+                h1, h2 = (iso.transition(i, j - off, union_nerve.locate((i, j), rep)) for i, j in (e1, e2))
                 f = _input_edge(bU, us[0], us[-1], rep)
                 g = _input_edge(bV, vs[0] - off, vs[-1] - off, rep)
                 yield f"mixed simplex {s} comp {ci}", [(h1, e1), (h2, e2)], (h2, f, g, h1)
 
-    return _report(union_nerve.cover, items(), tol)
+    return _report(union_nerve.cover, items())
 
 
 def glue(
@@ -380,20 +345,17 @@ def glue(
     iso: BundleIso,
     resolution: Resolution,
     k_max: int = 3,
-    tol: float = 1e-9,
 ) -> tuple[BundleData, CocycleReport, CocycleReport]:
     """Bundle on the union cover restricting to each input.
 
     Transitions are assigned verbatim: the inputs' own pairs keep their
-    matrices, and each mixed pair (U_i, V_j) gets the isomorphism matrix
+    transitions, and each mixed pair (U_i, V_j) gets the isomorphism's
     h(i, j).  Returns the glued bundle with the reports of `validate_iso` and
     of `validate_cocycle` on the result, both exact; gluing refuses only on
-    structural errors (GlueError: ranks, set names, or a transition or iso on
+    structural errors (GlueError: set names, or a transition or iso on
     an overlap the resolution lacks), validation failures are reported in the
     returned reports.
     """
-    if bU.rank != bV.rank:
-        raise GlueError(f"rank mismatch: {bU.rank} vs {bV.rank}")
     cover = _union_cover(bU, bV)
     nerve = build_nerve(cover, k_max, resolution)
     off = len(bU.cover.sets)
@@ -405,8 +367,8 @@ def glue(
         if edge not in nerve.simplices:
             raise GlueError(f"iso given on empty overlap U_{i} x V_{j}")
         transitions[edge] = dict(bycomp)
-    out = BundleData(cover, nerve, bU.rank, transitions)
-    return out, validate_iso(bU, bV, iso, nerve, tol), validate_cocycle(out, tol)
+    out = BundleData(cover, nerve, transitions)
+    return out, validate_iso(bU, bV, iso, nerve), validate_cocycle(out)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +384,7 @@ def restrict_to_sets(b: BundleData, keep: list[int]) -> BundleData:
     for (i, j), bycomp in b.transitions.items():
         if i in old_to_new and j in old_to_new:
             transitions[(old_to_new[i], old_to_new[j])] = bycomp
-    return BundleData(nerve.cover, nerve, b.rank, transitions)
+    return BundleData(nerve.cover, nerve, transitions)
 
 
 def _exp_image(node, n: int):
@@ -450,7 +412,7 @@ def pullback(
 
     The caller supplies the preimage cover (set i of it must map into set i of
     the bundle's cover); expressions are composed with the chart's forward
-    components, and per-component matrices are transported by locating the
+    components, and per-component transitions are transported by locating the
     image of each preimage component representative.  Every preimage set
     lies in the declared injectivity chart: each conjunct of the chart's
     domain is one of the set's.  Its image lies in its target: the chart
@@ -471,22 +433,18 @@ def pullback(
             raise ChartError(f"image of preimage set {name!r} leaves its target set")
     nerve = build_nerve(pre_cover, k_max, resolution)
     mapping = dict(enumerate(chart.forward))
-
-    def composed(M: MatExpr) -> MatExpr:
-        return MatExpr(tuple(tuple(subst(e, mapping) for e in row) for row in M.entries))
-
     transitions: TransTable = {}
     for edge, bycomp in b.transitions.items():
         if edge not in nerve.simplices:
             continue
         if set(bycomp) == {None}:
-            transitions[edge] = {None: composed(bycomp[None])}
+            transitions[edge] = {None: subst(bycomp[None], mapping)}
             continue
         transitions[edge] = {
-            ci: composed(_on_component(bycomp, b.nerve.locate(edge, chart.forward_point(rep))))
+            ci: subst(b.transition(*edge, b.nerve.locate(edge, chart.forward_point(rep))), mapping)
             for ci, rep in enumerate(nerve.components(edge))
         }
-    return BundleData(pre_cover, nerve, b.rank, transitions)
+    return BundleData(pre_cover, nerve, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +454,7 @@ def pullback(
 def exp_sequence_push(
     nerve: ResolvedNerve, c: IntCochain, scale: str = "half"
 ) -> BundleData:
-    """Turn an integer 1-cocycle into a rank-1 bundle with unit-constant
+    """Turn an integer 1-cocycle into a line bundle with unit-constant
     transitions exp(pi i c) (half) or exp(2 pi i c) (full); both are exact
     integer powers of -1 and 1 respectively, so no rounding is involved."""
     if scale not in ("half", "full"):
@@ -515,10 +473,8 @@ def exp_sequence_push(
             cases[ci] = Const(unit)
             nontrivial = nontrivial or unit != 1
         if nontrivial:
-            transitions[edge] = {
-                ci: MatExpr(((e,),)) for ci, e in cases.items()
-            }
-    return BundleData(nerve.cover, nerve, 1, transitions)
+            transitions[edge] = cases
+    return BundleData(nerve.cover, nerve, transitions)
 
 
 def _winding(z: complex, u: complex) -> int:
@@ -532,7 +488,7 @@ def _winding(z: complex, u: complex) -> int:
 
 
 def chern_cocycle(b: BundleData) -> IntCochain:
-    """Degree-2 integer cocycle of a rank-1 bundle with monomial transitions,
+    """Degree-2 integer cocycle of a line bundle with monomial transitions,
     c1 = delta[(1/2 pi i) log f] of the exponential sequence.
 
     Each (edge, component) fixes log f = log c + sum_j k_j log z_j for its
@@ -544,12 +500,10 @@ def chern_cocycle(b: BundleData) -> IntCochain:
     representative (`_winding`), and m in {-1, 0, 1} makes
     Arg c_jk + Arg c_ij - 2 pi m = Arg c_ik.  The cochain must be a cocycle.
     """
-    if b.rank != 1:
-        raise ShapeError("first-Chern extraction is rank-1 only")
     mono = {}
     for edge in b.nerve.simplices_of_dim(1):
         for ci, rep in enumerate(b.nerve.components(edge)):
-            c, k = as_monomial(b.edge_matrix(*edge, ci).entries[0][0])
+            c, k = as_monomial(b.transition(*edge, ci))
             if c == 0:
                 raise ShapeError(f"transition on {edge} comp {ci} is zero")
             mono[(edge, ci)] = c, k, rep
@@ -601,13 +555,11 @@ def flat_class_test(b: BundleData) -> FlatClassResult:
     The multiplicative problem is exactly a mod-2 coboundary question for the
     bit cochain of the -1 entries.
     """
-    if b.rank != 1:
-        raise ShapeError("flat-class test is rank-1 only")
     bits: dict[tuple[tuple[int, ...], int], int] = {}
     for edge in b.nerve.simplices_of_dim(1):
         i, j = edge
         for ci in range(len(b.nerve.components(edge))):
-            unit = as_laurent(b.edge_matrix(i, j, ci).entries[0][0])
+            unit = as_laurent(b.transition(i, j, ci))
             if unit == {(): -1}:
                 bits[(edge, ci)] = 1
             elif unit != {(): 1}:

@@ -122,13 +122,12 @@ def main(argv=None) -> int:
             print(f"table written to {path}")
             return 0 if ok else 1
         if args.cmd == "hessian-scan":
-            import csv  # here, not at module load: no other command writes CSV
             rows = hessian_scan_rows(args.lo, args.hi, args.count)
             path = _out_path(args, "hessian_scan.csv")
             with open(path, "w", newline="") as fh:
-                w = csv.DictWriter(fh, fieldnames=["modulus", "trace", "det", "definite"])
-                w.writeheader()
-                w.writerows(rows)
+                # the bytes csv.DictWriter writes: floats by repr, CRLF line ends
+                fh.write("modulus,trace,det,definite\r\n")
+                fh.writelines(f"{r['modulus']!r},{r['trace']!r},{r['det']!r},{r['definite']}\r\n" for r in rows)
             print(f"scan written to {path}")
             return 0
         if args.cmd == "selftest":

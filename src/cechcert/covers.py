@@ -37,7 +37,7 @@ from .geometry import (
     ball_region,
     up_radius,
 )
-from .hexpr import ChartMap, Const, Coord, Exp, IntPower, MatExpr, Product
+from .hexpr import ChartMap, Const, Coord, Exp, IntPower, Product
 from .nerve import Y_NONZERO, AnalyticPatch, Cover, Resolution
 from .bundles import BundleData
 from .nerve import IntCochain, ResolvedNerve
@@ -208,10 +208,7 @@ def tube_resolution_dim2() -> Resolution:
 def tube_bundle_dim2(cover: Cover, nerve: ResolvedNerve) -> BundleData:
     """The line bundle on the tube cover: transition 1 on the |w1| > 1 overlap
     component and -1 on the other."""
-    transitions = {
-        (0, 1): {0: MatExpr(((Const(1),),)), 1: MatExpr(((Const(-1),),))}
-    }
-    return BundleData(cover, nerve, 1, transitions)
+    return BundleData(cover, nerve, {(0, 1): {0: Const(1), 1: Const(-1)}})
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +351,9 @@ def lnt_bundle(cover: Cover, nerve: ResolvedNerve) -> BundleData:
                 e = Coord(1) if sign == 1 else IntPower(Coord(1), -1)
             else:
                 e = Const(1)
-            cases[ci] = MatExpr(((e,),))
+            cases[ci] = e
         transitions[edge] = cases
-    return BundleData(cover, nerve, 1, transitions)
+    return BundleData(cover, nerve, transitions)
 
 
 # ---------------------------------------------------------------------------

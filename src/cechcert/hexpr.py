@@ -1,4 +1,4 @@
-"""Evaluable holomorphic expression trees and matrices of them.
+"""Evaluable holomorphic expression trees.
 
 The language is deliberately small: constants, coordinates, integer powers,
 products, sums and exp.  That is enough for every transition function the
@@ -41,7 +41,6 @@ __all__ = [
     "as_laurent",
     "as_monomial",
     "MatExpr",
-    "mat_identity",
     "ChartMap",
 ]
 
@@ -236,12 +235,14 @@ def as_monomial(e: HExpr) -> tuple[complex, dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Matrix expressions
+# Matrix expressions (unused)
 
 
 class MatExpr(Frozen):
-    """An r x r matrix of expressions; transitions are required to be units
-    on their domains (checked exactly in the bundle validators, not here)."""
+    """An r x r matrix of expressions.  No module uses it any more: a line
+    bundle's transition is one expression.  It stays while the benchmark's
+    span wraps `MatExpr.at`, and the benchmark refresh (ROADMAP item 1)
+    deletes it."""
 
     __slots__ = ("entries",)
 
@@ -265,13 +266,6 @@ class MatExpr(Frozen):
             "r": self.r,
             "entries": [[e.to_jsonable() for e in row] for row in self.entries],
         }
-
-
-@functools.cache  # frozen, so shared; bundles._report caches normal forms by id
-def mat_identity(r: int) -> MatExpr:
-    return MatExpr(
-        tuple(tuple(Const(1 if a == b else 0) for b in range(r)) for a in range(r))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ misses U_p, so the same holds for the glued bundle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from typing import Optional
@@ -59,10 +60,10 @@ from .geometry import (
     up_radius,
 )
 from .geometry import CLt, SConst, SPow, SRho, SX, conjuncts, reads_y_only
-from .hexpr import Const, Coord, IntPower, MatExpr, Product, Sum
+from .hexpr import Const, Coord, IntPower, Product, Sum
 from .hexpr import as_laurent, laurent_add, laurent_diff, laurent_mul, laurent_subst
 from .nerve import Cover, ResolvedNerve, build_nerve, check_cover, cohomology, is_coboundary
-from .nerve import MAX_NERVE_SIMPLICES, simplex_count
+from .nerve import MAX_NERVE_SIMPLICES
 from .bundles import BundleData, BundleIso, trivial_bundle
 from .report import CertificateReport
 
@@ -200,8 +201,8 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
     # (3) exponential push at half scale: transitions (1, -1), no constant
     # trivialization
     bundle = exp_sequence_push(nerve, c)
-    plus_minus = [MatExpr(((Const(1),),)), MatExpr(((Const(-1),),))]
-    want = [bundle.edge_matrix(0, 1, ci) for ci in range(2)] == plus_minus
+    plus_minus = [Const(1), Const(-1)]
+    want = [bundle.transition(0, 1, ci) for ci in range(2)] == plus_minus
     flat = flat_class_test(bundle)
     expected = want and not flat.trivializable
     rep.add(
@@ -217,7 +218,7 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
     # (4) periodicity of the transition data under 2 pi shifts of x: each
     # transition is a constant (a normal form without a coordinate), so a
     # shifted pair has equal values when it stays on one component
-    forms = [as_laurent(bundle.edge_matrix(0, 1, ci).entries[0][0]) for ci in range(n_overlap)]
+    forms = [as_laurent(bundle.transition(0, 1, ci)) for ci in range(n_overlap)]
     period_ok = all(set(f) <= {()} for f in forms)
     pairs_ok, checked = periodicity_pairs(nerve, cover.intersection((0, 1)))
     rep.add(
@@ -236,7 +237,7 @@ def run_dim2(cfg: ScenarioConfig) -> CertificateReport:
     pre_sets = [(name, reg.intersect(chart.domain, name=name)) for name, reg in cover.sets]
     pre_cover = Cover(cover.ambient.intersect(chart.domain, name="preimage"), pre_sets)
     pulled = pullback(tube_bundle, chart, pre_cover, res, k_max=2)
-    pull_match = [pulled.edge_matrix(0, 1, ci) for ci in range(2)] == plus_minus
+    pull_match = [pulled.transition(0, 1, ci) for ci in range(2)] == plus_minus
     rep.add(
         "tube-transport",
         coc.passed and pull_match,
@@ -499,8 +500,8 @@ def run_dimn(cfg: ScenarioConfig) -> CertificateReport:
     omega_prime = cv.omega_prime_region(n, eps, up)
     out_cover, out_res = cv.one_set_cover(omega_prime, cv.outer_rep(n, eps))
     out_nerve = build_nerve(out_cover, 1, out_res)
-    triv = trivial_bundle(out_cover, out_nerve, 1)
-    iso = BundleIso({(0, 0): {None: MatExpr(((Const(1),),))}})
+    triv = trivial_bundle(out_cover, out_nerve)
+    iso = BundleIso({(0, 0): {None: Const(1)}})
     glued_res = cv.glued_resolution(n, eps, cfg.safety, k_max, d)
     lcex, iso_rep, coc_rep = glue(lnt, triv, iso, glued_res, k_max=k_max)
     rep.add(
@@ -575,7 +576,7 @@ def slice_checks(lnt: BundleData, eps: float) -> dict:
         base = cv.torus_cover(2, eps)
         base_nerve = build_nerve(base, nerve.k_max, cv.torus_resolution(2, eps, nerve.k_max))
     sets = [r.constraint for _, r in lnt.cover.sets] == [r.constraint for _, r in base.sets]
-    entries = [e for t in lnt.transitions.values() for M in t.values() for e in sum(M.entries, ())]
+    entries = [e for t in lnt.transitions.values() for e in t.values()]
     located = set(base_nerve.simplices) == set(nerve.simplices) and all(
         len(nerve.components(s)) == len(reps) and nerve.locate(s, w) == ci
         for s, reps in base_nerve.simplices.items()
@@ -647,19 +648,26 @@ def connectivity_check(n: int, eps: float, safety: float) -> tuple[bool, dict]:
 
 def torus_rank_table(n: int, eps: Optional[float] = None, k_max: Optional[int] = None):
     """Cohomology ranks of the sector cover of the tube, H^0 to H^{k_max - 1},
-    from one pass over the differentials."""
+    from one pass over the differentials.  k_max runs from 1 to the 2^n sets
+    of the cover, and a nerve past MAX_NERVE_SIMPLICES is refused; both
+    before any set is built."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     eps = n / 2.0 if eps is None else eps
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
     k_max = n + 1 if k_max is None else k_max
-    # refuse, naming n, before the 2^n sets are built (2^17 alone pass the limit)
-    count = simplex_count(2 ** min(n, MAX_NERVE_SIMPLICES.bit_length()), k_max)
-    if count > MAX_NERVE_SIMPLICES:
+    # refuse before the 2^n sets are built, and without forming 2^n for a huge
+    # n: 2^n >= k_max once n reaches the bit length of k_max
+    if k_max < 1 or k_max > 2 ** min(n, k_max.bit_length()):
+        raise ValueError(f"k_max must be between 1 and 2^{n} (the sets of the cover), got {k_max}; change --kmax")
+    # the count stops once past the limit (2^17 sets alone pass it)
+    sets = 2 ** min(n, MAX_NERVE_SIMPLICES.bit_length())
+    counts = itertools.accumulate(math.comb(sets, size) for size in range(1, min(k_max + 1, sets) + 1))
+    if any(count > MAX_NERVE_SIMPLICES for count in counts):
         raise ResourceError(
-            f"n = {n}: the sector nerve has at least {count:,} simplices up to "
-            f"dimension {k_max}, over the limit of {MAX_NERVE_SIMPLICES:,}"
+            f"n = {n}: the sector nerve has more than {MAX_NERVE_SIMPLICES:,} simplices up to "
+            f"dimension {k_max}; lower --n or --kmax"
         )
     cover = cv.torus_cover(n, eps)
     res = cv.torus_resolution(n, eps, k_max)

@@ -69,7 +69,7 @@ NODES = [
     Product(factors=(Const(1j), Coord(0))),
     Sum(terms=(Const(1), Coord(1))),
     Exp(arg=Coord(0)),
-    MatExpr(entries=((Coord(0),),)),
+    MatExpr(entries=((Coord(0), Const(0)), (Const(1), Coord(1)))),
     CohomologyResult(free_rank=1, torsion=(2,)),
 ]
 
@@ -119,9 +119,9 @@ def test_equal_trees_hash_equal():
         assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
     cover = torus_cover(2, 1.0)
     nerve = build_nerve(cover, 3, torus_resolution(2, 1.0, 3))
-    matrices = [m for t in lnt_bundle(cover, nerve).transitions.values() for m in t.values()]
-    for m in matrices:
-        assert copy.deepcopy(m) == m and hash(copy.deepcopy(m)) == hash(m)
+    transitions = [e for t in lnt_bundle(cover, nerve).transitions.values() for e in t.values()]
+    for e in transitions:
+        assert copy.deepcopy(e) == e and hash(copy.deepcopy(e)) == hash(e)
     # fields compare as tuples do: a NaN equals only itself
     assert SConst(float("nan")) != SConst(float("nan"))
     nan = SConst(float("nan"))
@@ -180,9 +180,9 @@ def test_every_mutable_record_keeps_its_fields_and_defaults():
         (Resolution(patches=values), {"patches": values}),
         (cochain, {"degree": 0, "ring": "Z", "values": values}),
         (verdict, {"primitive": cochain, "witness": None, "modulus": 2}),
-        (BundleData(cover=cover, nerve=nerve, rank=1, transitions={}), {"cover": cover, "nerve": nerve, "rank": 1}),
-        (CocycleReport(max_residual=0.0, worst_location="", points_checked=4, det_floor_ok=True, tol=1e-9),
-         {"max_residual": 0.0, "points_checked": 4, "det_floor_ok": True}),
+        (BundleData(cover=cover, nerve=nerve, transitions={}), {"cover": cover, "nerve": nerve, "transitions": {}}),
+        (CocycleReport(max_residual=0.0, worst_location="", points_checked=4, units_ok=True),
+         {"max_residual": 0.0, "points_checked": 4, "units_ok": True}),
         (BundleIso(h=values), {"h": values}),
         (FlatClassResult(trivializable=False, signs=None, verdict=verdict), {"signs": None, "verdict": verdict}),
         (checks[0], {"name": "a", "status": "pass", "metrics": metrics, "note": "n"}),
@@ -214,8 +214,8 @@ def test_every_mutable_record_keeps_its_fields_and_defaults():
     assert IntCochain(0, "Z", empty).values is empty and CertificateReport("s", {}, [], empty).artifacts is empty
     assert SectorPatch([], locate).diff == () and ConvexityVerdict(1).witness is None
     assert CoboundaryVerdict(None).witness is None and CoboundaryVerdict(None).modulus == 0
-    assert CocycleReport(0.5, "e", 2, True, 1.0).to_jsonable() == {
-        "max_residual": 0.5, "worst_location": "e", "points_checked": 2, "det_floor_ok": True, "tol": 1.0,
-        "passed": True,
+    assert CocycleReport(0.5, "e", 2, True).to_jsonable() == {
+        "max_residual": 0.5, "worst_location": "e", "points_checked": 2, "units_ok": True, "passed": False,
     }
+    assert CocycleReport(0.0, "", 2, True).passed and not CocycleReport(0.0, "e", 2, False).passed
     assert Region("b", SRho(), [(0, 1), (2, 3)]).bbox == ((0.0, 1.0), (2.0, 3.0))

@@ -44,7 +44,7 @@ from cechcert.geometry import (
     hessian_block_det,
     hessian_block_trace,
 )
-from cechcert.hexpr import Const, Coord, IntPower, MatExpr, Product, Sum
+from cechcert.hexpr import Const, Coord, IntPower, Product, Sum
 from cechcert.nerve import (
     AnalyticPatch,
     IntCochain,
@@ -378,13 +378,16 @@ def _linspace_rows(lo, hi, count):
 
 @pytest.mark.parametrize("count", [1, 2, 1000])
 def test_hessian_scan_csv_keeps_its_linspace_bytes(count, tmp_path):
+    # csv.DictWriter is the oracle for the bytes, also at lo = hi and for
+    # floats whose repr has an exponent
     out = tmp_path / "scan.csv"
-    assert main(["hessian-scan", "--count", str(count), "--out", str(out)]) == 0
-    want = io.StringIO(newline="")
-    w = csv.DictWriter(want, fieldnames=["modulus", "trace", "det", "definite"])
-    w.writeheader()
-    w.writerows(_linspace_rows(0.5, 3.5, count))
-    assert out.read_bytes() == want.getvalue().encode()
+    for lo, hi in ((0.5, 3.5), (1.5, 1.5), (1e-300, 1e50)):
+        assert main(["hessian-scan", "--lo", str(lo), "--hi", str(hi), "--count", str(count), "--out", str(out)]) == 0
+        want = io.StringIO(newline="")
+        w = csv.DictWriter(want, fieldnames=["modulus", "trace", "det", "definite"])
+        w.writeheader()
+        w.writerows(_linspace_rows(lo, hi, count))
+        assert out.read_bytes() == want.getvalue().encode()
 
 
 _ENDPOINTS = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
@@ -471,7 +474,7 @@ def test_cli_refuses_sector_nerves_past_the_limit(tmp_path, capsys):
     # table's 2^n-set nerve past its size limit, and dimn past its ceiling
     ceiling = scenarios.MAX_DIMN_N
     for argv, message in (
-        (["cohomology-torus", "--n", "5"], "n = 5: the sector nerve has at least"),
+        (["cohomology-torus", "--n", "5"], "n = 5: the sector nerve has more than 100,000 simplices"),
         (
             ["dimn", "--n", str(ceiling + 1)],
             f"n = {ceiling + 1}: the tube pipeline takes n up to {ceiling}",
@@ -508,7 +511,7 @@ def test_nerve_limit_accepts_dimn_n5_and_torus_n4(monkeypatch):
         torus_rank_table(4)
     with pytest.raises(ResourceError, match=f"n = {scenarios.MAX_DIMN_N + 1}: the tube pipeline"):
         run_dimn(_fast_cfg(n=scenarios.MAX_DIMN_N + 1))
-    with pytest.raises(ResourceError, match="n = 5: the sector nerve has at least 4,514,872 simplices"):
+    with pytest.raises(ResourceError, match="n = 5: the sector nerve has more than 100,000 simplices"):
         torus_rank_table(5)
 
 
@@ -578,7 +581,7 @@ def test_slice_cover_agrees_with_the_full_sector_cover(n):
     chern = chern_cocycle(lnt)
     h2 = cohomology(nerve, 2)
     clutching = (
-        validate_cocycle(lnt, tol=0.0).passed
+        validate_cocycle(lnt).passed
         and not is_coboundary(nerve, chern).yes
         and h2.free_rank == math.comb(n, 2)
         and not h2.torsion
@@ -588,10 +591,8 @@ def test_slice_cover_agrees_with_the_full_sector_cover(n):
         covers.omega_prime_region(n, eps, up), covers.outer_rep(n, eps)
     )
     triv = trivial_bundle(out_cover, build_nerve(out_cover, 1, out_res))
-    iso = BundleIso({(0, 0): {None: MatExpr(((Const(1),),))}})
-    lcex, iso_rep, coc_rep = glue(
-        lnt, triv, iso, covers.glued_resolution(n, eps, safety, k_max), k_max=k_max, tol=0.0
-    )
+    iso = BundleIso({(0, 0): {None: Const(1)}})
+    lcex, iso_rep, coc_rep = glue(lnt, triv, iso, covers.glued_resolution(n, eps, safety, k_max), k_max=k_max)
     glued_class = (
         not is_coboundary(lcex.nerve, chern_cocycle(lcex)).yes
         and restrict_to_sets(lcex, list(range(2**n))).transitions == lnt.transitions
@@ -639,10 +640,9 @@ def test_dimn_slice_check_fails_on_a_transition_in_z3(monkeypatch):
         table = dict(b.transitions)
         for j in range(1, len(cover.sets)):
             table[(0, j)] = {
-                ci: MatExpr(((Product((b.edge_matrix(0, j, ci).entries[0][0], Coord(2))),),))
-                for ci in range(len(nerve.components((0, j))))
+                ci: Product((b.transition(0, j, ci), Coord(2))) for ci in range(len(nerve.components((0, j))))
             }
-        return BundleData(cover, nerve, 1, table)
+        return BundleData(cover, nerve, table)
 
     monkeypatch.setattr(covers, "lnt_bundle", gauged)
     check = _check(run_dimn(_fast_cfg(n=3)), "clutching-bundle")
@@ -717,10 +717,8 @@ def test_dimn_glued_restriction_differing_from_the_clutching_bundle_fails(monkey
         r = real(b, keep)
         table = dict(r.transitions)
         edge = min(table)
-        table[edge] = {
-            ci: MatExpr(((Product((m.entries[0][0], Const(2))),),)) for ci, m in table[edge].items()
-        }
-        return BundleData(r.cover, r.nerve, r.rank, table)
+        table[edge] = {ci: Product((e, Const(2))) for ci, e in table[edge].items()}
+        return BundleData(r.cover, r.nerve, table)
 
     monkeypatch.setattr(scenarios, "restrict_to_sets", altered)
     rep = run_dimn(_fast_cfg())
@@ -1117,6 +1115,42 @@ def test_cli_torus_table_refuses_n_below_one(tmp_path, capsys):
     assert not out.exists()
     assert main(["cohomology-torus", "--n", "1", "--out", str(out)]) == 0
     assert [r["rank"] for r in json.loads(out.read_text())] == [1, 1]
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1", "5", "100000000"])
+def test_cli_torus_table_refuses_a_kmax_outside_its_sets(kmax, tmp_path, capsys, monkeypatch):
+    # n = 2 has 2^2 = 4 sets, so k_max runs from 1 to 4; any other value is
+    # refused before a set is built
+    monkeypatch.setattr(covers, "torus_cover", _reached)
+    out = tmp_path / "ranks.json"
+    t0 = time.monotonic()
+    assert main(["cohomology-torus", "--n", "2", "--kmax", kmax, "--out", str(out)]) == 2
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: k_max must be between 1 and 2^2 (the sets of the cover), got {kmax}; change --kmax\n"
+    assert not out.exists()
+
+
+def test_cli_torus_table_accepts_kmax_from_one_to_its_sets(tmp_path):
+    out = tmp_path / "ranks.json"
+    for kmax, ranks in (("1", [1]), ("4", [1, 2, 1, 0])):
+        assert main(["cohomology-torus", "--n", "2", "--kmax", kmax, "--out", str(out)]) == 0
+        assert [r["rank"] for r in json.loads(out.read_text())] == ranks
+
+
+@pytest.mark.parametrize(
+    "argv", [["--n", "13", "--kmax", "5000"], ["--n", "1000000"]], ids=["n13-kmax5000", "n1000000"]
+)
+def test_cli_torus_table_stops_counting_past_the_limit(argv, tmp_path, capsys):
+    # 8,192 sets at n = 13: the count passes the limit at pairs and stops
+    # there; the sum up to dimension 5000 would have about 2,400 digits
+    out = tmp_path / "ranks.json"
+    t0 = time.monotonic()
+    assert main(["cohomology-torus", *argv, "--out", str(out)]) == 2
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n = {argv[1]}: the sector nerve has more than 100,000 simplices up to dimension ")
+    assert err.count("\n") == 1 and len(err) < 150 and not out.exists()
 
 
 def test_cli_torus_table_fails_on_torsion(tmp_path, monkeypatch, capsys):
